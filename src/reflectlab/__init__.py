@@ -28,7 +28,6 @@ from .path import (
     negate,
     reflect_at_rule,
     reflect_at_time,
-    same_function,
     value_at,
 )
 from .rational import Rational, as_rational, is_dyadic
@@ -69,12 +68,9 @@ from .stopping import (
     StoppingRule,
     TimeCompare,
     TwoSidedHit,
-    discrete_martingale_track,
-    evaluate,
     ladder_levels,
     ladder_times,
     ladder_trace,
-    observe,
     parse_rule,
 )
 from .verify import (

@@ -175,25 +175,6 @@ def value_at(p: Path, t: float) -> float:
                         float(v[i]), float(v[i + 1]), t)
 
 
-def values_at(p: Path, ts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`value_at` (same formula, same float results)."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and (ts.min() < 0.0 or ts.max() > p.horizon):
-        raise TimeOutOfRangeError("query times outside [0, horizon]")
-    idx = np.clip(np.searchsorted(p.knots, ts, side="right") - 1, 0,
-                  p.knots.size - 2)
-    v = p.values
-    tl, tr = p.knots[idx], p.knots[idx + 1]
-    vl, vr = v[idx], v[idx + 1]
-    out = vl + (ts - tl) * ((vr - vl) / (tr - tl))
-    at_knot = p.knots[idx] == ts
-    out[at_knot] = vl[at_knot]
-    # right endpoint lands in the last segment via the clip above
-    last = ts == p.knots[-1]
-    out[last] = v[-1]
-    return out
-
-
 def insert_knot(p: Path, t: float, v: float, *,
                 exact: Optional[Fraction] = None) -> Path:
     """Return a copy of p with a knot at time t holding value exactly v.
@@ -326,17 +307,6 @@ def max_deviation(p: Path, q: Path) -> float:
     dp = np.interp(ts, p.knots, p.values)
     dq = np.interp(ts, q.knots, q.values)
     return float(np.max(np.abs(dp - dq)))
-
-
-def same_function(p: Path, q: Path, rtol: float = 1e-9) -> bool:
-    """Whether p and q define the same piecewise-linear function, up to a
-    relative tolerance that absorbs interpolation rounding at inserted knots.
-    """
-    if p.horizon != q.horizon:
-        return False
-    scale = max(1.0, float(np.max(np.abs(p.values))),
-                float(np.max(np.abs(q.values))))
-    return max_deviation(p, q) <= rtol * scale
 
 
 def dump_csv(p: Path, fp: IO[str]) -> None:

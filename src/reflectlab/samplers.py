@@ -165,11 +165,11 @@ Sampler = Union[BrownianMotion, DriftedBM, DyadicCounterexample,
 _LAW = re.compile(r"^([a-z_]+)\((.*)\)$", re.S)
 
 _LAW_BUILDERS = {
-    "bm": (BrownianMotion, ("dt", "T"), ()),
-    "drift": (DriftedBM, ("mu", "dt", "T"), ("mu",)),
-    "counterexample": (DyadicCounterexample, ("T",), ()),
-    "ocone": (OconeTimeChange, ("clock", "dt", "T"), ()),
-    "stopped": (StoppedSymmetric, ("level", "dt", "T"), ()),
+    "bm": (BrownianMotion, ("dt", "T")),
+    "drift": (DriftedBM, ("mu", "dt", "T")),
+    "counterexample": (DyadicCounterexample, ("T",)),
+    "ocone": (OconeTimeChange, ("clock", "dt", "T")),
+    "stopped": (StoppedSymmetric, ("level", "dt", "T")),
 }
 
 _KEY_MAP = {"T": "horizon", "mu": "drift"}
@@ -183,7 +183,7 @@ def parse_law(spec: str, seed: int = 0) -> Sampler:
     name, inside = m.group(1), m.group(2)
     if name not in _LAW_BUILDERS:
         raise SamplerError(f"unknown law {name!r}")
-    cls, positional, _ = _LAW_BUILDERS[name]
+    cls, positional = _LAW_BUILDERS[name]
     kwargs: dict = {"seed": seed}
     for i, arg in enumerate(_split_args(inside)):
         if "=" in arg:

@@ -8,6 +8,16 @@ exact target level for passage-type rules.  Reflections pivot on those knots,
 which is what makes the pathwise identities in the test suites exact instead
 of merely close.
 
+Exit scan
+---------
+``FirstPassage``, ``TwoSidedHit`` and every ladder step are one operation,
+done by one kernel (``_first_exit``): the first exit, after a knot k, of the
+increment sum restarted at k from an interval whose sides may be unbounded.
+It sums with one rule: blocks of increments, left to right, with the running
+sum carried in as each block's first summand.  From knot 0 these sums are
+``Path.values`` bit for bit, so a level passage and the ladder window that
+defines the same stopping time agree to the bit.
+
 Level ladder
 ------------
 For positive rationals a, b with a/(a+b) not dyadic, levels inside (-a, b) are
@@ -37,11 +47,12 @@ exact comparisons rather than float ones.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -49,6 +60,7 @@ from .errors import DyadicRatioError, MixturePartitionError, RuleError
 from .path import (
     NOT_OBSERVED,
     Path,
+    _fast_path,
     _insert_knot_indexed,
     is_observed,
     reflect_at_time,
@@ -68,143 +80,96 @@ def _as_level(x: LevelLike) -> tuple[float, Optional[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# scan engines
+# exit scan
 # ---------------------------------------------------------------------------
 
 _BLOCK = 2048
 
+Bound = tuple[float, Optional[Fraction]]  # (float, exact value or None)
+_NO_FLOOR: Bound = (-math.inf, None)
+_NO_CEILING: Bound = (math.inf, None)
 
-def _first_level_hit(p: Path, levels: Sequence[tuple[float, Optional[Fraction]]]
-                     ) -> Optional[tuple[float, int, int, Path]]:
-    """First time p attains any of the given absolute levels.
 
-    Returns (time, knot_index, level_position, annotated_path) or None.  A hit
-    exactly at a knot counts at that knot (inf convention); otherwise the
-    crossing time within the segment is computed from the interpolant.  Knots
-    carrying an exact value are resolved by exact comparison against exact
-    levels, which overrides any conflicting verdict from rounded prefix sums.
+def _first_exit(p: Path, k: int, lo: Bound, hi: Bound,
+                base: Fraction = Fraction(0)
+                ) -> Optional[tuple[float, int, int, Path]]:
+    """First exit after knot k of the increment sum restarted at k from the
+    open interval (lo, hi); an infinite bound leaves that side open.
+
+    The bounds are relative to the value at knot k, whose exact value is
+    ``base``; a bound's exact part, when given, makes ``base + exact`` the
+    target the hit is pinned to.  Returns (time, knot_index, side,
+    annotated_path) with side +1 for an exit through hi and -1 through lo, or
+    None when the horizon comes first.  A start on or outside a bound exits
+    at knot k itself.  A hit exactly at a knot counts at that knot (inf
+    convention); a crossing inside a segment gets a new knot holding the
+    exact target.
+
+    One summation rule: each block of increments is summed left to right
+    with the running sum carried in as its first summand.  At k = 0 the sums
+    therefore equal ``p.values`` bit for bit, and a reflection pivoted at or
+    before k negates them exactly, so a hit on a reflected path mirrors bit
+    for bit.  A knot anchored at an exact target decides the hit there,
+    overriding a float crossing in the segment that ends at it.
     """
-    v = p.values
-    n = v.size
-    anchor_best = None  # (knot index, level position)
-    if p.anchors:
-        for j in p.anchors:
-            a = p.anchors[j]
-            for li, (_, lex) in enumerate(levels):
-                if lex is not None and a == lex:
-                    if anchor_best is None or (j, li) < anchor_best:
-                        anchor_best = (j, li)
-    best = None  # (order_key, level_position, knot_or_segment_index)
-    base = 0
-    while base < n:  # blocks overlap by one knot to catch boundary segments
-        stop = min(n, base + _BLOCK + 1)
-        for li, (lf, _) in enumerate(levels):
-            d = v[base:stop] - lf
-            eq = np.flatnonzero(d == 0.0)
-            if eq.size:
-                j = base + int(eq[0])
-                key = (2 * j, li, j)
-                if best is None or key < best:
-                    best = key
-            s = np.sign(d)
-            cross = np.flatnonzero(s[:-1] * s[1:] < 0)
-            if cross.size:
-                i = base + int(cross[0])
-                key = (2 * i + 1, li, i)
-                if best is None or key < best:
-                    best = key
-        if best is not None or stop >= n:
-            break
-        if anchor_best is not None and stop > anchor_best[0]:
-            break
-        base = stop - 1
-    if anchor_best is not None:
-        j, li = anchor_best
-        # an exact hit at knot j also overrides a float crossing detected in
-        # the segment ending at j (key 2j - 1): that crossing is an ulp
-        # artifact of the knot's rounded value overshooting the level
-        if best is None or 2 * j - 1 <= best[0]:
-            best = (2 * j, li, j)
-    if best is None:
-        return None
-    order, li, i = best
-    lf, lex = levels[li]
-    if order % 2 == 0:  # at a knot
-        q = p
-        if lex is not None and p.anchors.get(i) != lex:
-            anchors = dict(p.anchors)
-            anchors[i] = lex
-            q = Path(p.knots, p.increments, anchors)
-        return float(p.knots[i]), i, li, q
-    tl, tr = float(p.knots[i]), float(p.knots[i + 1])
-    vl, vr = float(v[i]), float(v[i + 1])
-    t_star = tl + (lf - vl) * ((tr - tl) / (vr - vl))
-    q, idx = _insert_knot_indexed(p, t_star, lf, lex)
-    return t_star, idx, li, q
-
-
-def _first_window_hit(p: Path, start: int, step_f: float,
-                      step_exact: Fraction, anchor_exact: Fraction
-                      ) -> Optional[tuple[float, int, int, Path]]:
-    """First time after knot ``start`` at which the path has moved by the step
-    magnitude relative to its value at that knot.
-
-    Returns (time, knot_index, direction, annotated_path) with direction +1
-    for an upward hit and -1 for a downward one, or None when the horizon is
-    reached first.  The scan works on increment sums restarted at the window
-    anchor: a reflection pivoted at or before the anchor negates that window's
-    sums exactly, so the detected hit mirrors bit for bit.
-    """
+    lo_f, lo_q = lo
+    hi_f, hi_q = hi
+    if not lo_f < 0.0 < hi_f:  # the start is on or past a bound
+        side = 1 if hi_f <= 0.0 else -1
+        return _exit_at_knot(p, k, side, hi_q if side == 1 else lo_q, base)
+    anchor = None
+    if p.anchors and (lo_q is not None or hi_q is not None):
+        for j, a in p.anchors.items():
+            if j > k and (anchor is None or j < anchor) \
+                    and a - base in (lo_q, hi_q):
+                anchor = j
     inc = p.increments
     m = inc.size
-    anchor_knot = None
-    if p.anchors:
-        for j in p.anchors:
-            if j > start and abs(p.anchors[j] - anchor_exact) == step_exact:
-                if anchor_knot is None or j < anchor_knot:
-                    anchor_knot = j
-    float_knot = None
-    ui = u_prev = 0.0
-    base = start
-    offset = 0.0
-    while base < m:
-        stop = min(m, base + _BLOCK)
-        u = np.cumsum(inc[base:stop])
-        if offset != 0.0:
-            u += offset
-        hits = np.flatnonzero(np.abs(u) >= step_f)
-        if hits.size:
-            i = int(hits[0])
-            float_knot = base + 1 + i
-            ui = float(u[i])
-            u_prev = float(u[i - 1]) if i > 0 else offset
-            break
+    start, offset = k, 0.0
+    while start < m and (anchor is None or start < anchor):
+        stop = min(m, start + _BLOCK)
+        u = np.empty(stop - start + 1)  # u[i]: the sum at knot start + i
+        u[0] = offset
+        u[1:] = inc[start:stop]
+        np.cumsum(u, out=u)
+        out = (u <= lo_f) | (u >= hi_f)
+        i = int(out.argmax())
+        if out[i]:
+            j = start + i
+            if anchor is not None and anchor <= j:
+                break
+            ui, u_prev = float(u[i]), float(u[i - 1])
+            side = 1 if ui >= hi_f else -1
+            target_f, target_q = hi if side == 1 else lo
+            if ui == target_f:
+                return _exit_at_knot(p, j, side, target_q, base)
+            tl, tr = float(p.knots[j - 1]), float(p.knots[j])
+            t_star = tl + (target_f - u_prev) * ((tr - tl) / (ui - u_prev))
+            if target_q is None:
+                value = float(base) + target_f
+            else:
+                target_q = base + target_q
+                value = float(target_q)
+            q, idx = _insert_knot_indexed(p, t_star, value, target_q)
+            return t_star, idx, side, q
         offset = float(u[-1])
-        base = stop
-        if anchor_knot is not None and base >= anchor_knot:
-            break
-    if anchor_knot is not None and (float_knot is None
-                                    or anchor_knot <= float_knot):
-        j = anchor_knot
-        direction = 1 if p.anchors[j] > anchor_exact else -1
-        return float(p.knots[j]), j, direction, p
-    if float_knot is None:
+        start = stop
+    if anchor is None:
         return None
-    j = float_knot
-    direction = 1 if ui > 0.0 else -1
-    target = step_f if direction == 1 else -step_f
-    new_exact = anchor_exact + direction * step_exact
-    if ui == target:
-        q = p
-        if p.anchors.get(j) != new_exact:
+    side = 1 if p.anchors[anchor] - base == hi_q else -1
+    return float(p.knots[anchor]), anchor, side, p
+
+
+def _exit_at_knot(p: Path, j: int, side: int, target_q: Optional[Fraction],
+                  base: Fraction) -> tuple[float, int, int, Path]:
+    """Exit at knot j, with the knot pinned to its exact target if any."""
+    if target_q is not None:
+        target_q = base + target_q
+        if p.anchors.get(j) != target_q:
             anchors = dict(p.anchors)
-            anchors[j] = new_exact
-            q = Path(p.knots, p.increments, anchors)
-        return float(p.knots[j]), j, direction, q
-    tl, tr = float(p.knots[j - 1]), float(p.knots[j])
-    t_star = tl + (target - u_prev) * ((tr - tl) / (ui - u_prev))
-    q, idx = _insert_knot_indexed(p, t_star, float(new_exact), new_exact)
-    return t_star, idx, direction, q
+            anchors[j] = target_q
+            p = _fast_path(p.knots, p.increments, anchors)
+    return float(p.knots[j]), j, side, p
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +275,21 @@ def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace
     anchors = [Fraction(0)]
     idx = 0
     q = p
-    alive = True
-    for k in range(1, n_max + 1):
-        if alive:
-            hit = _first_window_hit(q, idx, float(ladder.steps[k - 1]),
-                                    ladder.steps[k - 1], anchors[-1])
-        else:
+    for step in ladder.steps:
+        if times[-1] == NOT_OBSERVED:  # absorbed: later steps stay unobserved
             hit = None
+        else:
+            step_f = float(step)
+            hit = _first_exit(q, idx, (-step_f, -step), (step_f, step),
+                              anchors[-1])
         if hit is None:
-            alive = False
             times.append(NOT_OBSERVED)
             directions.append(0)
             continue
         t, idx, direction, q = hit
         times.append(t)
         directions.append(direction)
-        anchors.append(anchors[-1] + direction * ladder.steps[k - 1])
+        anchors.append(q.anchors[idx])
     return LadderTrace(ladder, tuple(times), tuple(directions),
                        tuple(anchors), q)
 
@@ -336,15 +300,6 @@ def ladder_times(a: LevelLike, b: LevelLike, p: Path,
     each finite tau_k is a knot at its exact level."""
     tr = ladder_trace(a, b, p, n_max)
     return list(tr.times), tr.path
-
-
-def discrete_martingale_track(a: LevelLike, b: LevelLike, p: Path,
-                              n_max: int) -> list[tuple[float, int]]:
-    """Skeleton sequence (Y_n, D_n): D_n is the last observed ladder index
-    <= n and Y_n the path value there."""
-    tr = ladder_trace(a, b, p, n_max)
-    return [(float(tr.skeleton_value(n)), tr.last_finite(n))
-            for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +323,6 @@ class StoppingRule:
 
     def _observe(self, p: Path) -> tuple[float, Path]:
         raise NotImplementedError
-
-
-def evaluate(rule: StoppingRule, p: Path) -> float:
-    return rule.evaluate(p)
-
-
-def observe(rule: StoppingRule, p: Path) -> tuple[float, Path]:
-    return rule.observe(p)
 
 
 @dataclass(frozen=True)
@@ -403,7 +350,10 @@ class FirstPassage(StoppingRule):
     level: LevelLike
 
     def _observe(self, p: Path) -> tuple[float, Path]:
-        hit = _first_level_hit(p, [_as_level(self.level)])
+        level = _as_level(self.level)
+        lo, hi = ((_NO_FLOOR, level) if level[0] >= 0.0
+                  else (level, _NO_CEILING))
+        hit = _first_exit(p, 0, lo, hi)
         if hit is None:
             return NOT_OBSERVED, p
         t, _, _, q = hit
@@ -424,13 +374,10 @@ class TwoSidedHit(StoppingRule):
         if lo <= 0 or hi <= 0:
             raise RuleError("two-sided barriers must be positive")
 
-    def _levels(self) -> list[tuple[float, Optional[Fraction]]]:
-        lo_f, lo_q = _as_level(self.a)
-        hi_f, hi_q = _as_level(self.b)
-        return [(-lo_f, -lo_q if lo_q is not None else None), (hi_f, hi_q)]
-
     def _observe(self, p: Path) -> tuple[float, Path]:
-        hit = _first_level_hit(p, self._levels())
+        lo_f, lo_q = _as_level(self.a)
+        hi = _as_level(self.b)
+        hit = _first_exit(p, 0, (-lo_f, None if lo_q is None else -lo_q), hi)
         if hit is None:
             return NOT_OBSERVED, p
         t, _, _, q = hit
@@ -463,12 +410,11 @@ class MinOf(StoppingRule):
     right: StoppingRule
 
     def _observe(self, p: Path) -> tuple[float, Path]:
-        tl = self.left.evaluate(p)
-        tr = self.right.evaluate(p)
-        winner = self.left if tl <= tr else self.right
-        if not is_observed(min(tl, tr)):
+        left = self.left.observe(p)
+        right = self.right.observe(p)
+        if not is_observed(min(left[0], right[0])):
             return NOT_OBSERVED, p
-        return winner.observe(p)
+        return left if left[0] <= right[0] else right
 
 
 @dataclass(frozen=True)
@@ -479,12 +425,11 @@ class MaxOf(StoppingRule):
     right: StoppingRule
 
     def _observe(self, p: Path) -> tuple[float, Path]:
-        tl = self.left.evaluate(p)
-        tr = self.right.evaluate(p)
-        if not (is_observed(tl) and is_observed(tr)):
+        left = self.left.observe(p)
+        right = self.right.observe(p)
+        if not (is_observed(left[0]) and is_observed(right[0])):
             return NOT_OBSERVED, p
-        winner = self.left if tl >= tr else self.right
-        return winner.observe(p)
+        return left if left[0] >= right[0] else right
 
 
 # --- prefix events for mixtures -------------------------------------------

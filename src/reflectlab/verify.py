@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -220,6 +221,19 @@ def _run_shards(fn: Callable, args: tuple, n: int, workers: int) -> list:
         return [f.result() for f in futures]
 
 
+def _merged(parts) -> Counter:
+    """Key-wise sum of shard dicts, in shard order.
+
+    ``Counter.update`` keeps keys whose total is zero or negative, so every
+    passing count is still reported; ``Counter``'s ``+`` and ``sum()`` would
+    drop them.
+    """
+    total = Counter()
+    for part in parts:
+        total.update(part)
+    return total
+
+
 def _reseeded(sampler, seed: Optional[int]):
     return sampler if seed is None else dataclasses.replace(sampler, seed=seed)
 
@@ -284,9 +298,6 @@ class ValueAtRuleTime:
     def apply(self, p: Path) -> float:
         t = self.rule.evaluate(p)
         return value_at(p, t if is_observed(t) else p.horizon)
-
-
-Functional = object  # duck typed: .name, .apply(Path) -> float
 
 
 def default_functionals(horizon: float, level: float = 1.0) -> list:
@@ -436,7 +447,7 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
 
 def _martingale_chunk(args, start, stop):
     sampler, a, b, n_steps = args
-    acc: dict = {}
+    sums, squares, counts = Counter(), Counter(), Counter()
     anti_failures = 0
     for i in range(start, stop):
         p = sampler.sample(i)
@@ -445,16 +456,17 @@ def _martingale_chunk(args, start, stop):
         for n in range(n_steps + 1):
             dy = tr.skeleton_value(n + 1) - tr.skeleton_value(n)
             key = (n, word.entries[:n])
-            s, ss, c = acc.get(key, (0.0, 0.0, 0))
             f = float(dy)
-            acc[key] = (s + f, ss + f * f, c + 1)
+            sums[key] += f
+            squares[key] += f * f
+            counts[key] += 1
             t_n = tr.times[n]
             q = reflect_at_time(tr.path, t_n) if is_observed(t_n) else tr.path
             tr_q = ladder_trace(a, b, q, n + 1)
             dy_q = tr_q.skeleton_value(n + 1) - tr_q.skeleton_value(n)
             if dy_q != -dy:
                 anti_failures += 1
-    return acc, anti_failures
+    return sums, squares, counts, anti_failures
 
 
 def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
@@ -474,17 +486,12 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
     sampler = _reseeded(sampler, seed)
     chunks = _run_shards(_martingale_chunk, (sampler, a, b, n_steps),
                          n_draws, workers)
-    acc: dict = {}
-    anti_failures = 0
-    for part, fails in chunks:
-        anti_failures += fails
-        for key, (s, ss, c) in part.items():
-            s0, ss0, c0 = acc.get(key, (0.0, 0.0, 0))
-            acc[key] = (s0 + s, ss0 + ss, c0 + c)
+    sums, squares, counts = (_merged(c[i] for c in chunks) for i in range(3))
+    anti_failures = sum(c[3] for c in chunks)
     stats = [Statistic.judged("antisymmetry_failures", anti_failures, 0.0,
                               "abs_below")]
-    for (n, prefix) in sorted(acc, key=lambda k: (k[0], k[1])):
-        s, ss, _ = acc[(n, prefix)]
+    for (n, prefix) in sorted(counts):
+        s, ss = sums[(n, prefix)], squares[(n, prefix)]
         mean = s / n_draws
         var = max(0.0, (ss - s * s / n_draws) / max(1, n_draws - 1))
         se = math.sqrt(var / n_draws)
@@ -492,7 +499,7 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
                         for e in prefix) or "()"
         stats.append(Statistic.judged(
             f"mean_increment_n{n}_prefix_{label}", mean, SE_BAND * se,
-            "abs_below", se=se, count=acc[(n, prefix)][2]))
+            "abs_below", se=se, count=counts[(n, prefix)]))
     return TestReport(
         name="martingale_step_test",
         params={"a": a, "b": b, "n_steps": n_steps},
@@ -632,12 +639,8 @@ def stability_suite(n_paths: int, seed: int = 0, sampler=None,
     else:
         sampler = _reseeded(sampler, seed)
     chunks = _run_shards(_stability_chunk, (sampler,), n_paths, workers)
-    fails: dict = {}
-    worst = 0.0
-    for part, w in chunks:
-        worst = max(worst, w)
-        for k, v in part.items():
-            fails[k] = fails.get(k, 0) + v
+    fails = _merged(c[0] for c in chunks)
+    worst = max((c[1] for c in chunks), default=0.0)
     stats = [Statistic.judged(k, v, 0.0, "abs_below")
              for k, v in sorted(fails.items())]
     stats.append(Statistic.judged("max_normalized_deviation", worst,
@@ -707,13 +710,8 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
     chunks = _run_shards(_sign_chunk, (sampler, a, b, n), n_draws, workers)
-    fails: dict = {}
-    words: dict = {}
-    for part, counts in chunks:
-        for k, v in part.items():
-            fails[k] = fails.get(k, 0) + v
-        for w, c in counts.items():
-            words[w] = words.get(w, 0) + c
+    fails = _merged(c[0] for c in chunks)
+    words = _merged(c[1] for c in chunks)
     stats = [Statistic.judged(k, v, 0.0, "abs_below")
              for k, v in sorted(fails.items())]
     stats.append(Statistic.judged(

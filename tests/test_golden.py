@@ -1,0 +1,83 @@
+"""Golden reports: the sha256 of ``TestReport.to_json()`` for small fixed
+configs of every verification entry point.
+
+A refactor of the scan, reflection or reduction code must keep these bytes:
+any moved number, count, verdict or key in a report changes its digest.  A
+digest changes only together with a CHANGES.md entry that says why.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from reflectlab import (
+    BrownianMotion,
+    FixedTime,
+    MinOf,
+    TwoSidedHit,
+    advance_formula_check,
+    bound_check,
+    counterexample_demo,
+    default_functionals,
+    exit_alignment_test,
+    invariance_test,
+    martingale_step_test,
+    non_dyadic_sweep,
+    sign_identity_test,
+    stability_suite,
+)
+
+# name -> (report factory, sha256 of its JSON)
+GOLDEN = {
+    # 10,001-knot paths: level scans cross several 2048-knot blocks
+    "stability_suite": (
+        lambda: stability_suite(
+            40, seed=7, sampler=BrownianMotion(dt=1e-3, horizon=10.0)),
+        "526d381f83f08a2cbba1cd5f2c983ad0df8bfa72e1db5d3e795b1c8ba5b06dab"),
+    "sign_identity_test": (
+        lambda: sign_identity_test(
+            BrownianMotion(dt=1e-3, horizon=4.0), 1, 2, 4, 200, seed=8),
+        "a78ded9fb6fbd64a2884cb9da7ed9b63cc9833606ff9b492b70c042884f9bf46"),
+    # 20,001-knot paths: ladder windows run past the first block
+    "martingale_step_test": (
+        lambda: martingale_step_test(
+            BrownianMotion(dt=1e-4, horizon=2.0), 1, 2, 4, 200, seed=9),
+        "5b02c04ab8e32cc15d21c1faf858877708ec2a83b42fc6ceed57914fe32c8ded"),
+    "exit_alignment_test": (
+        lambda: exit_alignment_test(
+            BrownianMotion(dt=0.01, horizon=3.0), 1, 2, 4, 3, 2000, seed=10),
+        "7e15a0ad0eb8e24d044be6708f291ca9fe82c5db5dbab84ef615433bb50b9d44"),
+    "bound_check_min": (
+        lambda: bound_check(
+            BrownianMotion(dt=0.01, horizon=3.0), 1, 2,
+            MinOf(TwoSidedHit(1, 2), FixedTime(2.5)), 10.0, 300, seed=11),
+        "714f97c8aba04101017fa6d047d9977a361efcc87c795abd06dd5c8d05b0158d"),
+    "bound_check_fraction": (
+        lambda: bound_check(
+            BrownianMotion(dt=0.01, horizon=3.0), Fraction(1, 2), 1,
+            MinOf(TwoSidedHit(Fraction(1, 2), 1), FixedTime(2.5)), 10.0, 100,
+            seed=14),
+        "0efc146d7798f723dd5cc621dbeb6eabb735420c17d0fddcc86f89a163a7f21e"),
+    "invariance_test": (
+        lambda: invariance_test(
+            BrownianMotion(dt=0.02, horizon=2.0), TwoSidedHit(1, 1),
+            default_functionals(2.0), 1000, seed=12),
+        "11f52918512bb887f33687301cb8bda7d9c7b2f71d1d4bb435893699c95b5b9b"),
+    "counterexample_demo": (
+        lambda: counterexample_demo(1000, seed=13),
+        "81b87f271ac65c90e09089a7dae74fb0238b7d4876a68564661c17d95cc7e584"),
+    "non_dyadic_sweep": (
+        lambda: non_dyadic_sweep(20),
+        "dd7b757b08be2a97152e539ba3f8f74301ba2d9908e1c0a11cccd50ffcedb6dd"),
+    "advance_formula_check": (
+        lambda: advance_formula_check(6),
+        "e9b3bb58c280acd27ea0d998b622a15399300e50a57bc7b6136086b573993ec9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest(name):
+    make, expected = GOLDEN[name]
+    text = make().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

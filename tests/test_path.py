@@ -19,10 +19,9 @@ from reflectlab import (
     max_deviation,
     negate,
     reflect_at_time,
-    same_function,
     value_at,
 )
-from reflectlab.path import append_segments, truncate, values_at
+from reflectlab.path import append_segments, truncate
 
 
 def line(horizon, slope):
@@ -89,12 +88,6 @@ class TestValueAt:
         with pytest.raises(TimeOutOfRangeError):
             value_at(p, 1.1)
 
-    def test_vectorized_matches_scalar(self):
-        p = Path(np.array([0.0, 1.0, 3.0]), np.array([2.0, -1.5]))
-        ts = np.array([0.0, 0.25, 1.0, 2.0, 3.0])
-        out = values_at(p, ts)
-        assert out.tolist() == [value_at(p, t) for t in ts]
-
 
 class TestInsertKnot:
     def test_idempotent_at_existing_knot(self):
@@ -153,7 +146,8 @@ class TestReflectAtTime:
     def test_twice_at_inserted_time_same_function(self):
         p = Path(np.array([0.0, 1.0, 2.0]), np.array([2.0, -1.0]))
         q = reflect_at_time(reflect_at_time(p, 0.5), 0.5)
-        assert same_function(q, p)
+        assert q.horizon == p.horizon
+        assert max_deviation(q, p) <= 1e-9
         # and bit-exact against the path with the pivot knot inserted
         p1 = insert_knot(p, 0.5, value_at(p, 0.5))
         assert q == p1
@@ -209,7 +203,6 @@ class TestDeviation:
         p = Path.zero(2.0)
         q = Path(np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0]))
         assert max_deviation(p, q) == 1.0
-        assert not same_function(p, q)
 
 
 class TestCsv:
@@ -222,7 +215,9 @@ class TestCsv:
         buf.seek(0)
         q = load_csv(buf)
         assert np.array_equal(q.knots, p.knots)
-        assert same_function(p, q, rtol=1e-12)
+        assert q.horizon == p.horizon
+        scale = max(1.0, float(np.max(np.abs(p.values))))
+        assert max_deviation(p, q) <= 1e-12 * scale
 
     def test_zero_path_exact(self):
         buf = io.StringIO()

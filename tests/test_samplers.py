@@ -16,7 +16,6 @@ from reflectlab import (
     SamplerError,
     StoppedSymmetric,
     TwoSidedHit,
-    evaluate,
     parse_law,
     value_at,
 )
@@ -70,7 +69,7 @@ class TestCounterexample:
     def test_unit_exit_time_is_one_on_every_draw(self):
         sampler = DyadicCounterexample(horizon=5.0, seed=6)
         rule = TwoSidedHit(1, 1)
-        assert all(evaluate(rule, sampler.sample(i)) == 1.0
+        assert all(rule.evaluate(sampler.sample(i)) == 1.0
                    for i in range(300))
 
     def test_value_at_two_distribution(self):
@@ -105,7 +104,7 @@ class TestStoppedSymmetric:
         for i in range(20):
             p = sampler.sample(i)
             assert np.max(np.abs(p.values)) <= 1.0
-            hit = evaluate(TwoSidedHit(1, 1), p)
+            hit = TwoSidedHit(1, 1).evaluate(p)
             if hit < p.horizon:
                 assert abs(value_at(p, p.horizon)) == 1.0
 

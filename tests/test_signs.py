@@ -15,7 +15,6 @@ from reflectlab import (
     advance_path_power,
     advance_word,
     all_words,
-    evaluate,
     exit_alignment_power,
     first_down_index,
     first_zero_index,
@@ -213,7 +212,7 @@ class TestHitIdentity:
         for i in range(60):
             tr = ladder_trace(1, 2, sampler.sample(i), n)
             w = trace_sign_word(tr)
-            t_exit = evaluate(rule, tr.path)
+            t_exit = rule.evaluate(tr.path)
             m = first_down_index(w)
             if m is not None:
                 assert t_exit == tr.times[m]
@@ -235,4 +234,4 @@ class TestHitIdentity:
             tr = ladder_trace(1, 2, sampler.sample(i), n)
             w = trace_sign_word(tr)
             q = advance_path_power(tr.path, rule, exit_alignment_power(w))
-            assert evaluate(rule, q) == tr.times[n]
+            assert rule.evaluate(q) == tr.times[n]

@@ -21,10 +21,9 @@ from reflectlab import (
     Path,
     RuleError,
     SignAtTime,
+    StoppingRule,
     TimeCompare,
     TwoSidedHit,
-    discrete_martingale_track,
-    evaluate,
     is_observed,
     ladder_levels,
     ladder_times,
@@ -88,47 +87,47 @@ class TestLadderLevels:
 class TestEvaluate:
     def test_first_passage_linear_crossing(self):
         p = line_to(2.0, 1.0)
-        assert evaluate(FirstPassage(1), p) == 0.5
+        assert FirstPassage(1).evaluate(p) == 0.5
 
     def test_first_passage_at_knot_counts(self):
         p = line_to(1.0, 1.0)
-        assert evaluate(FirstPassage(1), p) == 1.0
-        assert evaluate(FirstPassage(0), p) == 0.0
+        assert FirstPassage(1).evaluate(p) == 1.0
+        assert FirstPassage(0).evaluate(p) == 0.0
 
     def test_ladder_step_zero_is_zero(self):
         for p in (Path.zero(2.0), line_to(3.0, 3.0)):
-            assert evaluate(LadderStep(1, 2, 0), p) == 0.0
+            assert LadderStep(1, 2, 0).evaluate(p) == 0.0
 
     def test_two_sided_unobserved_inside_band(self):
         p = Path(np.array([0.0, 1.0, 2.0]), np.array([0.5, -1.0]))
-        assert evaluate(TwoSidedHit(1, 2), p) == NOT_OBSERVED
+        assert TwoSidedHit(1, 2).evaluate(p) == NOT_OBSERVED
 
     def test_two_sided_hits_nearest(self):
         p = line_to(-3.0, 3.0)
-        assert evaluate(TwoSidedHit(1, 2), p) == 1.0
+        assert TwoSidedHit(1, 2).evaluate(p) == 1.0
 
     def test_fixed_time(self):
         p = line_to(1.0, 2.0)
-        assert evaluate(FixedTime(1.5), p) == 1.5
-        assert evaluate(FixedTime(3.0), p) == NOT_OBSERVED
+        assert FixedTime(1.5).evaluate(p) == 1.5
+        assert FixedTime(3.0).evaluate(p) == NOT_OBSERVED
 
     def test_min_max(self):
         p = line_to(2.0, 1.0)
         s, t = FirstPassage(1), FixedTime(0.75)
-        assert evaluate(MinOf(s, t), p) == 0.5
-        assert evaluate(MaxOf(s, t), p) == 0.75
+        assert MinOf(s, t).evaluate(p) == 0.5
+        assert MaxOf(s, t).evaluate(p) == 0.75
         never = FirstPassage(5)
-        assert evaluate(MinOf(s, never), p) == 0.5
-        assert evaluate(MaxOf(s, never), p) == NOT_OBSERVED
+        assert MinOf(s, never).evaluate(p) == 0.5
+        assert MaxOf(s, never).evaluate(p) == NOT_OBSERVED
 
     def test_compose_reflect(self):
         # the unit-slope line reflected at T_1 descends as 2 - t afterwards,
         # so the reflected path first reaches -0.5 at t = 2.5
         p = line_to(3.0, 3.0)
         rule = ComposeReflect(FirstPassage(-0.5), FirstPassage(1))
-        t = evaluate(rule, p)
+        t = rule.evaluate(p)
         q = reflect_at_rule(p, FirstPassage(1))
-        assert t == evaluate(FirstPassage(-0.5), q)
+        assert t == FirstPassage(-0.5).evaluate(q)
         assert math.isclose(t, 2.5, rel_tol=1e-12)
 
     def test_mixture_requires_partition(self):
@@ -136,13 +135,13 @@ class TestEvaluate:
         s, t = FirstPassage(1), FixedTime(0.75)
         p = line_to(2.0, 1.0)  # s observes at 0.5, before t
         with pytest.raises(MixturePartitionError):
-            evaluate(Mixture(((s, Always()), (t, Always()))), p)
+            Mixture(((s, Always()), (t, Always()))).evaluate(p)
         with pytest.raises(MixturePartitionError):
-            evaluate(Mixture(((s, TimeCompare(s, t, "gt")),
-                              (t, TimeCompare(s, t, "eq")))), p)
+            Mixture(((s, TimeCompare(s, t, "gt")),
+                     (t, TimeCompare(s, t, "eq")))).evaluate(p)
         ok = Mixture(((s, TimeCompare(s, t, "le")),
                       (t, TimeCompare(s, t, "gt"))))
-        assert evaluate(ok, p) == 0.5
+        assert ok.evaluate(p) == 0.5
 
     def test_mixture_equals_min(self):
         s, t = FirstPassage(1), FixedTime(0.75)
@@ -151,7 +150,7 @@ class TestEvaluate:
         sampler = BrownianMotion(dt=0.02, horizon=2.0, seed=8)
         for i in range(50):
             p = sampler.sample(i)
-            assert evaluate(mix, p) == evaluate(MinOf(s, t), p)
+            assert mix.evaluate(p) == MinOf(s, t).evaluate(p)
 
     def test_sign_at_time_event(self):
         p = line_to(-2.0, 1.0)
@@ -182,17 +181,17 @@ class TestReflectAtRule:
             rhs = negate(reflect_at_rule(negate(p), FirstPassage(F(1))))
             assert lhs == rhs
             assert lhs.anchors == rhs.anchors
-            assert (evaluate(FirstPassage(F(-1)), p)
-                    == evaluate(FirstPassage(F(1)), negate(p)))
+            assert (FirstPassage(F(-1)).evaluate(p)
+                    == FirstPassage(F(1)).evaluate(negate(p)))
 
     def test_idempotent_time_on_random_paths(self):
         sampler = BrownianMotion(dt=0.01, horizon=4.0, seed=13)
         rule = TwoSidedHit(1, 2)
         for i in range(25):
             p = sampler.sample(i)
-            t = evaluate(rule, p)
+            t = rule.evaluate(p)
             q = reflect_at_rule(p, rule)
-            assert evaluate(rule, q) == t
+            assert rule.evaluate(q) == t
 
 
 class TestLadderTimes:
@@ -249,13 +248,15 @@ class TestLadderTimes:
 
 class TestMartingaleTrack:
     def test_zero_path(self):
-        track = discrete_martingale_track(1, 2, Path.zero(4.0), 5)
-        assert [y for y, _ in track] == [0.0] * 6
+        tr = ladder_trace(1, 2, Path.zero(4.0), 5)
+        assert [tr.skeleton_value(n) for n in range(6)] == [F(0)] * 6
+        assert [tr.last_finite(n) for n in range(6)] == [0] * 6
 
     def test_straight_line(self):
-        track = discrete_martingale_track(1, 2, line_to(3.0, 3.0), 5)
-        assert track == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3), (3.0, 3),
-                         (3.0, 3)]
+        tr = ladder_trace(1, 2, line_to(3.0, 3.0), 5)
+        assert [tr.skeleton_value(n) for n in range(6)] == [
+            F(0), F(1), F(2), F(3), F(3), F(3)]
+        assert [tr.last_finite(n) for n in range(6)] == [0, 1, 2, 3, 3, 3]
 
     def test_step_magnitudes_exact(self):
         sampler = BrownianMotion(dt=0.01, horizon=3.0, seed=17)
@@ -294,7 +295,7 @@ class TestPrefixDeterminism:
             t0 = float(p.knots[p.knots.size // 3])
             q = reflect_at_time(p, t0)
             for rule in self.RULES:
-                rp, rq = evaluate(rule, p), evaluate(rule, q)
+                rp, rq = rule.evaluate(p), rule.evaluate(q)
                 if min(rp, rq) <= t0:
                     assert rp == rq
 
@@ -305,10 +306,10 @@ class TestPrefixDeterminism:
             p = sampler.sample(i)
             t0 = float(p.knots[p.knots.size // 3])
             q = reflect_at_time(p, t0)
-            tp, tq = evaluate(t, p), evaluate(t, q)
+            tp, tq = t.evaluate(p), t.evaluate(q)
             if min(tp, tq) <= t0:
-                cp = (evaluate(s, p) > tp) - (evaluate(s, p) < tp)
-                cq = (evaluate(s, q) > tq) - (evaluate(s, q) < tq)
+                cp = (s.evaluate(p) > tp) - (s.evaluate(p) < tp)
+                cq = (s.evaluate(q) > tq) - (s.evaluate(q) < tq)
                 assert cp == cq
 
 
@@ -335,3 +336,130 @@ class TestRuleGrammar:
     def test_ladder_rule_requires_non_dyadic(self):
         with pytest.raises(DyadicRatioError):
             parse_rule("tau(1,3,2)")
+
+
+def unit_grid(increments, anchors=None):
+    inc = np.asarray(increments, dtype=float)
+    return Path(np.arange(inc.size + 1, dtype=float), inc, anchors or {})
+
+
+class CountingRule(StoppingRule):
+    """Wraps a rule and counts the scans made through it."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = 0
+
+    def _observe(self, p):
+        self.calls += 1
+        return self.rule.observe(p)
+
+
+class TestExitKernel:
+    """Edge cases of the exit scan, driven through the public rules."""
+
+    STEP = 2.0 ** -11  # 2048 steps of this size sum to 1 exactly
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_level_hit_at_block_seam(self, lead):
+        # the level is reached exactly 2048 + lead knots past knot 0
+        p = unit_grid([0.0] * lead + [self.STEP] * 2100)
+        t, q = FirstPassage(F(1)).observe(p)
+        assert t == 2048.0 + lead
+        assert q.anchors == {2048 + lead: F(1)}
+        t, q = FirstPassage(F(1) - F(1, 4096)).observe(p)
+        assert t == 2047.5 + lead  # crossing inside the seam segment
+        assert q.knots.size == p.knots.size + 1
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_ladder_hit_at_block_seam(self, lead):
+        # tau_1 at knot 1 (value 1); the window restarted there moves by
+        # the step 1 exactly 2048 + lead knots later
+        p = unit_grid([1.0] + [0.0] * lead + [self.STEP] * 2100)
+        tr = ladder_trace(1, 2, p, 2)
+        assert tr.times == (0.0, 1.0, 2049.0 + lead)
+        assert tr.anchor_values == (F(0), F(1), F(2))
+        assert LadderStep(1, 2, 2).evaluate(p) == 2049.0 + lead
+
+    def test_anchor_beyond_first_block_preempts_later_float_hit(self):
+        # knot 3000 holds exactly 1 but rounds just below it; the float scan
+        # alone would report the crossing near knot 5000
+        inc = [0.0] * 6000
+        inc[2999] = 1.0 - 2.0 ** -40
+        inc[4999] = 1.0
+        p = unit_grid(inc, {3000: F(1)})
+        t, q = FirstPassage(F(1)).observe(p)
+        assert t == 3000.0
+        assert q is p
+        assert TwoSidedHit(2, 1).evaluate(p) == 3000.0
+        assert FirstPassage(1.0).evaluate(p) == 4999.0 + 2.0 ** -40
+
+    def test_anchor_beyond_first_block_preempts_ladder_float_hit(self):
+        inc = [0.0] * 6000
+        inc[0] = 1.0
+        inc[2999] = 1.0 - 2.0 ** -40
+        inc[4999] = 1.0
+        p = unit_grid(inc, {3000: F(2)})
+        tr = ladder_trace(1, 2, p, 2)
+        assert tr.times == (0.0, 1.0, 3000.0)
+        assert tr.anchor_values == (F(0), F(1), F(2))
+
+    def test_anchor_overrides_crossing_into_anchored_knot(self):
+        # knot 1 holds exactly 1 but rounds just above it, which the float
+        # scan reads as a crossing inside segment (0, 1)
+        over = 1.0 + 2.0 ** -40
+        p = unit_grid([over, 1.0], {1: F(1)})
+        assert FirstPassage(F(1)).evaluate(p) == 1.0
+        assert TwoSidedHit(1, 1).evaluate(p) == 1.0
+        q = unit_grid([-1.0, over, 1.0], {2: F(0)})
+        assert ladder_trace(1, 2, q, 2).times == (0.0, 1.0, 2.0)
+        # without the anchor the same paths cross inside the segment
+        assert FirstPassage(F(1)).evaluate(unit_grid([over, 1.0])) < 1.0
+
+    def test_zero_level_pins_knot_zero(self):
+        p = line_to(2.0, 1.0)
+        t, q = FirstPassage(F(0)).observe(p)
+        assert t == 0.0
+        assert q.anchors == {0: F(0)}
+        t, q = FirstPassage(0.0).observe(p)
+        assert t == 0.0
+        assert q is p
+
+    def test_one_sided_negative_level(self):
+        down = line_to(-2.0, 1.0)
+        t, q = FirstPassage(F(-1)).observe(down)
+        assert t == 0.5
+        assert q.anchors == {1: F(-1)}
+        assert value_at(q, 0.5) == -1.0
+        # an unbounded upper side: rising paths never exit
+        assert FirstPassage(F(-1)).evaluate(line_to(5.0, 1.0)) == NOT_OBSERVED
+
+    @pytest.mark.parametrize("combine", [MinOf, MaxOf])
+    def test_ties_keep_left_annotation(self, combine):
+        # both branches stop at 0.5, but only the passage pins the knot
+        p = line_to(2.0, 1.0)
+        hit, fixed = FirstPassage(F(1)), FixedTime(0.5)
+        t, q = combine(hit, fixed).observe(p)
+        assert t == 0.5 and q.anchors == {1: F(1)}
+        t, q = combine(fixed, hit).observe(p)
+        assert t == 0.5 and q.anchors == {}
+
+    @pytest.mark.parametrize("combine", [MinOf, MaxOf])
+    def test_min_max_scan_each_branch_once(self, combine):
+        p = line_to(2.0, 1.0)
+        left = CountingRule(FirstPassage(F(1)))
+        right = CountingRule(FixedTime(0.75))
+        combine(left, right).observe(p)
+        assert (left.calls, right.calls) == (1, 1)
+
+    def test_first_ladder_step_is_unit_exit(self):
+        # tau_1 of the (1, 2) ladder and the exit time of (-1, 1) are the
+        # same stopping time, so they must agree to the bit
+        sampler = BrownianMotion(dt=1e-4, horizon=2.0, seed=5)
+        observed = 0
+        for i in range(600):
+            p = sampler.sample(i)
+            t = TwoSidedHit(1, 1).evaluate(p)
+            assert LadderStep(1, 2, 1).evaluate(p) == t
+            observed += is_observed(t)
+        assert observed >= 500
