@@ -30,7 +30,7 @@ from .path import (
     reflect_at_time,
     value_at,
 )
-from .rational import Rational, as_rational, is_dyadic
+from .rational import as_rational, is_dyadic
 from .samplers import (
     BrownianMotion,
     DriftedBM,
@@ -48,11 +48,11 @@ from .signs import (
     exit_alignment_power,
     first_down_index,
     first_zero_index,
-    ladder_sign_word,
     negate_word,
     reflect_word,
     rewind_path,
     rewind_word,
+    trace_sign_word,
     word_after_steps,
 )
 from .stopping import (
@@ -69,7 +69,6 @@ from .stopping import (
     TimeCompare,
     TwoSidedHit,
     ladder_levels,
-    ladder_times,
     ladder_trace,
     parse_rule,
 )

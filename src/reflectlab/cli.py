@@ -55,7 +55,7 @@ from .errors import ConfigurationError, ReflectlabError
 from .path import dump_csv, load_csv
 from .rational import is_dyadic
 from .samplers import parse_law
-from .stopping import format_time, ladder_levels, ladder_times, parse_rule
+from .stopping import format_time, ladder_levels, ladder_trace, parse_rule
 from .verify import (
     HittingTime,
     RunningMax,
@@ -156,7 +156,7 @@ def _run_ladder(cfg: dict) -> TestReport:
         header = ["path"] + [f"tau_{k}" for k in range(n + 1)]
         print("\t".join(header))
         for label, path in sources:
-            times, _ = ladder_times(a, b, path, n)
+            times = ladder_trace(a, b, path, n).times
             row = [label] + [format_time(t) for t in times]
             table.append(row)
             print("\t".join(row))

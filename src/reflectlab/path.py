@@ -38,7 +38,8 @@ NOT_OBSERVED = math.inf
 
 _ZERO = Fraction(0)
 
-#: Relative tolerance for the monotone-consistency check in insert_knot.
+#: Relative tolerance for both value checks in insert_knot: a new knot's
+#: value against its neighbors, and a value given for an existing knot.
 #: Wide enough to absorb prefix-sum rounding, far too tight to mask a logic
 #: error that places a knot on the wrong side of a segment.
 INSERT_RTOL = 1e-9
@@ -89,14 +90,13 @@ class Path:
         object.__setattr__(self, "anchors", dict(self.anchors))
 
     @classmethod
-    def from_values(cls, knots: Sequence[float], values: Sequence[float],
-                    anchors: Optional[Mapping[int, Fraction]] = None) -> "Path":
+    def from_values(cls, knots: Sequence[float],
+                    values: Sequence[float]) -> "Path":
         """Build a path from knot values (values[0] must be 0)."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0 or values[0] != 0.0:
             raise PathError("value at the first knot must be 0")
-        return cls(np.asarray(knots, dtype=np.float64), np.diff(values),
-                   anchors or {})
+        return cls(np.asarray(knots, dtype=np.float64), np.diff(values))
 
     @classmethod
     def zero(cls, horizon: float) -> "Path":
@@ -175,21 +175,18 @@ def value_at(p: Path, t: float) -> float:
                         float(v[i]), float(v[i + 1]), t)
 
 
-def insert_knot(p: Path, t: float, v: float, *,
-                exact: Optional[Fraction] = None) -> Path:
-    """Return a copy of p with a knot at time t holding value exactly v.
+def insert_knot(p: Path, t: float, v: float,
+                exact: Optional[Fraction] = None) -> tuple[Path, int]:
+    """A copy of p with a knot at time t holding value exactly v, and the
+    index of that knot.
 
     If t is already a knot with the same value (within INSERT_RTOL), p itself
-    is returned.  For a new interior knot, v must sit between the neighboring
-    knot values (monotone consistency on the segment); the exact interpolated
-    value is not required, which is what lets crossing knots be pinned to an
-    exact target level instead of the rounded interpolant.
+    is returned, or a copy with ``exact`` as that knot's anchor when it is
+    not on record yet.  For a new interior knot, v must sit between the
+    neighboring knot values (monotone consistency on the segment); the exact
+    interpolated value is not required, which is what lets crossing knots be
+    pinned to an exact target level instead of the rounded interpolant.
     """
-    return _insert_knot_indexed(p, t, v, exact)[0]
-
-
-def _insert_knot_indexed(p: Path, t: float, v: float,
-                         exact: Optional[Fraction]) -> tuple[Path, int]:
     if not (0.0 <= t <= p.horizon):
         raise TimeOutOfRangeError(f"t={t!r} outside [0, {p.horizon!r}]")
     existing = p.knot_index(t)
@@ -240,7 +237,7 @@ def reflect_at_time(p: Path, r: float) -> Path:
         raise TimeOutOfRangeError(f"r={r!r} outside [0, {p.horizon!r}]")
     idx = p.knot_index(r)
     if idx is None:
-        p, idx = _insert_knot_indexed(p, r, value_at(p, r), None)
+        p, idx = insert_knot(p, r, value_at(p, r))
     inc = p.increments.copy()
     inc[idx:] = -inc[idx:]
     inc.setflags(write=False)
@@ -268,30 +265,6 @@ def reflect_at_rule(p: Path, rule) -> Path:
 def negate(p: Path) -> Path:
     """Pathwise sign flip, the reflection pivoted at time 0."""
     return reflect_at_time(p, 0.0)
-
-
-def truncate(p: Path, t: float) -> Path:
-    """Restriction of p to [0, t] (a knot is inserted at t if needed)."""
-    idx = p.knot_index(t)
-    if idx is None:
-        p, idx = _insert_knot_indexed(p, t, value_at(p, t), None)
-    if idx == p.knots.size - 1:
-        return p
-    anchors = {j: a for j, a in p.anchors.items() if j <= idx}
-    return Path(p.knots[:idx + 1], p.increments[:idx], anchors)
-
-
-def append_segments(p: Path, dts: Sequence[float], dxs: Sequence[float]) -> Path:
-    """Extend p past its horizon by segments of durations dts and deltas dxs."""
-    dts = np.asarray(dts, dtype=np.float64)
-    dxs = np.asarray(dxs, dtype=np.float64)
-    if dts.size != dxs.size:
-        raise PathError("dts and dxs must have equal length")
-    if dts.size and dts.min() <= 0.0:
-        raise PathError("segment durations must be positive")
-    knots = np.concatenate([p.knots, p.horizon + np.cumsum(dts)])
-    inc = np.concatenate([p.increments, dxs])
-    return Path(knots, inc, p.anchors)
 
 
 def max_deviation(p: Path, q: Path) -> float:

@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import RuleError
 
-Rational = Fraction
-
 
 def as_rational(x) -> Fraction:
     """Coerce an int, string ("p/q" or decimal) or Fraction to an exact Fraction.
@@ -33,10 +31,7 @@ def as_rational(x) -> Fraction:
     raise RuleError(f"expected int, str or Fraction, got {type(x).__name__}")
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def is_dyadic(q: Fraction) -> bool:
     """True iff q has a power-of-two denominator in lowest terms (integers count)."""
-    return is_power_of_two(q.denominator)
+    d = q.denominator  # at least 1: Fraction keeps the sign in the numerator
+    return d & (d - 1) == 0

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import SamplerError
-from .path import Path, append_segments, truncate
+from .path import Path
 from .stopping import LevelLike, TwoSidedHit, _split_args
 
 __all__ = [
@@ -41,6 +41,8 @@ def _grid(dt: float, horizon: float) -> np.ndarray:
     n = int(round(horizon / dt))
     if n < 1:
         raise SamplerError("horizon must cover at least one step")
+    if abs(n * dt - horizon) > 1e-9 * horizon:
+        raise SamplerError(f"dt={dt!r} does not divide the horizon {horizon!r}")
     return np.linspace(0.0, horizon, n + 1)
 
 
@@ -116,8 +118,10 @@ class StoppedSymmetric:
         t, annotated = TwoSidedHit(self.level, self.level).observe(base)
         if t == np.inf or t == annotated.horizon:
             return annotated
-        stopped = truncate(annotated, t)
-        return append_segments(stopped, [annotated.horizon - t], [0.0])
+        idx = annotated.knot_index(t)  # observe makes t a knot
+        return Path(np.append(annotated.knots[:idx + 1], annotated.horizon),
+                    np.append(annotated.increments[:idx], 0.0),
+                    {j: a for j, a in annotated.anchors.items() if j <= idx})
 
 
 @dataclass(frozen=True)

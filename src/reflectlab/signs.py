@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import RuleError
 from .path import Path, negate, reflect_at_rule
-from .stopping import LevelLike, StoppingRule, ladder_trace
+from .stopping import LadderTrace, StoppingRule
 
 _CHARS = {1: "+", -1: "-", 0: "0"}
 _VALUES = {"+": 1, "-": -1, "0": 0}
@@ -53,14 +53,6 @@ class SignWord:
                     f"entry after a 0 must be 0: {self.entries}")
             seen_zero = seen_zero or e == 0
         object.__setattr__(self, "entries", tuple(self.entries))
-
-    @classmethod
-    def of(cls, *entries: int) -> "SignWord":
-        return cls(tuple(entries))
-
-    @classmethod
-    def ones(cls, n: int) -> "SignWord":
-        return cls((1,) * n)
 
     @classmethod
     def from_string(cls, s: str) -> "SignWord":
@@ -192,19 +184,14 @@ def exit_alignment_power(e: WordLike) -> int:
 # extraction from paths and the conjugate path maps
 # ---------------------------------------------------------------------------
 
-def ladder_sign_word(a: LevelLike, b: LevelLike, p: Path, n: int) -> SignWord:
-    """Sign word of the first n ladder increments of p.
+def trace_sign_word(tr: LadderTrace) -> SignWord:
+    """Sign word of a ladder trace's increments.
 
     Entry k is +1 when the move over [tau_{k-1}, tau_k] has the same sign as
     c_k - c_{k-1}, -1 when opposite, 0 when tau_k is not observed.  Hits are
     tracked as exact rationals, so the comparison never touches rounded path
     values.
     """
-    tr = ladder_trace(a, b, p, n)
-    return trace_sign_word(tr)
-
-
-def trace_sign_word(tr) -> SignWord:
     entries = tuple(d * tr.ladder.step_direction(k + 1)
                     for k, d in enumerate(tr.directions))
     return SignWord(entries)

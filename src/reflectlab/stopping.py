@@ -61,7 +61,7 @@ from .path import (
     NOT_OBSERVED,
     Path,
     _fast_path,
-    _insert_knot_indexed,
+    insert_knot,
     is_observed,
     reflect_at_time,
     value_at,
@@ -150,7 +150,7 @@ def _first_exit(p: Path, k: int, lo: Bound, hi: Bound,
             else:
                 target_q = base + target_q
                 value = float(target_q)
-            q, idx = _insert_knot_indexed(p, t_star, value, target_q)
+            q, idx = insert_knot(p, t_star, value, target_q)
             return t_star, idx, side, q
         offset = float(u[-1])
         start = stop
@@ -191,10 +191,6 @@ class LevelLadder:
     levels: tuple[Fraction, ...]
     exits: tuple[Fraction, ...]
     steps: tuple[Fraction, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.steps)
 
     def step_direction(self, k: int) -> int:
         """Sign of c_k - c_{k-1} (1-based k)."""
@@ -269,6 +265,9 @@ class LadderTrace:
 
 
 def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace:
+    """Ladder times tau_0..tau_n_max on p, their directions and exact values,
+    and the annotated copy of p in which each finite tau_k is a knot pinned
+    to its exact level."""
     ladder = ladder_levels(a, b, n_max)
     times = [0.0]
     directions = []
@@ -292,14 +291,6 @@ def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace
         anchors.append(q.anchors[idx])
     return LadderTrace(ladder, tuple(times), tuple(directions),
                        tuple(anchors), q)
-
-
-def ladder_times(a: LevelLike, b: LevelLike, p: Path,
-                 n_max: int) -> tuple[list[float], Path]:
-    """Ladder times tau_0..tau_n on p plus the annotated copy of p in which
-    each finite tau_k is a knot at its exact level."""
-    tr = ladder_trace(a, b, p, n_max)
-    return list(tr.times), tr.path
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +330,7 @@ class FixedTime(StoppingRule):
         if self.r > p.horizon:
             return NOT_OBSERVED, p
         if p.knot_index(self.r) is None:
-            p, _ = _insert_knot_indexed(p, self.r, value_at(p, self.r), None)
+            p, _ = insert_knot(p, self.r, value_at(p, self.r))
         return self.r, p
 
 
@@ -444,12 +435,6 @@ class MaxOf(StoppingRule):
 class PrefixEvent:
     def holds(self, p: Path) -> bool:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Always(PrefixEvent):
-    def holds(self, p: Path) -> bool:
-        return True
 
 
 @dataclass(frozen=True)

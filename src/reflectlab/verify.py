@@ -43,7 +43,7 @@ from .path import (
     reflect_at_time,
     value_at,
 )
-from .rational import Rational, as_rational, is_dyadic
+from .rational import as_rational, is_dyadic
 from .signs import (
     SignWord,
     advance_path,
@@ -154,10 +154,8 @@ class TestReport:
             ],
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def csv_rows(self) -> list[dict]:
         return [
@@ -211,8 +209,11 @@ def _run_shards(fn: Callable, args: tuple, n: int, workers: int) -> list:
     """Run fn(args, start, stop) over contiguous index ranges, in order.
 
     Results are reduced by the caller; splitting by draw index keeps every
-    statistic independent of the worker count.
+    statistic independent of the worker count.  An empty run is rejected:
+    its reductions would report a pass with nothing checked.
     """
+    if n < 1:
+        raise ConfigurationError(f"a run needs at least one draw, got {n}")
     shards = _shards(n, workers)
     if len(shards) <= 1 or workers <= 1:
         return [fn(args, s, e) for s, e in shards]
@@ -300,13 +301,13 @@ class ValueAtRuleTime:
         return value_at(p, t if is_observed(t) else p.horizon)
 
 
-def default_functionals(horizon: float, level: float = 1.0) -> list:
+def default_functionals(horizon: float) -> list:
     return [
         ValueAtTime(horizon / 2.0),
         ValueAtTime(horizon),
         RunningMax(),
-        HittingTime(level),
-        HittingTime(-level),
+        HittingTime(1.0),
+        HittingTime(-1.0),
     ]
 
 
@@ -330,8 +331,8 @@ def _invariance_chunk(args, start, stop):
 
 def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
                     n_draws: int, seed: Optional[int] = None,
-                    alpha: float = DEFAULT_ALPHA, workers: int = 1,
-                    name: str = "invariance") -> TestReport:
+                    alpha: float = DEFAULT_ALPHA,
+                    workers: int = 1) -> TestReport:
     """Paired two-sample KS test of law invariance under one reflection.
 
     Each functional is computed on every draw and on its reflection (same
@@ -341,6 +342,9 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     """
     if n_draws < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
+    names = [f.name for f in functionals]
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"functional names collide: {names}")
     sampler = _reseeded(sampler, seed)
     chunks = _run_shards(_invariance_chunk, (sampler, rule, list(functionals)),
                          n_draws, workers)
@@ -367,7 +371,7 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
             f.name, p_adj, alpha, "above",
             ks_statistic=float(res.statistic), p_raw=float(res.pvalue)))
     return TestReport(
-        name=name,
+        name="invariance",
         params={"law": repr(sampler), "rule": repr(rule), "alpha": alpha,
                 "bonferroni": n_live},
         seed=getattr(sampler, "seed", None),
@@ -739,6 +743,10 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     map (rewinding when negative); unobserved on both sides in the truncated
     case.  Draws continue until every word has min_per_word checks or the
     draw cap is reached (falling short is a failure)."""
+    if min_per_word < 1 or n_draws_max < 1:
+        raise ConfigurationError(
+            f"min_per_word and n_draws_max must be at least 1, got "
+            f"{min_per_word} and {n_draws_max}")
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
@@ -812,7 +820,7 @@ def non_dyadic_sweep(limit: int) -> TestReport:
 
 
 def counterexample_demo(n_draws: int, seed: int = 0,
-                        c: Rational = Fraction(3), horizon: float = 5.0,
+                        c: LevelLike = Fraction(3),
                         workers: int = 1) -> TestReport:
     """Experiment on the two-segment counterexample law.
 
@@ -827,8 +835,7 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     c = as_rational(c)
     if c <= 1:
         raise ConfigurationError("c must exceed 1")
-    if horizon < 2.0 + float(c):
-        horizon = 2.0 + float(c)  # ensure the exit of (-2, c) is observed
+    horizon = max(5.0, 2.0 + float(c))  # the exit of (-2, c) is observed
     sampler = DyadicCounterexample(horizon=horizon, seed=seed)
     exit_wide = TwoSidedHit(2, c)
     exit_unit = TwoSidedHit(1, 1)
@@ -857,7 +864,7 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     ]
     for label, rule in (("reflect0", FixedTime(0.0)), ("exit11", exit_unit)):
         rep = invariance_test(sampler, rule, functionals, n_draws,
-                              workers=workers, name=label)
+                              workers=workers)
         for s in rep.statistics:
             stats.append(dataclasses.replace(s, name=f"{label}_{s.name}"))
     return TestReport(

@@ -21,7 +21,6 @@ from reflectlab import (
     reflect_at_time,
     value_at,
 )
-from reflectlab.path import append_segments, truncate
 
 
 def line(horizon, slope):
@@ -92,11 +91,13 @@ class TestValueAt:
 class TestInsertKnot:
     def test_idempotent_at_existing_knot(self):
         p = Path(np.array([0.0, 1.0]), np.array([1.0]))
-        assert insert_knot(p, 1.0, 1.0) is p
+        q, idx = insert_knot(p, 1.0, 1.0)
+        assert q is p and idx == 1
 
     def test_splits_linearly(self):
         p = Path(np.array([0.0, 2.0]), np.array([2.0]))
-        q = insert_knot(p, 1.0, 1.0)
+        q, idx = insert_knot(p, 1.0, 1.0)
+        assert idx == 1
         assert q.knots.tolist() == [0.0, 1.0, 2.0]
         assert q.increments.tolist() == [1.0, 1.0]
 
@@ -116,7 +117,7 @@ class TestInsertKnot:
         a = 0.7
         p = line(1.0, 2.0)  # crosses a at t = 0.35
         t_star = a / 2.0
-        q = insert_knot(p, t_star, a)
+        q = insert_knot(p, t_star, a)[0]
         r = reflect_at_time(q, t_star)
         assert value_at(r, t_star) == a
         assert value_at(q, t_star) == a
@@ -149,7 +150,7 @@ class TestReflectAtTime:
         assert q.horizon == p.horizon
         assert max_deviation(q, p) <= 1e-9
         # and bit-exact against the path with the pivot knot inserted
-        p1 = insert_knot(p, 0.5, value_at(p, 0.5))
+        p1 = insert_knot(p, 0.5, value_at(p, 0.5))[0]
         assert q == p1
 
     def test_value_identity_after_pivot(self):
@@ -173,25 +174,6 @@ class TestReflectAtTime:
         q = reflect_at_time(p, r)
         keep = p.knots <= r
         assert np.array_equal(q.values[keep], p.values[keep])
-
-
-class TestSurgeryHelpers:
-    def test_truncate(self):
-        p = Path(np.array([0.0, 1.0, 2.0]), np.array([2.0, -1.0]))
-        q = truncate(p, 1.5)
-        assert q.horizon == 1.5
-        assert value_at(q, 1.5) == value_at(p, 1.5)
-
-    def test_append_segments(self):
-        p = line(1.0, 1.0)
-        q = append_segments(p, [1.0, 0.5], [0.0, -2.0])
-        assert q.horizon == 2.5
-        assert value_at(q, 2.0) == 1.0
-        assert value_at(q, 2.5) == -1.0
-
-    def test_append_rejects_nonpositive_duration(self):
-        with pytest.raises(PathError):
-            append_segments(line(1.0, 1.0), [0.0], [1.0])
 
 
 class TestDeviation:

@@ -1,5 +1,6 @@
 """Samplers: reproducibility, law properties, spec strings."""
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -50,6 +51,14 @@ class TestParameterValidation:
             DyadicCounterexample(horizon=0.5)
         with pytest.raises(SamplerError):
             OconeTimeChange(clock="warp")
+
+    def test_rejects_dt_not_dividing_horizon(self):
+        # 1 / 0.3 would round to a grid of 1/3, unlike the recorded dt
+        with pytest.raises(SamplerError):
+            BrownianMotion(dt=0.3, horizon=1.0).sample(0)
+        with pytest.raises(SamplerError):
+            parse_law("ocone(clock=random_rate,dt=0.3,T=1)").sample(0)
+        assert BrownianMotion(dt=0.1, horizon=0.3).sample(0).knots.size == 4
 
 
 class TestBrownianMoments:
@@ -107,6 +116,20 @@ class TestStoppedSymmetric:
             hit = TwoSidedHit(1, 1).evaluate(p)
             if hit < p.horizon:
                 assert abs(value_at(p, p.horizon)) == 1.0
+
+    def test_pinned_draws(self):
+        # knots, increments and anchors of 200 draws (195 of them stopped
+        # before the horizon), pinned so that the stopped-path construction
+        # keeps every bit
+        sampler = StoppedSymmetric(level=1, dt=0.02, horizon=4.0, seed=52)
+        h = hashlib.sha256()
+        for i in range(200):
+            p = sampler.sample(i)
+            h.update(p.knots.tobytes())
+            h.update(p.increments.tobytes())
+            h.update(repr(sorted(p.anchors.items())).encode())
+        assert h.hexdigest() == ("494391adf2d705524db25b739428840a"
+                                 "6b9f7cef843c78000b1eac7d3622ff35")
 
 
 class TestOcone:

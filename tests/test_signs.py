@@ -19,7 +19,6 @@ from reflectlab import (
     first_down_index,
     first_zero_index,
     is_observed,
-    ladder_sign_word,
     ladder_trace,
     negate,
     negate_word,
@@ -32,7 +31,9 @@ from reflectlab import (
 from reflectlab.samplers import BrownianMotion
 from reflectlab.signs import trace_sign_word
 
-W = SignWord.of
+
+def W(*entries):
+    return SignWord(entries)
 
 
 class TestSignWord:
@@ -162,18 +163,20 @@ class TestAlignmentPower:
 
 class TestExtraction:
     def test_zero_path_all_zero(self):
-        assert ladder_sign_word(1, 2, Path.zero(3.0), 4) == W(0, 0, 0, 0)
+        tr = ladder_trace(1, 2, Path.zero(3.0), 4)
+        assert trace_sign_word(tr) == W(0, 0, 0, 0)
 
     def test_straight_line_alternating(self):
         p = Path(np.array([0.0, 3.0]), np.array([3.0]))
-        assert ladder_sign_word(1, 2, p, 3) == W(1, -1, 1)
+        assert trace_sign_word(ladder_trace(1, 2, p, 3)) == W(1, -1, 1)
 
     def test_negation_flips_word(self):
         sampler = BrownianMotion(dt=0.01, horizon=3.0, seed=31)
         for i in range(30):
             tr = ladder_trace(1, 2, sampler.sample(i), 5)
             w = trace_sign_word(tr)
-            assert ladder_sign_word(1, 2, negate(tr.path), 5) == negate_word(w)
+            tr_neg = ladder_trace(1, 2, negate(tr.path), 5)
+            assert trace_sign_word(tr_neg) == negate_word(w)
 
     def test_reflection_applies_reflect_word(self):
         sampler = BrownianMotion(dt=0.01, horizon=3.0, seed=32)
@@ -181,8 +184,8 @@ class TestExtraction:
         for i in range(30):
             tr = ladder_trace(1, 2, sampler.sample(i), 5)
             w = trace_sign_word(tr)
-            assert (ladder_sign_word(1, 2, reflect_at_rule(tr.path, rule), 5)
-                    == reflect_word(w))
+            tr_ref = ladder_trace(1, 2, reflect_at_rule(tr.path, rule), 5)
+            assert trace_sign_word(tr_ref) == reflect_word(w)
 
     def test_advance_conjugation(self):
         sampler = BrownianMotion(dt=0.01, horizon=3.0, seed=33)
@@ -190,8 +193,8 @@ class TestExtraction:
         for i in range(30):
             tr = ladder_trace(1, 2, sampler.sample(i), 5)
             w = trace_sign_word(tr)
-            assert (ladder_sign_word(1, 2, advance_path(tr.path, rule), 5)
-                    == advance_word(w))
+            tr_adv = ladder_trace(1, 2, advance_path(tr.path, rule), 5)
+            assert trace_sign_word(tr_adv) == advance_word(w)
 
     def test_advance_rewind_path_inverse(self):
         sampler = BrownianMotion(dt=0.01, horizon=3.0, seed=34)

@@ -26,7 +26,6 @@ from reflectlab import (
     TwoSidedHit,
     is_observed,
     ladder_levels,
-    ladder_times,
     ladder_trace,
     negate,
     parse_rule,
@@ -131,11 +130,11 @@ class TestEvaluate:
         assert math.isclose(t, 2.5, rel_tol=1e-12)
 
     def test_mixture_requires_partition(self):
-        from reflectlab.stopping import Always
         s, t = FirstPassage(1), FixedTime(0.75)
+        always = TimeCompare(s, s, "eq")
         p = line_to(2.0, 1.0)  # s observes at 0.5, before t
         with pytest.raises(MixturePartitionError):
-            Mixture(((s, Always()), (t, Always()))).evaluate(p)
+            Mixture(((s, always), (t, always))).evaluate(p)
         with pytest.raises(MixturePartitionError):
             Mixture(((s, TimeCompare(s, t, "gt")),
                      (t, TimeCompare(s, t, "eq")))).evaluate(p)
@@ -196,20 +195,20 @@ class TestReflectAtRule:
 
 class TestLadderTimes:
     def test_zero_path(self):
-        times, _ = ladder_times(1, 2, Path.zero(5.0), 4)
+        times = ladder_trace(1, 2, Path.zero(5.0), 4).times
         assert times[0] == 0.0
         assert all(t == NOT_OBSERVED for t in times[1:])
 
     def test_straight_line_unit_steps(self):
-        times, annotated = ladder_times(1, 2, line_to(3.0, 3.0), 3)
-        assert times == [0.0, 1.0, 2.0, 3.0]
-        for k, t in enumerate(times):
-            assert value_at(annotated, t) == float(k)
+        tr = ladder_trace(1, 2, line_to(3.0, 3.0), 3)
+        assert tr.times == (0.0, 1.0, 2.0, 3.0)
+        for k, t in enumerate(tr.times):
+            assert value_at(tr.path, t) == float(k)
 
     def test_increasing_while_finite_then_absorbed(self):
         sampler = BrownianMotion(dt=0.01, horizon=2.0, seed=3)
         for i in range(40):
-            times, _ = ladder_times(1, 2, sampler.sample(i), 6)
+            times = ladder_trace(1, 2, sampler.sample(i), 6).times
             finite = [t for t in times if is_observed(t)]
             assert all(x < y for x, y in zip(finite, finite[1:]))
             tail = times[len(finite):]

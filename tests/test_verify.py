@@ -23,6 +23,7 @@ from reflectlab import (
     bound_check,
     check_non_dyadic_triple,
     counterexample_demo,
+    exit_alignment_test,
     invariance_test,
     is_dyadic,
     martingale_step_test,
@@ -124,6 +125,15 @@ class TestInvarianceTest:
             invariance_test(BrownianMotion(seed=1), FixedTime(0.0),
                             [ValueAtTime(1.0)], 100)
 
+    def test_colliding_functional_names_rejected(self):
+        # both print as value_at_1 under :g, which would give two statistics
+        # and two summary rows of one name
+        functionals = [ValueAtTime(1.0000001), ValueAtTime(1.0000002)]
+        assert functionals[0].name == functionals[1].name
+        with pytest.raises(ConfigurationError):
+            invariance_test(BrownianMotion(dt=0.05, horizon=2.0, seed=46),
+                            FixedTime(0.0), functionals, 1000)
+
     def test_worker_count_invariance(self):
         sampler = BrownianMotion(dt=0.05, horizon=2.0, seed=45)
         kw = dict(functionals=[ValueAtTime(1.0), RunningMax()], n_draws=1500)
@@ -223,6 +233,46 @@ class TestCounterexampleDemo:
         names = {s.name for s in rep.statistics}
         assert "unit_exit_time_failures" in names
         assert "stopped_mean_vs_expected" in names
+
+
+_SHARDED = {
+    "stability_suite": lambda workers: stability_suite(
+        20, seed=71, sampler=BrownianMotion(dt=0.01, horizon=4.0),
+        workers=workers),
+    "sign_identity_test": lambda workers: sign_identity_test(
+        BrownianMotion(dt=0.01, horizon=3.0), 1, 2, 4, 100, seed=72,
+        workers=workers),
+    "martingale_step_test": lambda workers: martingale_step_test(
+        BrownianMotion(dt=0.01, horizon=3.0), 1, 2, 2, 100, seed=73,
+        workers=workers),
+    "bound_check": lambda workers: bound_check(
+        BrownianMotion(dt=0.02, horizon=2.0), 1, 2,
+        MinOf(TwoSidedHit(1, 2), FixedTime(1.0)), 2.0, 400, seed=74,
+        workers=workers),
+    "counterexample_demo": lambda workers: counterexample_demo(
+        1000, seed=75, workers=workers),
+}
+
+
+class TestSharding:
+    @pytest.mark.parametrize("name", sorted(_SHARDED))
+    def test_report_independent_of_worker_count(self, name):
+        run = _SHARDED[name]
+        assert run(1).to_json() == run(2).to_json()
+
+    @pytest.mark.parametrize("run", [
+        lambda s: stability_suite(0, sampler=s),
+        lambda s: sign_identity_test(s, 1, 2, 2, 0),
+        lambda s: martingale_step_test(s, 1, 2, 2, 0),
+        lambda s: bound_check(s, 1, 2, FixedTime(1.0), 99.0, -1),
+        lambda s: exit_alignment_test(s, 1, 2, 2, 0, 100),
+        lambda s: exit_alignment_test(s, 1, 2, 2, 5, 0),
+    ], ids=["stability", "signs", "martingale", "bound", "alignment_quota",
+            "alignment_cap"])
+    def test_empty_run_rejected(self, run):
+        # at zero draws every count is zero, which would read as a pass
+        with pytest.raises(ConfigurationError):
+            run(BrownianMotion(dt=0.05, horizon=1.0, seed=76))
 
 
 class TestReports:
