@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SamplerError
 from .path import Path
-from .stopping import LevelLike, TwoSidedHit, _split_args
+from .stopping import LevelLike, TwoSidedHit, _parse_level, _split_args
 
 __all__ = [
     "BrownianMotion", "DriftedBM", "DyadicCounterexample", "OconeTimeChange",
@@ -203,8 +203,7 @@ def parse_law(spec: str, seed: int = 0) -> Sampler:
             if key == "clock":
                 kwargs[key] = val
             elif key == "level":
-                kwargs[key] = Fraction(val) \
-                    if re.fullmatch(r"-?\d+(/\d+)?", val) else float(val)
+                kwargs[key] = _parse_level(val)
             else:
                 kwargs[key] = float(val)
         except ValueError as exc:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -89,8 +89,6 @@ def _judge(value: float, threshold: float, direction: str) -> str:
         ok = abs(value) <= threshold
     elif direction == "above":
         ok = value > threshold
-    elif direction == "below":
-        ok = value < threshold
     else:
         raise RuleError(f"unknown direction {direction!r}")
     return "pass" if ok else "fail"
@@ -199,40 +197,32 @@ def _csv_num(x) -> str:
 # parallel sharding
 # ---------------------------------------------------------------------------
 
-def _shards(n: int, workers: int) -> list[tuple[int, int]]:
-    bounds = np.linspace(0, n, max(1, workers) + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]]
+def _run_draws(fn: Callable, args: tuple, n: int, workers: int) -> Iterator:
+    """Yield ``fn(args, i)`` for i in range(n), in index order, computed on
+    contiguous index ranges spread over the workers.
 
-
-def _run_shards(fn: Callable, args: tuple, n: int, workers: int) -> list:
-    """Run fn(args, start, stop) over contiguous index ranges, in order.
-
-    Results are reduced by the caller; splitting by draw index keeps every
-    statistic independent of the worker count.  An empty run is rejected:
-    its reductions would report a pass with nothing checked.
+    Every caller reduces the rows in the order they come, so each statistic
+    is bit-identical at any worker count.  An empty run is rejected when its
+    rows are first asked for: its reductions would report a pass with
+    nothing checked.
     """
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
-    shards = _shards(n, workers)
-    if len(shards) <= 1 or workers <= 1:
-        return [fn(args, s, e) for s, e in shards]
+    if min(n, workers) <= 1:
+        yield from (fn(args, i) for i in range(n))
+        return
+    # shards are reduced as they arrive, so a run holds the rows of a few
+    # shards at a time, whatever its size
+    size = min(1000, -(-n // workers))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(fn, args, s, e) for s, e in shards]
-        return [f.result() for f in futures]
+        shards = deque(ex.submit(_draws, fn, args, s, min(s + size, n))
+                       for s in range(0, n, size))
+        while shards:
+            yield from shards.popleft().result()
 
 
-def _merged(parts) -> Counter:
-    """Key-wise sum of shard dicts, in shard order.
-
-    ``Counter.update`` keeps keys whose total is zero or negative, so every
-    passing count is still reported; ``Counter``'s ``+`` and ``sum()`` would
-    drop them.
-    """
-    total = Counter()
-    for part in parts:
-        total.update(part)
-    return total
+def _draws(fn: Callable, args: tuple, start: int, stop: int) -> list:
+    return [fn(args, i) for i in range(start, stop)]
 
 
 def _reseeded(sampler, seed: Optional[int]):
@@ -315,18 +305,36 @@ def default_functionals(horizon: float) -> list:
 # invariance test
 # ---------------------------------------------------------------------------
 
-def _invariance_chunk(args, start, stop):
+def _invariance_draw(args, i):
+    """The functionals of draw i and of its reflection, one row per arm."""
     sampler, rule, functionals = args
-    k = len(functionals)
-    x = np.empty((k, stop - start))
-    y = np.empty((k, stop - start))
-    for i in range(start, stop):
-        p = sampler.sample(i)
-        q = reflect_at_rule(p, rule)
-        for j, f in enumerate(functionals):
-            x[j, i - start] = f.apply(p)
-            y[j, i - start] = f.apply(q)
-    return x, y
+    p = sampler.sample(i)
+    return [[f.apply(q) for f in functionals]
+            for q in (p, reflect_at_rule(p, rule))]
+
+
+def _ks_statistics(functionals: Sequence, x: np.ndarray, y: np.ndarray,
+                   alpha: float) -> list[Statistic]:
+    """One paired KS statistic per functional (rows of x and y), Bonferroni
+    adjusted across the functionals that are not constant on both arms."""
+    live = [not (x[j].min() == x[j].max() == y[j].min() == y[j].max())
+            for j in range(len(functionals))]
+    n_live = sum(live)
+    stats = []
+    for j, f in enumerate(functionals):
+        if not live[j]:
+            stats.append(Statistic.skipped(
+                f.name, reason="constant on both samples"))
+            continue
+        # asymptotic p-values: exact computation is unavailable under the
+        # heavy ties that discrete laws produce, and at these sample sizes
+        # the asymptotic form is standard
+        res = ks_2samp(x[j], y[j], method="asymp")
+        p_adj = min(1.0, float(res.pvalue) * n_live)
+        stats.append(Statistic.judged(
+            f.name, p_adj, alpha, "above",
+            ks_statistic=float(res.statistic), p_raw=float(res.pvalue)))
+    return stats
 
 
 def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
@@ -346,35 +354,17 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     if len(set(names)) != len(names):
         raise ConfigurationError(f"functional names collide: {names}")
     sampler = _reseeded(sampler, seed)
-    chunks = _run_shards(_invariance_chunk, (sampler, rule, list(functionals)),
-                         n_draws, workers)
-    x = np.concatenate([c[0] for c in chunks], axis=1)
-    y = np.concatenate([c[1] for c in chunks], axis=1)
-
-    live = []
-    for j, f in enumerate(functionals):
-        constant = (x[j].min() == x[j].max() == y[j].min() == y[j].max())
-        live.append(not constant)
-    n_live = sum(live)
-    stats = []
-    for j, f in enumerate(functionals):
-        if not live[j]:
-            stats.append(Statistic.skipped(
-                f.name, reason="constant on both samples"))
-            continue
-        # asymptotic p-values: exact computation is unavailable under the
-        # heavy ties that discrete laws produce, and at these sample sizes
-        # the asymptotic form is standard
-        res = ks_2samp(x[j], y[j], method="asymp")
-        p_adj = min(1.0, float(res.pvalue) * n_live)
-        stats.append(Statistic.judged(
-            f.name, p_adj, alpha, "above",
-            ks_statistic=float(res.statistic), p_raw=float(res.pvalue)))
+    values = np.empty((2, len(functionals), n_draws))  # arm, functional, draw
+    for i, row in enumerate(_run_draws(
+            _invariance_draw, (sampler, rule, list(functionals)), n_draws,
+            workers)):
+        values[..., i] = row
+    stats = _ks_statistics(functionals, *values, alpha)
     return TestReport(
         name="invariance",
         params={"law": repr(sampler), "rule": repr(rule), "alpha": alpha,
-                "bonferroni": n_live},
-        seed=getattr(sampler, "seed", None),
+                "bonferroni": sum(s.verdict != "skip" for s in stats)},
+        seed=sampler.seed,
         sample_size=n_draws,
         statistics=stats,
     )
@@ -384,25 +374,20 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
 # expectation bound for stopped paths
 # ---------------------------------------------------------------------------
 
-def _bound_chunk(args, start, stop):
+def _bound_draw(args, i):
+    """The stopped value of draw i and the running max of |path| up to it."""
     sampler, rule, bound_cap = args
-    xs = np.empty(stop - start)
-    sup = 0.0
-    for i in range(start, stop):
-        p = sampler.sample(i)
-        t, annotated = rule.observe(p)
-        if not is_observed(t):
-            raise ConfigurationError(
-                f"stopping rule unobserved on draw {i}; cap the rule with a "
-                "fixed time inside the horizon")
-        idx = annotated.knot_index(t)
-        running = float(np.max(np.abs(annotated.values[:idx + 1])))
-        if running > bound_cap:
-            raise ConfigurationError(
-                f"draw {i} exceeds bound_cap: |path| reached {running}")
-        sup = max(sup, running)
-        xs[i - start] = annotated.values[idx]
-    return xs, sup
+    t, annotated = rule.observe(sampler.sample(i))
+    if not is_observed(t):
+        raise ConfigurationError(
+            f"stopping rule unobserved on draw {i}; cap the rule with a "
+            "fixed time inside the horizon")
+    idx = annotated.knot_index(t)
+    running = float(np.max(np.abs(annotated.values[:idx + 1])))
+    if running > bound_cap:
+        raise ConfigurationError(
+            f"draw {i} exceeds bound_cap: |path| reached {running}")
+    return annotated.values[idx], running
 
 
 def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
@@ -420,12 +405,13 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
-    chunks = _run_shards(_bound_chunk, (sampler, rule, float(bound_cap)),
-                         n_draws, workers)
-    xs = np.concatenate([c[0] for c in chunks])
-    sup = max(c[1] for c in chunks)
+    xs, sup = [], 0.0
+    for x, running in _run_draws(
+            _bound_draw, (sampler, rule, float(bound_cap)), n_draws, workers):
+        xs.append(x)
+        sup = max(sup, running)
     mean = float(np.mean(xs))
-    se = float(np.std(xs, ddof=1) / math.sqrt(xs.size)) if xs.size > 1 else 0.0
+    se = float(np.std(xs, ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
     notes = []
     if is_dyadic(a / (a + b)):
         notes.append(
@@ -434,7 +420,7 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
     return TestReport(
         name="bound_check",
         params={"a": a, "b": b, "rule": repr(rule), "bound_cap": bound_cap},
-        seed=getattr(sampler, "seed", None),
+        seed=sampler.seed,
         sample_size=n_draws,
         statistics=[
             Statistic.judged("stopped_mean", mean,
@@ -449,28 +435,22 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
 # discrete martingale checks along the ladder
 # ---------------------------------------------------------------------------
 
-def _martingale_chunk(args, start, stop):
+def _martingale_draw(args, i):
+    """The sign word of draw i, its skeleton increments Y_{n+1} - Y_n for
+    n <= n_steps as floats, and how many fail the exact antisymmetry."""
     sampler, a, b, n_steps = args
-    sums, squares, counts = Counter(), Counter(), Counter()
+    tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
+    increments = []
     anti_failures = 0
-    for i in range(start, stop):
-        p = sampler.sample(i)
-        tr = ladder_trace(a, b, p, n_steps + 1)
-        word = trace_sign_word(tr)
-        for n in range(n_steps + 1):
-            dy = tr.skeleton_value(n + 1) - tr.skeleton_value(n)
-            key = (n, word.entries[:n])
-            f = float(dy)
-            sums[key] += f
-            squares[key] += f * f
-            counts[key] += 1
-            t_n = tr.times[n]
-            q = reflect_at_time(tr.path, t_n) if is_observed(t_n) else tr.path
-            tr_q = ladder_trace(a, b, q, n + 1)
-            dy_q = tr_q.skeleton_value(n + 1) - tr_q.skeleton_value(n)
-            if dy_q != -dy:
-                anti_failures += 1
-    return sums, squares, counts, anti_failures
+    for n in range(n_steps + 1):
+        dy = tr.skeleton_value(n + 1) - tr.skeleton_value(n)
+        increments.append(float(dy))
+        t_n = tr.times[n]
+        q = reflect_at_time(tr.path, t_n) if is_observed(t_n) else tr.path
+        tr_q = ladder_trace(a, b, q, n + 1)
+        if tr_q.skeleton_value(n + 1) - tr_q.skeleton_value(n) != -dy:
+            anti_failures += 1
+    return trace_sign_word(tr).entries, tuple(increments), anti_failures
 
 
 def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
@@ -488,14 +468,19 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
-    chunks = _run_shards(_martingale_chunk, (sampler, a, b, n_steps),
-                         n_draws, workers)
-    sums, squares, counts = (_merged(c[i] for c in chunks) for i in range(3))
-    anti_failures = sum(c[3] for c in chunks)
+    moments = {}  # (n, word prefix) -> [sum, sum of squares, count]
+    anti_failures = 0
+    for entries, increments, failures in _run_draws(
+            _martingale_draw, (sampler, a, b, n_steps), n_draws, workers):
+        anti_failures += failures
+        for n, f in enumerate(increments):
+            m = moments.setdefault((n, entries[:n]), [0, 0, 0])
+            m[0] += f
+            m[1] += f * f
+            m[2] += 1
     stats = [Statistic.judged("antisymmetry_failures", anti_failures, 0.0,
                               "abs_below")]
-    for (n, prefix) in sorted(counts):
-        s, ss = sums[(n, prefix)], squares[(n, prefix)]
+    for (n, prefix), (s, ss, count) in sorted(moments.items()):
         mean = s / n_draws
         var = max(0.0, (ss - s * s / n_draws) / max(1, n_draws - 1))
         se = math.sqrt(var / n_draws)
@@ -503,11 +488,11 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
                         for e in prefix) or "()"
         stats.append(Statistic.judged(
             f"mean_increment_n{n}_prefix_{label}", mean, SE_BAND * se,
-            "abs_below", se=se, count=counts[(n, prefix)]))
+            "abs_below", se=se, count=count))
     return TestReport(
         name="martingale_step_test",
         params={"a": a, "b": b, "n_steps": n_steps},
-        seed=getattr(sampler, "seed", None),
+        seed=sampler.seed,
         sample_size=n_draws,
         statistics=stats,
     )
@@ -521,21 +506,38 @@ def _cmp(x: float, y: float) -> int:
     return (x > y) - (x < y)
 
 
-def _stability_chunk(args, start, stop):
-    sampler, = args
-    exit_rule = TwoSidedHit(1, 2)
-    hit_up = FirstPassage(Fraction(1))
-    hit_down = FirstPassage(Fraction(-1))
-    fixed_mid = FixedTime(1.0)
-    ladder2 = LadderStep(1, 2, 2)
-    never = FirstPassage(Fraction(50))
-    reflect_rules = [exit_rule, hit_up, fixed_mid, ladder2, never]
-    compose_pairs = [(hit_up, exit_rule), (fixed_mid, exit_rule),
-                     (hit_up, fixed_mid), (exit_rule, exit_rule)]
-    mix = Mixture(((hit_up, TimeCompare(hit_up, fixed_mid, "le")),
-                   (fixed_mid, TimeCompare(hit_up, fixed_mid, "gt"))))
-    mix_min = MinOf(hit_up, fixed_mid)
+# the rules of the stability battery; one instance serves every draw
+_EXIT = TwoSidedHit(1, 2)
+_HIT_UP = FirstPassage(Fraction(1))
+_HIT_DOWN = FirstPassage(Fraction(-1))
+_FIXED_MID = FixedTime(1.0)
+_REFLECT_RULES = (_EXIT, _HIT_UP, _FIXED_MID, LadderStep(1, 2, 2),
+                  FirstPassage(Fraction(50)))
+_COMPOSE_PAIRS = ((_HIT_UP, _EXIT), (_FIXED_MID, _EXIT), (_HIT_UP, _FIXED_MID),
+                  (_EXIT, _EXIT))
+_MIX = Mixture(((_HIT_UP, TimeCompare(_HIT_UP, _FIXED_MID, "le")),
+                (_FIXED_MID, TimeCompare(_HIT_UP, _FIXED_MID, "gt"))))
+_MIX_MIN = MinOf(_HIT_UP, _FIXED_MID)
 
+
+def _deviation(p1: Path, p2: Path, superset: bool = False) -> float:
+    scale = max(1.0, float(np.max(np.abs(p1.values))),
+                float(np.max(np.abs(p2.values))))
+    if superset:
+        # p1's knots contain p2's by construction, so p1's grid is the
+        # union and one interpolation suffices
+        d = float(np.max(np.abs(
+            p1.values - np.interp(p1.knots, p2.knots, p2.values))))
+    else:
+        d = max_deviation(p1, p2)
+    return d / scale
+
+
+def _stability_draw(args, i):
+    """How often draw i fails each check, and the worst normalized deviation
+    of a path identity on it."""
+    sampler, = args
+    p = sampler.sample(i)
     fails = {k: 0 for k in
              ["involution_exact", "involution_function", "time_idempotent",
               "formulas_low_branch", "formulas_high_branch",
@@ -543,93 +545,77 @@ def _stability_chunk(args, start, stop):
               "mixture_events", "mixture_min", "mixture_involution"]}
     worst = 0.0
 
-    def dev(p1, p2, superset: bool = False) -> float:
-        scale = max(1.0, float(np.max(np.abs(p1.values))),
-                    float(np.max(np.abs(p2.values))))
-        if superset:
-            # p1's knots contain p2's by construction, so p1's grid is the
-            # union and one interpolation suffices
-            d = float(np.max(np.abs(
-                p1.values - np.interp(p1.knots, p2.knots, p2.values))))
-        else:
-            d = max_deviation(p1, p2)
-        return d / scale
-
-    for i in range(start, stop):
-        p = sampler.sample(i)
-
-        for rule in reflect_rules:
-            t, p1 = rule.observe(p)
-            if not is_observed(t):
-                if reflect_at_rule(p, rule) != p:
-                    fails["involution_exact"] += 1
-                continue
-            q1 = reflect_at_time(p1, t)
-            t2, q1a = rule.observe(q1)
-            if t2 != t:
-                fails["time_idempotent"] += 1
-            if reflect_at_time(q1a, t2 if is_observed(t2) else t) != p1:
+    for rule in _REFLECT_RULES:
+        t, p1 = rule.observe(p)
+        if not is_observed(t):
+            if reflect_at_rule(p, rule) != p:
                 fails["involution_exact"] += 1
-            d = dev(p1, p, superset=True)
-            worst = max(worst, d)
-            if d > PATH_RTOL:
-                fails["involution_function"] += 1
-
-        for s_rule, t_rule in compose_pairs:
-            ts, tt = s_rule.evaluate(p), t_rule.evaluate(p)
-            lhs = reflect_at_rule(p, ComposeReflect(s_rule, t_rule))
-            q = reflect_at_rule(p, t_rule)
-            if ts <= tt:
-                s_on_q = s_rule.evaluate(q)
-                d = dev(lhs, reflect_at_rule(p, s_rule), superset=True)
-                worst = max(worst, d)
-                if (is_observed(ts) and s_on_q != ts) or d > PATH_RTOL:
-                    fails["formulas_low_branch"] += 1
-            if ts >= tt:
-                qq = reflect_at_rule(q, s_rule)
-                t_back = t_rule.evaluate(qq)
-                d = dev(lhs, reflect_at_rule(qq, t_rule), superset=True)
-                worst = max(worst, d)
-                if (is_observed(tt) and t_back != tt) or d > PATH_RTOL:
-                    fails["formulas_high_branch"] += 1
-
-        lhs = reflect_at_rule(p, hit_down)
-        rhs = negate(reflect_at_rule(negate(p), hit_up))
-        if lhs != rhs or hit_down.evaluate(p) != hit_up.evaluate(negate(p)):
-            fails["negated_level_chain"] += 1
-
-        # prefix surgery at a knot: q agrees with p on [0, t0] bit for bit
-        t0 = float(p.knots[p.knots.size // 4])
-        q = reflect_at_time(p, t0)
-        others_p = None
-        for rule in (hit_up, exit_rule, mix):
-            rp, rq = rule.evaluate(p), rule.evaluate(q)
-            if min(rp, rq) <= t0:
-                if rp != rq:
-                    fails["prefix_determinism"] += 1
-                if others_p is None:
-                    others_p = [(o, o.evaluate(p), o.evaluate(q))
-                                for o in (fixed_mid, exit_rule)]
-                for _, op_, oq_ in others_p:
-                    if _cmp(op_, rp) != _cmp(oq_, rq):
-                        fails["order_consistency"] += 1
-
-        q = reflect_at_rule(p, fixed_mid)
-        for op in ("lt", "eq", "gt"):
-            ev = TimeCompare(hit_up, fixed_mid, op)
-            if ev.holds(p) != ev.holds(q):
-                fails["mixture_events"] += 1
-        if mix.evaluate(p) != mix_min.evaluate(p):
-            fails["mixture_min"] += 1
-        d = dev(reflect_at_rule(reflect_at_rule(p, mix), mix), p)
+            continue
+        q1 = reflect_at_time(p1, t)
+        t2, q1a = rule.observe(q1)
+        if t2 != t:
+            fails["time_idempotent"] += 1
+        if reflect_at_time(q1a, t2 if is_observed(t2) else t) != p1:
+            fails["involution_exact"] += 1
+        d = _deviation(p1, p, superset=True)
         worst = max(worst, d)
         if d > PATH_RTOL:
-            fails["mixture_involution"] += 1
+            fails["involution_function"] += 1
 
+    for s_rule, t_rule in _COMPOSE_PAIRS:
+        ts, tt = s_rule.evaluate(p), t_rule.evaluate(p)
+        lhs = reflect_at_rule(p, ComposeReflect(s_rule, t_rule))
+        q = reflect_at_rule(p, t_rule)
+        if ts <= tt:
+            s_on_q = s_rule.evaluate(q)
+            d = _deviation(lhs, reflect_at_rule(p, s_rule), superset=True)
+            worst = max(worst, d)
+            if (is_observed(ts) and s_on_q != ts) or d > PATH_RTOL:
+                fails["formulas_low_branch"] += 1
+        if ts >= tt:
+            qq = reflect_at_rule(q, s_rule)
+            t_back = t_rule.evaluate(qq)
+            d = _deviation(lhs, reflect_at_rule(qq, t_rule), superset=True)
+            worst = max(worst, d)
+            if (is_observed(tt) and t_back != tt) or d > PATH_RTOL:
+                fails["formulas_high_branch"] += 1
+
+    lhs = reflect_at_rule(p, _HIT_DOWN)
+    rhs = negate(reflect_at_rule(negate(p), _HIT_UP))
+    if lhs != rhs or _HIT_DOWN.evaluate(p) != _HIT_UP.evaluate(negate(p)):
+        fails["negated_level_chain"] += 1
+
+    # prefix surgery at a knot: q agrees with p on [0, t0] bit for bit
+    t0 = float(p.knots[p.knots.size // 4])
+    q = reflect_at_time(p, t0)
+    others_p = None
+    for rule in (_HIT_UP, _EXIT, _MIX):
+        rp, rq = rule.evaluate(p), rule.evaluate(q)
+        if min(rp, rq) <= t0:
+            if rp != rq:
+                fails["prefix_determinism"] += 1
+            if others_p is None:
+                others_p = [(o.evaluate(p), o.evaluate(q))
+                            for o in (_FIXED_MID, _EXIT)]
+            for op_, oq_ in others_p:
+                if _cmp(op_, rp) != _cmp(oq_, rq):
+                    fails["order_consistency"] += 1
+
+    q = reflect_at_rule(p, _FIXED_MID)
+    for op in ("lt", "eq", "gt"):
+        ev = TimeCompare(_HIT_UP, _FIXED_MID, op)
+        if ev.holds(p) != ev.holds(q):
+            fails["mixture_events"] += 1
+    if _MIX.evaluate(p) != _MIX_MIN.evaluate(p):
+        fails["mixture_min"] += 1
+    d = _deviation(reflect_at_rule(reflect_at_rule(p, _MIX), _MIX), p)
+    worst = max(worst, d)
+    if d > PATH_RTOL:
+        fails["mixture_involution"] += 1
     return fails, worst
 
 
-def stability_suite(n_paths: int, seed: int = 0, sampler=None,
+def stability_suite(n_paths: int, seed: Optional[int] = None, sampler=None,
                     workers: int = 1) -> TestReport:
     """Pathwise identity battery on random paths, all at zero tolerance on
     increments with a 1e-9 normalized allowance where knot interpolation
@@ -639,12 +625,14 @@ def stability_suite(n_paths: int, seed: int = 0, sampler=None,
     order consistency, and mixture stability."""
     from .samplers import BrownianMotion
     if sampler is None:
-        sampler = BrownianMotion(dt=1e-3, horizon=10.0, seed=seed)
-    else:
-        sampler = _reseeded(sampler, seed)
-    chunks = _run_shards(_stability_chunk, (sampler,), n_paths, workers)
-    fails = _merged(c[0] for c in chunks)
-    worst = max((c[1] for c in chunks), default=0.0)
+        sampler = BrownianMotion(dt=1e-3, horizon=10.0)
+    sampler = _reseeded(sampler, seed)
+    fails = Counter()
+    worst = 0.0
+    for draw_fails, deviation in _run_draws(_stability_draw, (sampler,),
+                                            n_paths, workers):
+        fails.update(draw_fails)
+        worst = max(worst, deviation)
     stats = [Statistic.judged(k, v, 0.0, "abs_below")
              for k, v in sorted(fails.items())]
     stats.append(Statistic.judged("max_normalized_deviation", worst,
@@ -652,7 +640,7 @@ def stability_suite(n_paths: int, seed: int = 0, sampler=None,
     return TestReport(
         name="stability_suite",
         params={"law": repr(sampler)},
-        seed=seed,
+        seed=sampler.seed,
         sample_size=n_paths,
         statistics=stats,
     )
@@ -662,42 +650,39 @@ def stability_suite(n_paths: int, seed: int = 0, sampler=None,
 # sign-word identity suite
 # ---------------------------------------------------------------------------
 
-def _sign_chunk(args, start, stop):
-    sampler, a, b, n = args
-    rule = TwoSidedHit(a, b)
+def _sign_draw(args, i):
+    """The sign word of draw i and whether it fails each check."""
+    sampler, rule, n = args
+    a, b = rule.a, rule.b
+    tr = ladder_trace(a, b, sampler.sample(i), n)
+    w = trace_sign_word(tr)
+    base = tr.path
     fails = {k: 0 for k in ["negation", "reflection", "advance",
                             "hit_identity", "times_preserved"]}
-    word_counts: dict = {}
-    for i in range(start, stop):
-        p = sampler.sample(i)
-        tr = ladder_trace(a, b, p, n)
-        w = trace_sign_word(tr)
-        word_counts[w.to_string()] = word_counts.get(w.to_string(), 0) + 1
-        base = tr.path
 
-        tr_neg = ladder_trace(a, b, negate(base), n)
-        if trace_sign_word(tr_neg) != negate_word(w):
-            fails["negation"] += 1
-        tr_ref = ladder_trace(a, b, reflect_at_rule(base, rule), n)
-        if trace_sign_word(tr_ref) != reflect_word(w):
-            fails["reflection"] += 1
-        tr_adv = ladder_trace(a, b, advance_path(base, rule), n)
-        if trace_sign_word(tr_adv) != advance_word(w):
-            fails["advance"] += 1
-        if not (tr_neg.times == tr_ref.times == tr_adv.times == tr.times):
-            fails["times_preserved"] += 1
+    tr_neg = ladder_trace(a, b, negate(base), n)
+    if trace_sign_word(tr_neg) != negate_word(w):
+        fails["negation"] += 1
+    tr_ref = ladder_trace(a, b, reflect_at_rule(base, rule), n)
+    if trace_sign_word(tr_ref) != reflect_word(w):
+        fails["reflection"] += 1
+    tr_adv = ladder_trace(a, b, advance_path(base, rule), n)
+    if trace_sign_word(tr_adv) != advance_word(w):
+        fails["advance"] += 1
+    if not (tr_neg.times == tr_ref.times == tr_adv.times == tr.times):
+        fails["times_preserved"] += 1
 
-        t_exit = rule.evaluate(base)
-        m = first_down_index(w)
-        if m is not None:
-            ok = t_exit == tr.times[m]
-        elif first_zero_index(w) is not None:
-            ok = not is_observed(t_exit)
-        else:
-            ok = t_exit > tr.times[n]
-        if not ok:
-            fails["hit_identity"] += 1
-    return fails, word_counts
+    t_exit = rule.evaluate(base)
+    m = first_down_index(w)
+    if m is not None:
+        ok = t_exit == tr.times[m]
+    elif first_zero_index(w) is not None:
+        ok = not is_observed(t_exit)
+    else:
+        ok = t_exit > tr.times[n]
+    if not ok:
+        fails["hit_identity"] += 1
+    return w.to_string(), fails
 
 
 def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
@@ -713,9 +698,11 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
-    chunks = _run_shards(_sign_chunk, (sampler, a, b, n), n_draws, workers)
-    fails = _merged(c[0] for c in chunks)
-    words = _merged(c[1] for c in chunks)
+    fails, words = Counter(), Counter()
+    for word, draw_fails in _run_draws(
+            _sign_draw, (sampler, TwoSidedHit(a, b), n), n_draws, workers):
+        words[word] += 1
+        fails.update(draw_fails)
     stats = [Statistic.judged(k, v, 0.0, "abs_below")
              for k, v in sorted(fails.items())]
     stats.append(Statistic.judged(
@@ -724,7 +711,7 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     return TestReport(
         name="sign_identity_test",
         params={"a": a, "b": b, "n": n, "law": repr(sampler)},
-        seed=getattr(sampler, "seed", None),
+        seed=sampler.seed,
         sample_size=n_draws,
         statistics=stats,
     )
@@ -774,7 +761,7 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
         name="exit_alignment_test",
         params={"a": a, "b": b, "n": n, "min_per_word": min_per_word,
                 "words": len(words)},
-        seed=getattr(sampler, "seed", None),
+        seed=sampler.seed,
         sample_size=draws,
         statistics=[
             Statistic.judged("alignment_failures", failures, 0.0, "abs_below"),
@@ -819,6 +806,18 @@ def non_dyadic_sweep(limit: int) -> TestReport:
                       seed=None, sample_size=checked, statistics=stats)
 
 
+def _counterexample_draw(args, i):
+    """Whether draw i misses the unit exit time 1, its value at the wide exit,
+    and the functionals of it and of its reflections at 0 and at the unit
+    exit, one row per arm."""
+    sampler, exit_unit, exit_wide, functionals = args
+    p = sampler.sample(i)
+    t, annotated = exit_wide.observe(p)
+    arms = (p, negate(p), reflect_at_rule(p, exit_unit))
+    return (exit_unit.evaluate(p) != 1.0, value_at(annotated, t),
+            [[f.apply(q) for f in functionals] for q in arms])
+
+
 def counterexample_demo(n_draws: int, seed: int = 0,
                         c: LevelLike = Fraction(3),
                         workers: int = 1) -> TestReport:
@@ -832,6 +831,8 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     tests at those two reflections pass.
     """
     from .samplers import DyadicCounterexample
+    if n_draws < 1000:
+        raise ConfigurationError("invariance test needs at least 10^3 draws")
     c = as_rational(c)
     if c <= 1:
         raise ConfigurationError("c must exceed 1")
@@ -839,22 +840,21 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     sampler = DyadicCounterexample(horizon=horizon, seed=seed)
     exit_wide = TwoSidedHit(2, c)
     exit_unit = TwoSidedHit(1, 1)
-    xs = np.empty(n_draws)
-    unit_time_failures = 0
-    for i in range(n_draws):
-        p = sampler.sample(i)
-        if exit_unit.evaluate(p) != 1.0:
-            unit_time_failures += 1
-        t, annotated = exit_wide.observe(p)
-        xs[i] = value_at(annotated, t)
-    mean = float(np.mean(xs))
-    se = float(np.std(xs, ddof=1) / math.sqrt(n_draws))
-    expected = float((c - 2) / 2)
     functionals = [
         ValueAtTime(2.0), ValueAtTime(horizon), RunningMax(),
         HittingTime(2.0), HittingTime(-2.0),
         ValueAtRuleTime(exit_wide, f"exit_m2_{c}"),
     ]
+    unit_time_failures = 0
+    xs = np.empty(n_draws)
+    arms = np.empty((3, len(functionals), n_draws))  # arm, functional, draw
+    for i, (missed, xs[i], arms[..., i]) in enumerate(_run_draws(
+            _counterexample_draw, (sampler, exit_unit, exit_wide, functionals),
+            n_draws, workers)):
+        unit_time_failures += missed
+    mean = float(np.mean(xs))
+    se = float(np.std(xs, ddof=1) / math.sqrt(n_draws))
+    expected = float((c - 2) / 2)
     stats = [
         Statistic.judged("unit_exit_time_failures", unit_time_failures, 0.0,
                          "abs_below"),
@@ -862,10 +862,8 @@ def counterexample_demo(n_draws: int, seed: int = 0,
                          SE_BAND * se, "abs_below", se=se, mean=mean,
                          expected=expected),
     ]
-    for label, rule in (("reflect0", FixedTime(0.0)), ("exit11", exit_unit)):
-        rep = invariance_test(sampler, rule, functionals, n_draws,
-                              workers=workers)
-        for s in rep.statistics:
+    for label, y in (("reflect0", arms[1]), ("exit11", arms[2])):
+        for s in _ks_statistics(functionals, arms[0], y, DEFAULT_ALPHA):
             stats.append(dataclasses.replace(s, name=f"{label}_{s.name}"))
     return TestReport(
         name="counterexample_demo",

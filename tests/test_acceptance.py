@@ -1,9 +1,10 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each at its stated tolerance and runtime
-budget; a summary line is printed per criterion.  Monte Carlo runs shard
-draws across two workers, which leaves every statistic bit-identical to a
-serial run (verified in test_verify) while halving the wall time.
+budget; a summary line is printed per criterion.  Every Monte Carlo run but
+the sequential alignment search (criterion 5) shards its draws across two
+workers.  The per-draw rows are reduced in draw-index order, so every
+statistic is bit-identical to a serial run (checked in test_verify).
 """
 
 import math

@@ -2,6 +2,8 @@
 
 import json
 import math
+import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +39,7 @@ from reflectlab.verify import (
     Statistic,
     ValueAtRuleTime,
     ValueAtTime,
+    _run_draws,
 )
 
 
@@ -213,6 +216,13 @@ class TestStabilitySuite:
         assert fails["negated_level_chain"] == 0
         assert fails["max_normalized_deviation"] <= 1e-9
 
+    def test_given_sampler_keeps_its_seed(self):
+        rep = stability_suite(
+            1, sampler=BrownianMotion(dt=0.01, horizon=2.0, seed=9))
+        assert rep.seed == 9
+        assert rep.to_json() == stability_suite(
+            1, seed=9, sampler=BrownianMotion(dt=0.01, horizon=2.0)).to_json()
+
 
 class TestSignIdentitySuite:
     def test_small_run_zero_failures(self):
@@ -234,6 +244,17 @@ class TestCounterexampleDemo:
         assert "unit_exit_time_failures" in names
         assert "stopped_mean_vs_expected" in names
 
+    @pytest.mark.parametrize("n_draws", [1, 999])
+    def test_size_rejected_before_any_draw(self, n_draws, monkeypatch):
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError):
+                counterexample_demo(n_draws)
+
 
 _SHARDED = {
     "stability_suite": lambda workers: stability_suite(
@@ -245,6 +266,11 @@ _SHARDED = {
     "martingale_step_test": lambda workers: martingale_step_test(
         BrownianMotion(dt=0.01, horizon=3.0), 1, 2, 2, 100, seed=73,
         workers=workers),
+    # non-integer steps: the increment sums are inexact, so they must be
+    # added up in one order at every worker count
+    "martingale_step_test_fraction": lambda workers: martingale_step_test(
+        BrownianMotion(dt=0.01, horizon=3.0), Fraction(1, 3), Fraction(1, 2),
+        3, 400, seed=73, workers=workers),
     "bound_check": lambda workers: bound_check(
         BrownianMotion(dt=0.02, horizon=2.0), 1, 2,
         MinOf(TwoSidedHit(1, 2), FixedTime(1.0)), 2.0, 400, seed=74,
@@ -259,6 +285,13 @@ class TestSharding:
     def test_report_independent_of_worker_count(self, name):
         run = _SHARDED[name]
         assert run(1).to_json() == run(2).to_json()
+
+    def test_rows_in_index_order_across_shards(self):
+        # 2500 draws on two workers make three shards of at most 1000;
+        # getitem(range(n), i) is the row of draw i
+        n = 2500
+        rows = list(_run_draws(operator.getitem, range(n), n, workers=2))
+        assert rows == list(range(n))
 
     @pytest.mark.parametrize("run", [
         lambda s: stability_suite(0, sampler=s),
