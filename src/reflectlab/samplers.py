@@ -9,19 +9,27 @@ with no shared generator state.
 Gaussian increments use NumPy's ziggurat standard-normal generator on top of
 the PCG64 stream; any exact-distribution method would do, this one is the
 NumPy default and is documented here for reproducibility.
+
+The uniform grid of a (dt, horizon) pair, its steps and their square roots
+are built once per process (``_grid`` is cached) and shared read-only by
+every draw.  The grid samplers scale one standard-normal draw in place and
+wrap it without re-validating or copying, since the sampler built every
+array itself; parameters are validated once, at construction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .errors import SamplerError
-from .path import Path
+from .errors import RuleError, SamplerError
+from .path import Path, _fast_path
 from .stopping import LevelLike, TwoSidedHit, _parse_level, _split_args
 
 __all__ = [
@@ -35,15 +43,35 @@ def _rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(index, stream)))
 
 
-def _grid(dt: float, horizon: float) -> np.ndarray:
-    if dt <= 0 or horizon <= 0:
-        raise SamplerError("dt and horizon must be positive")
+@lru_cache(maxsize=16)
+def _grid(dt: float, horizon: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (knots, steps, sqrt(steps)) of the uniform grid."""
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+        raise SamplerError("dt and horizon must be positive and finite")
     n = int(round(horizon / dt))
     if n < 1:
         raise SamplerError("horizon must cover at least one step")
     if abs(n * dt - horizon) > 1e-9 * horizon:
         raise SamplerError(f"dt={dt!r} does not divide the horizon {horizon!r}")
-    return np.linspace(0.0, horizon, n + 1)
+    knots = np.linspace(0.0, horizon, n + 1)
+    steps = np.diff(knots)
+    grid = knots, steps, np.sqrt(steps)
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
+def _scaled_normals(seed: int, index: int, scale: np.ndarray) -> np.ndarray:
+    """The draw's standard normals times scale, computed in place."""
+    z = _rng(seed, index).standard_normal(scale.size)
+    z *= scale
+    return z
+
+
+def _sampled_path(knots: np.ndarray, increments: np.ndarray) -> Path:
+    increments.setflags(write=False)
+    return _fast_path(knots, increments, {})
 
 
 @dataclass(frozen=True)
@@ -54,11 +82,13 @@ class BrownianMotion:
     horizon: float = 10.0
     seed: int = 0
 
+    def __post_init__(self):
+        _grid(self.dt, self.horizon)
+
     def sample(self, index: int) -> Path:
-        knots = _grid(self.dt, self.horizon)
-        steps = np.diff(knots)
-        z = _rng(self.seed, index).standard_normal(steps.size)
-        return Path(knots, z * np.sqrt(steps))
+        knots, _, root_steps = _grid(self.dt, self.horizon)
+        return _sampled_path(knots,
+                             _scaled_normals(self.seed, index, root_steps))
 
 
 @dataclass(frozen=True)
@@ -71,11 +101,16 @@ class DriftedBM:
     horizon: float = 10.0
     seed: int = 0
 
+    def __post_init__(self):
+        if not math.isfinite(self.drift):
+            raise SamplerError(f"drift must be finite, got {self.drift!r}")
+        _grid(self.dt, self.horizon)
+
     def sample(self, index: int) -> Path:
-        knots = _grid(self.dt, self.horizon)
-        steps = np.diff(knots)
-        z = _rng(self.seed, index).standard_normal(steps.size)
-        return Path(knots, z * np.sqrt(steps) + self.drift * steps)
+        knots, steps, root_steps = _grid(self.dt, self.horizon)
+        inc = _scaled_normals(self.seed, index, root_steps)
+        inc += self.drift * steps
+        return _sampled_path(knots, inc)
 
 
 @dataclass(frozen=True)
@@ -93,8 +128,9 @@ class DyadicCounterexample:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 1.0:
-            raise SamplerError("horizon must exceed the first segment (1.0)")
+        if not 1.0 < self.horizon < math.inf:
+            raise SamplerError("horizon must be finite and exceed the first "
+                               "segment (1.0)")
 
     def sample(self, index: int) -> Path:
         rng = _rng(self.seed, index)
@@ -112,6 +148,13 @@ class StoppedSymmetric:
     dt: float = 1e-3
     horizon: float = 10.0
     seed: int = 0
+
+    def __post_init__(self):
+        try:
+            TwoSidedHit(self.level, self.level)
+        except RuleError as exc:
+            raise SamplerError(f"bad stopping level: {exc}") from exc
+        _grid(self.dt, self.horizon)
 
     def sample(self, index: int) -> Path:
         base = BrownianMotion(self.dt, self.horizon, self.seed).sample(index)
@@ -142,22 +185,20 @@ class OconeTimeChange:
     def __post_init__(self):
         if self.clock not in ("identity", "random_rate"):
             raise SamplerError(f"unknown clock spec {self.clock!r}")
+        _grid(self.dt, self.horizon)
 
     def sample(self, index: int) -> Path:
-        knots = _grid(self.dt, self.horizon)
-        steps = np.diff(knots)
-        if self.clock == "identity":
-            clock_steps = steps
-        else:
+        knots, steps, root_steps = _grid(self.dt, self.horizon)
+        if self.clock == "random_rate":
             rates_rng = _rng(self.seed, index, stream=1)
             n_units = int(np.ceil(self.horizon))
             unit_rates = np.exp(rates_rng.uniform(np.log(0.25), np.log(4.0),
                                                   size=n_units))
             mid = (knots[:-1] + knots[1:]) / 2.0
-            clock_steps = steps * unit_rates[
-                np.minimum(mid.astype(int), n_units - 1)]
-        z = _rng(self.seed, index).standard_normal(steps.size)
-        return Path(knots, z * np.sqrt(clock_steps))
+            root_steps = np.sqrt(steps * unit_rates[
+                np.minimum(mid.astype(int), n_units - 1)])
+        return _sampled_path(knots,
+                             _scaled_normals(self.seed, index, root_steps))
 
 
 Sampler = Union[BrownianMotion, DriftedBM, DyadicCounterexample,

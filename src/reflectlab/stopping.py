@@ -11,12 +11,19 @@ of merely close.
 Exit scan
 ---------
 ``FirstPassage``, ``TwoSidedHit`` and every ladder step are one operation,
-done by one kernel (``_first_exit``): the first exit, after a knot k, of the
+done by one kernel (``_locate_exit``): the first exit, after a knot k, of the
 increment sum restarted at k from an interval whose sides may be unbounded.
 It sums with one rule: blocks of increments, left to right, with the running
 sum carried in as each block's first summand.  From knot 0 these sums are
 ``Path.values`` bit for bit, so a level passage and the ladder window that
 defines the same stopping time agree to the bit.
+
+The kernel only locates the exit (time, knot or segment, side) and leaves the
+path alone.  Pinning it, a knot inserted at the exact target or an anchor
+written on an existing knot (``_pin``), is paid only where an annotated path
+is wanted: by ``observe``, by the pivot of ``ComposeReflect`` and by every
+ladder step, since each ladder window restarts at the knot of the last one.
+``evaluate`` returns the same float as ``observe`` and never annotates.
 
 Level ladder
 ------------
@@ -74,9 +81,14 @@ LevelLike = Union[int, str, Fraction, float]
 def _as_level(x: LevelLike) -> tuple[float, Optional[Fraction]]:
     """Float value plus the exact rational when one was given."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise RuleError(f"level must be finite, got {x!r}")
         return x, None
     q = as_rational(x)
-    return float(q), q
+    try:
+        return float(q), q
+    except OverflowError as exc:
+        raise RuleError(f"level {x!r} has no finite float value") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -86,24 +98,24 @@ def _as_level(x: LevelLike) -> tuple[float, Optional[Fraction]]:
 _BLOCK = 2048
 
 Bound = tuple[float, Optional[Fraction]]  # (float, exact value or None)
+Exit = tuple[float, int, int, bool]  # (time, knot index, side, inside)
 _NO_FLOOR: Bound = (-math.inf, None)
 _NO_CEILING: Bound = (math.inf, None)
 
 
-def _first_exit(p: Path, k: int, lo: Bound, hi: Bound,
-                base: Fraction = Fraction(0)
-                ) -> Optional[tuple[float, int, int, Path]]:
+def _locate_exit(p: Path, k: int, lo: Bound, hi: Bound,
+                 base: Fraction = Fraction(0)) -> Optional[Exit]:
     """First exit after knot k of the increment sum restarted at k from the
     open interval (lo, hi); an infinite bound leaves that side open.
 
     The bounds are relative to the value at knot k, whose exact value is
-    ``base``; a bound's exact part, when given, makes ``base + exact`` the
-    target the hit is pinned to.  Returns (time, knot_index, side,
-    annotated_path) with side +1 for an exit through hi and -1 through lo, or
-    None when the horizon comes first.  A start on or outside a bound exits
-    at knot k itself.  A hit exactly at a knot counts at that knot (inf
-    convention); a crossing inside a segment gets a new knot holding the
-    exact target.
+    ``base``.  Returns (time, knot_index, side, inside), side +1 for an exit
+    through hi and -1 through lo, or None when the horizon comes first.  The
+    path is not touched: ``_pin`` makes the exit a knot when the caller needs
+    one.  ``inside`` marks a crossing inside the segment that ends at
+    knot_index, at a time that is not a knot yet; otherwise the exit is at
+    knot_index itself.  A start on or outside a bound exits at knot k.  A hit
+    exactly at a knot counts at that knot (inf convention).
 
     One summation rule: each block of increments is summed left to right
     with the running sum carried in as its first summand.  At k = 0 the sums
@@ -115,8 +127,7 @@ def _first_exit(p: Path, k: int, lo: Bound, hi: Bound,
     lo_f, lo_q = lo
     hi_f, hi_q = hi
     if not lo_f < 0.0 < hi_f:  # the start is on or past a bound
-        side = 1 if hi_f <= 0.0 else -1
-        return _exit_at_knot(p, k, side, hi_q if side == 1 else lo_q, base)
+        return float(p.knots[k]), k, 1 if hi_f <= 0.0 else -1, False
     anchor = None
     if p.anchors and (lo_q is not None or hi_q is not None):
         for j, a in p.anchors.items():
@@ -140,36 +151,40 @@ def _first_exit(p: Path, k: int, lo: Bound, hi: Bound,
                 break
             ui, u_prev = float(u[i]), float(u[i - 1])
             side = 1 if ui >= hi_f else -1
-            target_f, target_q = hi if side == 1 else lo
+            target_f = hi_f if side == 1 else lo_f
             if ui == target_f:
-                return _exit_at_knot(p, j, side, target_q, base)
+                return float(p.knots[j]), j, side, False
             tl, tr = float(p.knots[j - 1]), float(p.knots[j])
-            t_star = tl + (target_f - u_prev) * ((tr - tl) / (ui - u_prev))
-            if target_q is None:
-                value = float(base) + target_f
-            else:
-                target_q = base + target_q
-                value = float(target_q)
-            q, idx = insert_knot(p, t_star, value, target_q)
-            return t_star, idx, side, q
+            return (tl + (target_f - u_prev) * ((tr - tl) / (ui - u_prev)),
+                    j, side, True)
         offset = float(u[-1])
         start = stop
     if anchor is None:
         return None
     side = 1 if p.anchors[anchor] - base == hi_q else -1
-    return float(p.knots[anchor]), anchor, side, p
+    return float(p.knots[anchor]), anchor, side, False
 
 
-def _exit_at_knot(p: Path, j: int, side: int, target_q: Optional[Fraction],
-                  base: Fraction) -> tuple[float, int, int, Path]:
-    """Exit at knot j, with the knot pinned to its exact target if any."""
+def _pin(p: Path, hit: Exit, lo: Bound, hi: Bound,
+         base: Fraction = Fraction(0)) -> tuple[Path, int]:
+    """p with the located exit made a knot, and that knot's index.
+
+    A crossing inside a segment gets a new knot holding the target; a
+    target with an exact part (``base`` plus the bound's exact value) is
+    recorded as the knot's anchor, whether the knot is new or not.
+    """
+    t, j, side, inside = hit
+    target_f, target_q = hi if side == 1 else lo
     if target_q is not None:
         target_q = base + target_q
-        if p.anchors.get(j) != target_q:
-            anchors = dict(p.anchors)
-            anchors[j] = target_q
-            p = _fast_path(p.knots, p.increments, anchors)
-    return float(p.knots[j]), j, side, p
+    if inside:
+        value = float(base) + target_f if target_q is None else float(target_q)
+        return insert_knot(p, t, value, target_q)
+    if target_q is not None and p.anchors.get(j) != target_q:
+        anchors = dict(p.anchors)
+        anchors[j] = target_q
+        p = _fast_path(p.knots, p.increments, anchors)
+    return p, j
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +290,18 @@ def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace
     idx = 0
     q = p
     for step in ladder.steps:
-        if times[-1] == NOT_OBSERVED:  # absorbed: later steps stay unobserved
-            hit = None
-        else:
-            step_f = float(step)
-            hit = _first_exit(q, idx, (-step_f, -step), (step_f, step),
-                              anchors[-1])
+        hit = None
+        if times[-1] != NOT_OBSERVED:  # absorbed: later steps stay unobserved
+            window = (-float(step), -step), (float(step), step)
+            hit = _locate_exit(q, idx, *window, anchors[-1])
         if hit is None:
             times.append(NOT_OBSERVED)
             directions.append(0)
             continue
-        t, idx, direction, q = hit
-        times.append(t)
-        directions.append(direction)
+        # every step is pinned: the next window restarts at this knot
+        q, idx = _pin(q, hit, *window, anchors[-1])
+        times.append(hit[0])
+        directions.append(hit[2])
         anchors.append(q.anchors[idx])
     return LadderTrace(ladder, tuple(times), tuple(directions),
                        tuple(anchors), q)
@@ -305,15 +319,28 @@ class StoppingRule:
     """
 
     def evaluate(self, p: Path) -> float:
-        return self._observe(p)[0]
+        """The rule's time on p, without annotating a copy of p."""
+        return self._observe(p, False)[0]
 
     def observe(self, p: Path) -> tuple[float, Path]:
         """(time, annotated path); the time is a knot of the annotated path
         whenever it is observed."""
         return self._observe(p)
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        """(time, path): with pin set, the path is the annotated copy of
+        ``observe``; without it, the path need not be annotated, and callers
+        read only the time.  Composite rules pass pin on to their parts."""
         raise NotImplementedError
+
+
+def _passage(p: Path, bounds: tuple[Bound, Bound],
+             pin: bool) -> tuple[float, Path]:
+    """First exit from knot 0 through the bounds, pinned when pin is set."""
+    hit = _locate_exit(p, 0, *bounds)
+    if hit is None:
+        return NOT_OBSERVED, p
+    return hit[0], _pin(p, hit, *bounds)[0] if pin else p
 
 
 @dataclass(frozen=True)
@@ -323,13 +350,14 @@ class FixedTime(StoppingRule):
     r: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise RuleError("fixed time must be nonnegative")
+        if not 0.0 <= self.r < math.inf:
+            raise RuleError(f"fixed time must be finite and nonnegative, "
+                            f"got {self.r!r}")
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
         if self.r > p.horizon:
             return NOT_OBSERVED, p
-        if p.knot_index(self.r) is None:
+        if pin and p.knot_index(self.r) is None:
             p, _ = insert_knot(p, self.r, value_at(p, self.r))
         return self.r, p
 
@@ -340,15 +368,14 @@ class FirstPassage(StoppingRule):
 
     level: LevelLike
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
+    def __post_init__(self):
         level = _as_level(self.level)
-        lo, hi = ((_NO_FLOOR, level) if level[0] >= 0.0
-                  else (level, _NO_CEILING))
-        hit = _first_exit(p, 0, lo, hi)
-        if hit is None:
-            return NOT_OBSERVED, p
-        t, _, _, q = hit
-        return t, q
+        object.__setattr__(self, "_bounds",
+                           (_NO_FLOOR, level) if level[0] >= 0.0
+                           else (level, _NO_CEILING))
+
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        return _passage(p, self._bounds, pin)
 
 
 @dataclass(frozen=True)
@@ -360,19 +387,15 @@ class TwoSidedHit(StoppingRule):
     b: LevelLike
 
     def __post_init__(self):
-        lo, _ = _as_level(self.a)
-        hi, _ = _as_level(self.b)
-        if lo <= 0 or hi <= 0:
-            raise RuleError("two-sided barriers must be positive")
-
-    def _observe(self, p: Path) -> tuple[float, Path]:
         lo_f, lo_q = _as_level(self.a)
         hi = _as_level(self.b)
-        hit = _first_exit(p, 0, (-lo_f, None if lo_q is None else -lo_q), hi)
-        if hit is None:
-            return NOT_OBSERVED, p
-        t, _, _, q = hit
-        return t, q
+        if lo_f <= 0 or hi[0] <= 0:
+            raise RuleError("two-sided barriers must be positive")
+        object.__setattr__(self, "_bounds",
+                           ((-lo_f, None if lo_q is None else -lo_q), hi))
+
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        return _passage(p, self._bounds, pin)
 
 
 @dataclass(frozen=True)
@@ -388,7 +411,8 @@ class LadderStep(StoppingRule):
         if self.n < 0:
             raise RuleError("ladder index must be nonnegative")
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        # the trace pins every step, since each window restarts at the last
         tr = ladder_trace(self.a, self.b, p, self.n)
         return tr.times[self.n], tr.path
 
@@ -400,9 +424,9 @@ class MinOf(StoppingRule):
     left: StoppingRule
     right: StoppingRule
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
-        left = self.left.observe(p)
-        right = self.right.observe(p)
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        left = self.left._observe(p, pin)
+        right = self.right._observe(p, pin)
         if not is_observed(min(left[0], right[0])):
             return NOT_OBSERVED, p
         return left if left[0] <= right[0] else right
@@ -415,9 +439,9 @@ class MaxOf(StoppingRule):
     left: StoppingRule
     right: StoppingRule
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
-        left = self.left.observe(p)
-        right = self.right.observe(p)
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        left = self.left._observe(p, pin)
+        right = self.right._observe(p, pin)
         if not (is_observed(left[0]) and is_observed(right[0])):
             return NOT_OBSERVED, p
         return left if left[0] >= right[0] else right
@@ -497,12 +521,12 @@ class Mixture(StoppingRule):
         if not self.branches:
             raise RuleError("mixture needs at least one branch")
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
         chosen = [rule for rule, event in self.branches if event.holds(p)]
         if len(chosen) != 1:
             raise MixturePartitionError(
                 f"{len(chosen)} mixture events hold; expected exactly 1")
-        return chosen[0].observe(p)
+        return chosen[0]._observe(p, pin)
 
 
 @dataclass(frozen=True)
@@ -512,14 +536,14 @@ class ComposeReflect(StoppingRule):
     inner: StoppingRule
     pivot: StoppingRule
 
-    def _observe(self, p: Path) -> tuple[float, Path]:
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        # pinned even for evaluate: the reflection pivots at an exact knot
         t_piv, p_piv = self.pivot.observe(p)
         if not is_observed(t_piv):
-            return self.inner.observe(p)
+            return self.inner._observe(p, pin)
         reflected = reflect_at_time(p_piv, t_piv)
-        t, annotated = self.inner.observe(reflected)
-        back = reflect_at_time(annotated, t_piv)
-        return t, back
+        t, annotated = self.inner._observe(reflected, pin)
+        return t, reflect_at_time(annotated, t_piv) if pin else p
 
 
 # ---------------------------------------------------------------------------

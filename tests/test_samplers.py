@@ -52,6 +52,19 @@ class TestParameterValidation:
         with pytest.raises(SamplerError):
             OconeTimeChange(clock="warp")
 
+    @pytest.mark.parametrize("spec", [
+        "bm(dt=nan,T=2)", "bm(dt=0.01,T=inf)", "bm(dt=inf,T=2)",
+        "drift(nan,dt=0.01,T=2)", "drift(inf,dt=0.01,T=2)",
+        "counterexample(T=nan)", "counterexample(T=inf)",
+        "ocone(clock=identity,dt=0.01,T=nan)",
+        "stopped(level=nan,dt=0.01,T=2)", "stopped(level=inf,dt=0.01,T=2)",
+        "stopped(level=1,dt=nan,T=2)",
+    ])
+    def test_rejects_non_finite_at_construction(self, spec):
+        # a NaN stopping level used to give a 2-knot path frozen at 0
+        with pytest.raises(SamplerError):
+            parse_law(spec)
+
     def test_rejects_dt_not_dividing_horizon(self):
         # 1 / 0.3 would round to a grid of 1/3, unlike the recorded dt
         with pytest.raises(SamplerError):
@@ -173,3 +186,45 @@ class TestLawGrammar:
     def test_rejects_malformed(self, bad):
         with pytest.raises(SamplerError):
             parse_law(bad)
+
+
+class TestGridSamplers:
+    # sha256 of the knots and increments of 50 draws per sampler, taken
+    # before the grid was cached and the increments scaled in place
+    PINNED = {
+        "bm": (BrownianMotion(dt=0.01, horizon=2.0, seed=61),
+               "ed84248845e571a9ed5cfae10e9b60be"
+               "db822f128647ce927be9d42ba94954b0"),
+        "drift": (DriftedBM(0.5, dt=0.01, horizon=2.0, seed=62),
+                  "e9589f46ff526e0db9122c6a298a2bd2"
+                  "ff4c1a6c9829de5bc56ceb4d609ba67e"),
+        "ocone_identity": (
+            OconeTimeChange(clock="identity", dt=0.01, horizon=2.0, seed=63),
+            "5fde696d01d70757ab0b4a0d8739c46c"
+            "00d8ce6964a1ab222fbf78003d4c36ca"),
+        "ocone_random_rate": (
+            OconeTimeChange(clock="random_rate", dt=0.01, horizon=2.5,
+                            seed=64),
+            "360fd7b26375b575231d07d43eccc2cf"
+            "53887768de7167e827f27384731f857b"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_draws(self, name):
+        sampler, digest = self.PINNED[name]
+        h = hashlib.sha256()
+        for i in range(50):
+            p = sampler.sample(i)
+            h.update(p.knots.tobytes())
+            h.update(p.increments.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_draws_share_one_read_only_grid(self, name):
+        sampler, _ = self.PINNED[name]
+        p, q = sampler.sample(0), sampler.sample(1)
+        assert p.knots is q.knots
+        assert p.increments is not q.increments
+        for a in (p.knots, p.increments):
+            with pytest.raises(ValueError):
+                a[1] = 0.5

@@ -336,6 +336,26 @@ class TestRuleGrammar:
         with pytest.raises(DyadicRatioError):
             parse_rule("tau(1,3,2)")
 
+    @pytest.mark.parametrize("bad", ["hit(nan)", "hit(inf)", "hit(-inf)",
+                                     "Tpm(nan,1)", "Tpm(1,inf)", "fixed(nan)",
+                                     "fixed(inf)", "fixed(-inf)",
+                                     "min(hit(1),hit(nan))"])
+    def test_rejects_non_finite_levels_and_times(self, bad):
+        # a NaN level used to give time 0 on every path
+        with pytest.raises(RuleError):
+            parse_rule(bad)
+
+    def test_rejects_non_finite_rules_built_directly(self):
+        for build in (lambda: FirstPassage(math.nan),
+                      lambda: FirstPassage(-math.inf),
+                      lambda: TwoSidedHit(math.nan, 1),
+                      lambda: TwoSidedHit(1, math.inf),
+                      lambda: FirstPassage(10 ** 400),  # overflows a float
+                      lambda: FixedTime(math.nan),
+                      lambda: FixedTime(math.inf)):
+            with pytest.raises(RuleError):
+                build()
+
 
 def unit_grid(increments, anchors=None):
     inc = np.asarray(increments, dtype=float)
@@ -349,9 +369,9 @@ class CountingRule(StoppingRule):
         self.rule = rule
         self.calls = 0
 
-    def _observe(self, p):
+    def _observe(self, p, pin=True):
         self.calls += 1
-        return self.rule.observe(p)
+        return self.rule._observe(p, pin)
 
 
 class TestExitKernel:
@@ -450,6 +470,8 @@ class TestExitKernel:
         right = CountingRule(FixedTime(0.75))
         combine(left, right).observe(p)
         assert (left.calls, right.calls) == (1, 1)
+        combine(left, right).evaluate(p)
+        assert (left.calls, right.calls) == (2, 2)
 
     def test_first_ladder_step_is_unit_exit(self):
         # tau_1 of the (1, 2) ladder and the exit time of (-1, 1) are the
@@ -462,3 +484,109 @@ class TestExitKernel:
             assert LadderStep(1, 2, 1).evaluate(p) == t
             observed += is_observed(t)
         assert observed >= 500
+
+
+# --- evaluate is observe without the annotation -----------------------------
+
+def _kernel_paths():
+    """Paths of every kind the rules meet: raw draws, reflected, ladder-
+    annotated and anchored ones, and the exact-hit and block-seam paths of
+    TestExitKernel."""
+    step = TestExitKernel.STEP
+    sampler = BrownianMotion(dt=0.01, horizon=4.0, seed=31)
+    paths = []
+    for i in range(3):
+        p = sampler.sample(i)
+        paths += [p, negate(p), reflect_at_time(p, 1.3),
+                  reflect_at_rule(p, TwoSidedHit(1, 1)),
+                  ladder_trace(1, 2, p, 4).path,
+                  FirstPassage(F(1, 2)).observe(p)[1]]
+    for lead in (0, 1):
+        paths += [unit_grid([0.0] * lead + [step] * 2100),
+                  unit_grid([1.0] + [0.0] * lead + [step] * 2100)]
+    inc = [0.0] * 6000
+    inc[2999] = 1.0 - 2.0 ** -40
+    inc[4999] = 1.0
+    paths.append(unit_grid(inc, {3000: F(1)}))
+    inc = list(inc)
+    inc[0] = 1.0
+    paths.append(unit_grid(inc, {3000: F(2)}))
+    over = 1.0 + 2.0 ** -40
+    paths += [unit_grid([over, 1.0], {1: F(1)}),
+              unit_grid([-1.0, over, 1.0], {2: F(0)}),
+              unit_grid([over, 1.0]), line_to(2.0, 1.0), line_to(-2.0, 1.0),
+              Path.zero(3.0)]
+    return paths
+
+
+KERNEL_PATHS = _kernel_paths()
+
+_LEVELS = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2),
+                           F(1) - F(1, 4096), 0.0, 0.75, -0.5, 1.0])
+_BARRIERS = st.sampled_from([F(1), F(2), F(1, 2), F(3), 1.5, 1.0])
+_LADDERS = st.sampled_from([(1, 2), (2, 1), (2, 3), (1, 5)])
+
+
+def _mixtures(rules):
+    """Both kinds of partition: a time comparison and the sign at a time."""
+    def by_time(s, t):
+        return Mixture(((s, TimeCompare(s, t, "le")),
+                        (t, TimeCompare(s, t, "gt"))))
+
+    def by_sign(s, t, u):
+        return Mixture(((s, SignAtTime(u, "pos", unobserved_matches=True)),
+                        (t, SignAtTime(u, "neg")),
+                        (s, SignAtTime(u, "zero"))))
+
+    return st.one_of(st.builds(by_time, rules, rules),
+                     st.builds(by_sign, rules, rules, rules))
+
+
+GRAMMAR_RULES = st.recursive(
+    st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 1.3, 2.5, 2048.25, 7.0]).map(FixedTime),
+        _LEVELS.map(FirstPassage),
+        st.builds(TwoSidedHit, _BARRIERS, _BARRIERS),
+        st.builds(lambda ab, n: LadderStep(*ab, n), _LADDERS,
+                  st.integers(0, 4))),
+    lambda rules: st.one_of(st.builds(MinOf, rules, rules),
+                            st.builds(MaxOf, rules, rules),
+                            st.builds(ComposeReflect, rules, rules),
+                            _mixtures(rules)),
+    max_leaves=4)
+
+
+class TestEvaluateMatchesObserve:
+    @given(GRAMMAR_RULES, st.sampled_from(range(len(KERNEL_PATHS))))
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_is_observe_time_bit_for_bit(self, rule, k):
+        p = KERNEL_PATHS[k]
+        t, _ = rule.observe(p)
+        assert rule.evaluate(p).hex() == float(t).hex()
+
+    @pytest.mark.parametrize("rule", [
+        FixedTime(0.25),
+        FirstPassage(F(1)),
+        FirstPassage(0.75),
+        TwoSidedHit(1, 1),
+        MinOf(FirstPassage(F(1)), FixedTime(0.75)),
+        MaxOf(FirstPassage(F(1)), FixedTime(0.75)),
+        Mixture(((FirstPassage(F(1)),
+                  TimeCompare(FirstPassage(F(1)), FixedTime(0.75), "le")),
+                 (FixedTime(0.75),
+                  TimeCompare(FirstPassage(F(1)), FixedTime(0.75), "gt")))),
+    ])
+    def test_evaluate_inserts_no_knot(self, rule, monkeypatch):
+        import reflectlab.path
+        import reflectlab.stopping
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("insert_knot called")
+
+        p = line_to(2.0, 1.0)  # every rule here stops inside the segment
+        expected = rule.evaluate(p)
+        monkeypatch.setattr(reflectlab.stopping, "insert_knot", refuse)
+        monkeypatch.setattr(reflectlab.path, "insert_knot", refuse)
+        assert rule.evaluate(p) == expected
+        with pytest.raises(AssertionError, match="insert_knot called"):
+            rule.observe(p)  # observe pins, so the patch is live
