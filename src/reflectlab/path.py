@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -181,47 +182,144 @@ def insert_knot(p: Path, t: float, v: float,
     index of that knot.
 
     If t is already a knot with the same value (within INSERT_RTOL), p itself
-    is returned, or a copy with ``exact`` as that knot's anchor when it is
-    not on record yet.  For a new interior knot, v must sit between the
-    neighboring knot values (monotone consistency on the segment); the exact
-    interpolated value is not required, which is what lets crossing knots be
-    pinned to an exact target level instead of the rounded interpolant.
+    is returned, or a copy sharing p's arrays with ``exact`` as that knot's
+    anchor when it is not on record yet.  For a new interior knot, v must sit
+    between the neighboring knot values (monotone consistency on the
+    segment); the exact interpolated value is not required, which is what
+    lets crossing knots be pinned to an exact target level instead of the
+    rounded interpolant.
     """
-    if not (0.0 <= t <= p.horizon):
-        raise TimeOutOfRangeError(f"t={t!r} outside [0, {p.horizon!r}]")
-    existing = p.knot_index(t)
-    vals = p.values
-    if existing is not None:
-        old = float(vals[existing])
-        tol = INSERT_RTOL * max(1.0, abs(old), abs(v))
-        if abs(v - old) > tol:
+    knots = _KnotInsertion(p)
+    index = knots.insert(t, v, exact)
+    return knots.path(), index
+
+
+class _KnotInsertion:
+    """Knots inserted into p in time order and copied out once.
+
+    Each ``insert`` checks and values its knot exactly as ``insert_knot``
+    would on the path that already holds the earlier ones: the new knot's
+    increments are ``v - vl`` and ``vr - v`` with vl, vr the prefix sums of
+    that path, so two knots can split one original segment.  ``path``
+    then builds the result with one copy of the arrays.  Indices returned
+    are those of the final path; a later knot never lies before an earlier
+    one, so they do not move.
+    """
+
+    def __init__(self, p: Path):
+        self.p = p
+        self.splits: list = []  # (segment, time, left, right) in time order
+        self.pins: dict = {}  # final knot index -> exact value
+        self._last = 0.0  # value at the last new knot
+        # an original knot at or after the last new knot, and its value on
+        # the path holding the new knots
+        self._known = (0, 0.0)
+
+    def _values(self, i: int, n: int) -> np.ndarray:
+        """Values of the original knots i .. i + n - 1 (none of them before
+        the last new knot) on the path holding the new knots: p's cached
+        values before any new knot, else prefix sums carried on from the
+        last known knot, which are the same bits."""
+        if not self.splits and "values" in self.p.__dict__:
+            return self.p.values[i:i + n]
+        a, value = self._known
+        u = np.empty(i + n - a)
+        u[0] = value
+        u[1:] = self.p.increments[a:i + n - 1]
+        np.cumsum(u, out=u)
+        return u[i - a:]
+
+    def pin(self, j: int, exact: Optional[Fraction]) -> int:
+        """Record exact as the anchor of original knot j (not before the last
+        new knot); returns j's final index."""
+        return self._pin(j + len(self.splits), exact)
+
+    def _pin(self, index: int, exact: Optional[Fraction]) -> int:
+        if exact is not None:
+            self.pins[index] = exact
+        return index
+
+    def insert(self, t: float, v: float,
+               exact: Optional[Fraction] = None) -> int:
+        """A knot at time t (not before the last new knot) holding value v,
+        anchored at exact when given; returns its final index."""
+        p = self.p
+        if not (0.0 <= t <= p.horizon):
+            raise TimeOutOfRangeError(f"t={t!r} outside [0, {p.horizon!r}]")
+        splits = self.splits
+        i = int(np.searchsorted(p.knots, t))
+        if splits and t == splits[-1][1]:  # the last new knot
+            _check_knot_value(t, self._last, v)
+            return self._pin(splits[-1][0] + len(splits), exact)
+        if p.knots[i] == t:
+            _check_knot_value(t, float(self._values(i, 1)[0]), v)
+            return self.pin(i, exact)
+        i -= 1  # a new knot inside original segment (i, i + 1)
+        if splits and splits[-1][0] == i:  # it splits the last one's right
+            vl, vr = self._last, self._known[1]
+        else:
+            vl, vr = (float(x) for x in self._values(i, 2))
+        span = abs(vr - vl)
+        tol = INSERT_RTOL * max(1.0, abs(vl), abs(vr))
+        if abs(v - vl) + abs(vr - v) > span + tol:
             raise KnotConflictError(
-                f"knot at t={t!r} already holds {old!r}, refusing {v!r}")
-        if exact is not None and p.anchors.get(existing) != exact:
-            anchors = dict(p.anchors)
-            anchors[existing] = exact
-            return Path(p.knots, p.increments, anchors), existing
-        return p, existing
-    i = int(np.searchsorted(p.knots, t)) - 1
-    vl, vr = float(vals[i]), float(vals[i + 1])
-    span = abs(vr - vl)
-    tol = INSERT_RTOL * max(1.0, abs(vl), abs(vr))
-    if abs(v - vl) + abs(vr - v) > span + tol:
+                f"value {v!r} at t={t!r} is not between neighbors "
+                f"({vl!r}, {vr!r})")
+        left, right = v - vl, vr - v
+        splits.append((i, t, left, right))
+        self._last = vl + left
+        self._known = (i + 1, self._last + right)
+        return self._pin(i + len(splits), exact)
+
+    def resume(self, index: int) -> tuple[int, Optional[tuple[float, float]]]:
+        """The knot of a final index, not before the last new knot, as the
+        start of a scan of the original path: the original knot k the scan
+        reaches first, and for a new knot the (time, increment) that lead
+        from it to knot k, else None."""
+        splits = self.splits
+        if splits and index == splits[-1][0] + len(splits):
+            i, t, _, right = splits[-1]
+            return i + 1, (t, right)
+        return index - len(splits), None
+
+    def path(self) -> Path:
+        """p with the new knots and the anchors recorded."""
+        p = self.p
+        if not self.splits:
+            anchors = {**p.anchors, **self.pins}
+            if anchors == p.anchors:
+                return p
+            return _fast_path(p.knots, p.increments, anchors)
+        segments = [s[0] for s in self.splits]
+        knots = np.insert(p.knots, [i + 1 for i in segments],
+                          [s[1] for s in self.splits])
+        inc = np.empty(knots.size - 1, dtype=np.float64)
+        src = dst = 0  # next original increment to copy, next slot
+        for i, _, left, right in self.splits:
+            if i < src:  # a second knot in a segment splits the last right
+                dst -= 1
+            else:
+                inc[dst:dst + i - src] = p.increments[src:i]
+                dst += i - src
+                src = i + 1
+            inc[dst] = left
+            inc[dst + 1] = right
+            dst += 2
+        inc[dst:] = p.increments[src:]
+        knots.setflags(write=False)
+        inc.setflags(write=False)
+        anchors = {j + bisect_left(segments, j): a
+                   for j, a in p.anchors.items()}
+        anchors.update(self.pins)
+        return _fast_path(knots, inc, anchors)
+
+
+def _check_knot_value(t: float, old: float, v: float) -> None:
+    """Refuse v for an existing knot at time t that holds old."""
+    tol = INSERT_RTOL * max(1.0, abs(old), abs(v))
+    if abs(v - old) > tol:
         raise KnotConflictError(
-            f"value {v!r} at t={t!r} is not between neighbors "
-            f"({vl!r}, {vr!r})")
-    knots = np.insert(p.knots, i + 1, t)
-    inc = np.empty(p.increments.size + 1, dtype=np.float64)
-    inc[:i] = p.increments[:i]
-    inc[i] = v - vl
-    inc[i + 1] = vr - v
-    inc[i + 2:] = p.increments[i + 1:]
-    knots.setflags(write=False)
-    inc.setflags(write=False)
-    anchors = {(j if j <= i else j + 1): a for j, a in p.anchors.items()}
-    if exact is not None:
-        anchors[i + 1] = exact
-    return _fast_path(knots, inc, anchors), i + 1
+            f"knot at t={t!r} already holds {old!r}, refusing {v!r}")
 
 
 def reflect_at_time(p: Path, r: float) -> Path:

@@ -11,19 +11,24 @@ of merely close.
 Exit scan
 ---------
 ``FirstPassage``, ``TwoSidedHit`` and every ladder step are one operation,
-done by one kernel (``_locate_exit``): the first exit, after a knot k, of the
-increment sum restarted at k from an interval whose sides may be unbounded.
-It sums with one rule: blocks of increments, left to right, with the running
-sum carried in as each block's first summand.  From knot 0 these sums are
+done by one kernel (``_locate_exit``): the first exit of the increment sum
+restarted at a knot from an interval whose sides may be unbounded.  It sums
+with one rule: increments left to right from 0.0, in blocks that carry the
+running sum in as their first summand.  From knot 0 these sums are
 ``Path.values`` bit for bit, so a level passage and the ladder window that
-defines the same stopping time agree to the bit.
+defines the same stopping time agree to the bit, and a scan from knot 0
+reads that cache when the path already has it.  A window that ends at a
+knot anchored on one of its bounds is summed to that knot in one cumsum.
 
 The kernel only locates the exit (time, knot or segment, side) and leaves the
 path alone.  Pinning it, a knot inserted at the exact target or an anchor
-written on an existing knot (``_pin``), is paid only where an annotated path
-is wanted: by ``observe``, by the pivot of ``ComposeReflect`` and by every
-ladder step, since each ladder window restarts at the knot of the last one.
-``evaluate`` returns the same float as ``observe`` and never annotates.
+written on an existing knot, is paid only where an annotated path is wanted:
+by ``observe`` and by the pivot of ``ComposeReflect``.  ``evaluate`` returns
+the same float as ``observe`` and never annotates.  A ladder trace locates
+all of its steps on the input path: a window that starts at a crossing not
+inserted yet scans from the next knot, with the crossing's split increment
+as the first summand (the kernel's ``lead``), which is the sum the inserted
+knot would give.  It then inserts every crossing knot in one copy.
 
 Level ladder
 ------------
@@ -49,7 +54,9 @@ The ladder times on a path w are then
 an increasing sequence of stopping times.  The evaluator tracks the realized
 values w(tau_n) as exact rationals (the anchor of step n plus or minus the
 step magnitude), so sign extraction and hitting-time identities are decided by
-exact comparisons rather than float ones.
+exact comparisons rather than float ones.  Every level and every realized
+value lies on the grid (1/lcm(den a, den b))Z, so inside a trace they are
+integers over that denominator.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from .path import (
     NOT_OBSERVED,
     Path,
     _fast_path,
+    _KnotInsertion,
     insert_knot,
     is_observed,
     reflect_at_time,
@@ -99,92 +107,78 @@ _BLOCK = 2048
 
 Bound = tuple[float, Optional[Fraction]]  # (float, exact value or None)
 Exit = tuple[float, int, int, bool]  # (time, knot index, side, inside)
+Lead = tuple[float, float]  # (start time, increment from it to knot k)
 _NO_FLOOR: Bound = (-math.inf, None)
 _NO_CEILING: Bound = (math.inf, None)
 
 
-def _locate_exit(p: Path, k: int, lo: Bound, hi: Bound,
-                 base: Fraction = Fraction(0)) -> Optional[Exit]:
-    """First exit after knot k of the increment sum restarted at k from the
+def _locate_exit(p: Path, k: int, lo: float, hi: float,
+                 anchor: Optional[tuple[int, int]] = None,
+                 lead: Optional[Lead] = None) -> Optional[Exit]:
+    """First exit of the increment sum restarted at the scan start from the
     open interval (lo, hi); an infinite bound leaves that side open.
 
-    The bounds are relative to the value at knot k, whose exact value is
-    ``base``.  Returns (time, knot_index, side, inside), side +1 for an exit
-    through hi and -1 through lo, or None when the horizon comes first.  The
-    path is not touched: ``_pin`` makes the exit a knot when the caller needs
-    one.  ``inside`` marks a crossing inside the segment that ends at
-    knot_index, at a time that is not a knot yet; otherwise the exit is at
-    knot_index itself.  A start on or outside a bound exits at knot k.  A hit
-    exactly at a knot counts at that knot (inf convention).
+    The scan starts at knot k, or with a lead (t0, d) at time t0 inside the
+    segment that ends at knot k, from where the first summand d reaches
+    knot k: the split increment of a knot not inserted yet.  Returns (time,
+    knot_index, side, inside), side +1 for an exit through hi and -1
+    through lo, or None when the horizon comes first.  The path is not
+    touched.  ``inside`` marks a crossing inside the segment that ends at
+    knot_index (starting at t0 for the lead's segment), at a time that is
+    not a knot yet; otherwise the exit is at knot_index itself.  A start on
+    or outside a bound exits at the start.  A hit exactly at a knot counts
+    at that knot (inf convention).
 
-    One summation rule: each block of increments is summed left to right
-    with the running sum carried in as its first summand.  At k = 0 the sums
-    therefore equal ``p.values`` bit for bit, and a reflection pivoted at or
-    before k negates them exactly, so a hit on a reflected path mirrors bit
-    for bit.  A knot anchored at an exact target decides the hit there,
-    overriding a float crossing in the segment that ends at it.
+    ``anchor`` (j, side) is an anchored knot j after the start whose exact
+    value is on the bound of that side: the exit is there unless the float
+    sums leave before knot j, so the window up to it is summed in one
+    exact-length cumsum.  Without an anchor the sums run in blocks of
+    ``_BLOCK`` summands, so an early exit stops early.
+
+    One summation rule: summands are added left to right from 0.0, a
+    block's first summand being the running sum carried in.  From knot 0
+    these sums are ``p.values`` bit for bit, and that cache, when it
+    exists, is read instead.  A reflection pivoted at or before the start
+    negates the sums exactly, so a hit on a reflected path mirrors bit for
+    bit.
     """
-    lo_f, lo_q = lo
-    hi_f, hi_q = hi
-    if not lo_f < 0.0 < hi_f:  # the start is on or past a bound
-        return float(p.knots[k]), k, 1 if hi_f <= 0.0 else -1, False
-    anchor = None
-    if p.anchors and (lo_q is not None or hi_q is not None):
-        for j, a in p.anchors.items():
-            if j > k and (anchor is None or j < anchor) \
-                    and a - base in (lo_q, hi_q):
-                anchor = j
-    inc = p.increments
-    m = inc.size
-    start, offset = k, 0.0
-    while start < m and (anchor is None or start < anchor):
-        stop = min(m, start + _BLOCK)
-        u = np.empty(stop - start + 1)  # u[i]: the sum at knot start + i
-        u[0] = offset
-        u[1:] = inc[start:stop]
-        np.cumsum(u, out=u)
-        out = (u <= lo_f) | (u >= hi_f)
+    t0 = float(p.knots[k]) if lead is None else lead[0]
+    if not lo < 0.0 < hi:  # the start is on or past a bound
+        return t0, k, 1 if hi <= 0.0 else -1, lead is not None
+    knots, inc = p.knots, p.increments
+    first = k if lead is None else k - 1  # the sum at knot first + i is u_i
+    n = inc.size - first if anchor is None else anchor[0] - 1 - first
+    values = p.__dict__.get("values") if first == 0 and lead is None else None
+    start, offset = 0, 0.0
+    while start < n:
+        stop = n if anchor is not None else min(n, start + _BLOCK)
+        if values is not None:
+            u = values[start:stop + 1]
+        else:
+            u = np.empty(stop - start + 1)  # u[i]: u_(start + i)
+            u[0] = offset
+            u[1:] = inc[first + start:first + stop]
+            if start == 0 and lead is not None:
+                u[1] = lead[1]
+            np.cumsum(u, out=u)
+        out = (u <= lo) | (u >= hi)
         i = int(out.argmax())
         if out[i]:
-            j = start + i
-            if anchor is not None and anchor <= j:
-                break
+            j = first + start + i
             ui, u_prev = float(u[i]), float(u[i - 1])
-            side = 1 if ui >= hi_f else -1
-            target_f = hi_f if side == 1 else lo_f
-            if ui == target_f:
-                return float(p.knots[j]), j, side, False
-            tl, tr = float(p.knots[j - 1]), float(p.knots[j])
-            return (tl + (target_f - u_prev) * ((tr - tl) / (ui - u_prev)),
+            side = 1 if ui >= hi else -1
+            target = hi if side == 1 else lo
+            if ui == target:
+                return float(knots[j]), j, side, False
+            tl = t0 if start + i == 1 else float(knots[j - 1])
+            tr = float(knots[j])
+            return (tl + (target - u_prev) * ((tr - tl) / (ui - u_prev)),
                     j, side, True)
         offset = float(u[-1])
         start = stop
     if anchor is None:
         return None
-    side = 1 if p.anchors[anchor] - base == hi_q else -1
-    return float(p.knots[anchor]), anchor, side, False
-
-
-def _pin(p: Path, hit: Exit, lo: Bound, hi: Bound,
-         base: Fraction = Fraction(0)) -> tuple[Path, int]:
-    """p with the located exit made a knot, and that knot's index.
-
-    A crossing inside a segment gets a new knot holding the target; a
-    target with an exact part (``base`` plus the bound's exact value) is
-    recorded as the knot's anchor, whether the knot is new or not.
-    """
-    t, j, side, inside = hit
-    target_f, target_q = hi if side == 1 else lo
-    if target_q is not None:
-        target_q = base + target_q
-    if inside:
-        value = float(base) + target_f if target_q is None else float(target_q)
-        return insert_knot(p, t, value, target_q)
-    if target_q is not None and p.anchors.get(j) != target_q:
-        anchors = dict(p.anchors)
-        anchors[j] = target_q
-        p = _fast_path(p.knots, p.increments, anchors)
-    return p, j
+    return float(knots[anchor[0]]), anchor[0], anchor[1], False
 
 
 # ---------------------------------------------------------------------------
@@ -279,32 +273,64 @@ class LadderTrace:
         return self.anchor_values[self.last_finite(n)]
 
 
+@lru_cache(maxsize=256)
+def _ladder_grid(a: LevelLike, b: LevelLike, n: int
+                 ) -> tuple[LevelLadder, int, tuple[int, ...],
+                            tuple[float, ...]]:
+    """The ladder, the common denominator den of its levels, and its steps
+    as integers over den and as floats."""
+    ladder = ladder_levels(a, b, n)
+    den = math.lcm(ladder.a.denominator, ladder.b.denominator)
+    steps = tuple(int(s * den) for s in ladder.steps)
+    return ladder, den, steps, tuple(s / den for s in steps)
+
+
 def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace:
     """Ladder times tau_0..tau_n_max on p, their directions and exact values,
     and the annotated copy of p in which each finite tau_k is a knot pinned
-    to its exact level."""
-    ladder = ladder_levels(a, b, n_max)
+    to its exact level.
+
+    Every step is located on p itself: a window that starts at a crossing
+    not inserted yet scans from the next knot of p after the crossing's
+    split increment.  The knots are inserted in one copy at the end.
+    Inside the trace the exact values are integers over the ladder's
+    common denominator; an anchor of p off that grid can never end a
+    window and is skipped.
+    """
+    ladder, den, steps, steps_f = _ladder_grid(a, b, n_max)
+    grid = sorted((j, x.numerator * (den // x.denominator))
+                  for j, x in p.anchors.items() if den % x.denominator == 0)
+    knots = _KnotInsertion(p)
     times = [0.0]
     directions = []
-    anchors = [Fraction(0)]
-    idx = 0
-    q = p
-    for step in ladder.steps:
+    values = [Fraction(0)]
+    base = 0  # the exact value at the window start, times den
+    k, lead = 0, None
+    for step, step_f in zip(steps, steps_f):
         hit = None
         if times[-1] != NOT_OBSERVED:  # absorbed: later steps stay unobserved
-            window = (-float(step), -step), (float(step), step)
-            hit = _locate_exit(q, idx, *window, anchors[-1])
+            first = k if lead is None else k - 1
+            anchor = next(((j, 1 if x > base else -1) for j, x in grid
+                           if j > first and abs(x - base) == step), None)
+            hit = _locate_exit(p, k, -step_f, step_f, anchor, lead)
         if hit is None:
             times.append(NOT_OBSERVED)
             directions.append(0)
             continue
         # every step is pinned: the next window restarts at this knot
-        q, idx = _pin(q, hit, *window, anchors[-1])
-        times.append(hit[0])
-        directions.append(hit[2])
-        anchors.append(q.anchors[idx])
+        t, j, side, inside = hit
+        base += side * step
+        exact = Fraction(base, den)
+        if inside:
+            index = knots.insert(t, base / den, exact)
+        else:
+            index = knots.pin(j, exact)
+        k, lead = knots.resume(index)
+        times.append(t)
+        directions.append(side)
+        values.append(exact)
     return LadderTrace(ladder, tuple(times), tuple(directions),
-                       tuple(anchors), q)
+                       tuple(values), knots.path())
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +362,31 @@ class StoppingRule:
 
 def _passage(p: Path, bounds: tuple[Bound, Bound],
              pin: bool) -> tuple[float, Path]:
-    """First exit from knot 0 through the bounds, pinned when pin is set."""
-    hit = _locate_exit(p, 0, *bounds)
+    """First exit from knot 0 through the bounds, pinned when pin is set: a
+    knot inserted at the target, or the target's exact value recorded as
+    the anchor of an existing knot.  A knot anchored at an exact target
+    decides the hit there, overriding a float crossing in the segment that
+    ends at it."""
+    (lo_f, lo_q), (hi_f, hi_q) = bounds
+    anchor = None
+    if p.anchors and (lo_q is not None or hi_q is not None):
+        for j, x in p.anchors.items():
+            if j > 0 and (anchor is None or j < anchor[0]) \
+                    and x in (lo_q, hi_q):
+                anchor = j, 1 if x == hi_q else -1
+    hit = _locate_exit(p, 0, lo_f, hi_f, anchor)
     if hit is None:
         return NOT_OBSERVED, p
-    return hit[0], _pin(p, hit, *bounds)[0] if pin else p
+    t, j, side, inside = hit
+    if not pin:
+        return t, p
+    target_f, target_q = bounds[side == 1]
+    if inside:
+        value = target_f if target_q is None else float(target_q)
+        return t, insert_knot(p, t, value, target_q)[0]
+    if target_q is not None and p.anchors.get(j) != target_q:
+        p = _fast_path(p.knots, p.increments, {**p.anchors, j: target_q})
+    return t, p
 
 
 @dataclass(frozen=True)
@@ -412,7 +458,7 @@ class LadderStep(StoppingRule):
             raise RuleError("ladder index must be nonnegative")
 
     def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
-        # the trace pins every step, since each window restarts at the last
+        # the trace pins every step, with or without pin
         tr = ladder_trace(self.a, self.b, p, self.n)
         return tr.times[self.n], tr.path
 

@@ -265,12 +265,16 @@ class HittingTime:
 
     level: float
 
+    def __post_init__(self):
+        # built once; also rejects a non-finite level here, not at a draw
+        object.__setattr__(self, "_rule", FirstPassage(self.level))
+
     @property
     def name(self) -> str:
         return f"hitting_time_{self.level:g}"
 
     def apply(self, p: Path) -> float:
-        t = FirstPassage(self.level).evaluate(p)
+        t = self._rule.evaluate(p)
         return t if is_observed(t) else p.horizon + 1.0
 
 

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from reflectlab.cli import main, parse_functional
-from reflectlab.errors import ConfigurationError
+from reflectlab.errors import ConfigurationError, RuleError
 from reflectlab.verify import HittingTime, RunningMax, ValueAtTime
 
 
@@ -159,6 +159,10 @@ class TestFunctionalSpecs:
     def test_parse_unknown(self):
         with pytest.raises(ConfigurationError):
             parse_functional("median")
+
+    def test_non_finite_hitting_level_rejected_at_parse(self):
+        with pytest.raises(RuleError):
+            parse_functional("hitting_time:nan")
 
 
 class TestGridOverrides:

@@ -2,6 +2,7 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from reflectlab import (
     reflect_at_time,
     value_at,
 )
+from reflectlab.path import _KnotInsertion
 
 
 def line(horizon, slope):
@@ -101,6 +103,13 @@ class TestInsertKnot:
         assert q.knots.tolist() == [0.0, 1.0, 2.0]
         assert q.increments.tolist() == [1.0, 1.0]
 
+    def test_anchored_copy_shares_arrays(self):
+        p = Path(np.array([0.0, 1.0]), np.array([1.0]))
+        q, idx = insert_knot(p, 1.0, 1.0, Fraction(1))
+        assert idx == 1 and q.anchors == {1: Fraction(1)} and p.anchors == {}
+        assert q.knots is p.knots and q.increments is p.increments
+        assert insert_knot(q, 1.0, 1.0, Fraction(1))[0] is q
+
     def test_conflicting_value_at_existing_knot(self):
         p = Path(np.array([0.0, 1.0]), np.array([1.0]))
         with pytest.raises(KnotConflictError):
@@ -121,6 +130,46 @@ class TestInsertKnot:
         r = reflect_at_time(q, t_star)
         assert value_at(r, t_star) == a
         assert value_at(q, t_star) == a
+
+
+@st.composite
+def insertions(draw):
+    """A path with an anchor, and knot insertions in time order: at old
+    knots, twice at one time, several in one segment, with values on,
+    near and off the segment."""
+    p = draw(paths())
+    p = Path(p.knots, p.increments, {int(p.knots.size // 2): Fraction(1, 3)})
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=1, max_size=6)))
+    times = [float(p.horizon) * c / 16 for c in cuts]
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.5, -3.0]),
+                           min_size=len(times), max_size=len(times)))
+    exacts = draw(st.lists(st.sampled_from([None, Fraction(1), Fraction(2)]),
+                           min_size=len(times), max_size=len(times)))
+    return p, list(zip(times, shifts, exacts))
+
+
+class TestKnotInsertion:
+    @given(insertions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_chained_insert_knot(self, case):
+        # the one-copy insertion against insert_knot applied one at a time
+        p, cuts = case
+        ref, ins = p, _KnotInsertion(p)
+        for t, shift, exact in cuts:
+            v = value_at(ref, t) + shift
+            try:
+                ref, index = insert_knot(ref, t, v, exact)
+            except KnotConflictError:
+                with pytest.raises(KnotConflictError):
+                    ins.insert(t, v, exact)
+                return
+            assert ins.insert(t, v, exact) == index
+        q = ins.path()
+        assert q.knots.tobytes() == ref.knots.tobytes()
+        assert q.increments.tobytes() == ref.increments.tobytes()
+        assert q.anchors == ref.anchors
+        assert not q.knots.flags.writeable
+        assert not q.increments.flags.writeable
 
 
 class TestReflectAtTime:

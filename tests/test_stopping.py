@@ -1,5 +1,6 @@
 """Stopping rules, the exact level ladder and ladder traces."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from reflectlab import (
     value_at,
 )
 from reflectlab.errors import MixturePartitionError
-from reflectlab.samplers import BrownianMotion
+from reflectlab.samplers import BrownianMotion, OconeTimeChange
 
 F = Fraction
 
@@ -391,6 +392,17 @@ class TestExitKernel:
         assert q.knots.size == p.knots.size + 1
 
     @pytest.mark.parametrize("lead", [0, 1])
+    def test_level_hit_at_block_seam_read_from_values(self, lead):
+        # with the values cache built, a scan from knot 0 reads it in the
+        # same blocks
+        p = unit_grid([0.0] * lead + [self.STEP] * 2100)
+        assert p.values[2048 + lead] == 1.0
+        t, q = FirstPassage(F(1)).observe(p)
+        assert t == 2048.0 + lead and q.anchors == {2048 + lead: F(1)}
+        t, q = FirstPassage(F(1) - F(1, 4096)).observe(p)
+        assert t == 2047.5 + lead
+
+    @pytest.mark.parametrize("lead", [0, 1])
     def test_ladder_hit_at_block_seam(self, lead):
         # tau_1 at knot 1 (value 1); the window restarted there moves by
         # the step 1 exactly 2048 + lead knots later
@@ -399,6 +411,80 @@ class TestExitKernel:
         assert tr.times == (0.0, 1.0, 2049.0 + lead)
         assert tr.anchor_values == (F(0), F(1), F(2))
         assert LadderStep(1, 2, 2).evaluate(p) == 2049.0 + lead
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_ladder_hit_at_block_seam_after_split(self, lead):
+        # tau_1 crosses 1 inside segment (0, 1), whose split increment STEP
+        # is the next window's first summand; that window reaches the step 1
+        # exactly 2048 + lead summands later
+        p = unit_grid([1.0 + self.STEP] + [0.0] * lead + [self.STEP] * 2100)
+        tr = ladder_trace(1, 2, p, 2)
+        assert 0.0 < tr.times[1] < 1.0
+        assert tr.times[2] == 2048.0 + lead
+        assert tr.anchor_values == (F(0), F(1), F(2))
+        assert tr.path.knots.size == p.knots.size + 1
+        assert tr.path.anchors == {1: F(1), 2049 + lead: F(2)}
+
+    def test_ladder_exit_inside_split_segment(self):
+        # the window after a split crosses again before the segment's end
+        p = unit_grid([3.5, 0.0])
+        tr = ladder_trace(1, 2, p, 3)
+        for k in (1, 2, 3):
+            assert math.isclose(tr.times[k], k / 3.5, rel_tol=1e-15)
+        assert tr.path.knots.tolist() == [0.0, *tr.times[1:], 1.0, 2.0]
+        assert tr.path.anchors == {1: F(1), 2: F(2), 3: F(3)}
+        assert tr.path.increments.tolist() == [1.0, 1.0, 1.0, 0.5, 0.0]
+
+    def test_ladder_exit_at_split_segment_end(self):
+        # the split increment 2 - 1 reaches the step exactly at knot 1
+        p = unit_grid([2.0, 0.0])
+        tr = ladder_trace(1, 2, p, 2)
+        assert tr.times == (0.0, 0.5, 1.0)
+        assert tr.path.knots.tolist() == [0.0, 0.5, 1.0, 2.0]
+        assert tr.path.anchors == {1: F(1), 2: F(2)}
+
+    def test_anchor_before_split_does_not_end_window(self):
+        # knot 1 holds exactly 0, which is a bound of the window that starts
+        # at the crossing of 1 inside segment (1, 2), but lies before it
+        p = unit_grid([0.0, 3.0], {1: F(0)})
+        tr = ladder_trace(1, 2, p, 2)
+        assert 1.0 < tr.times[1] < tr.times[2] < 2.0
+        assert tr.anchor_values == (F(0), F(1), F(2))
+        assert tr.path.anchors == {1: F(0), 2: F(1), 3: F(2)}
+
+    def test_trace_inserts_knots_in_one_copy(self, monkeypatch):
+        import reflectlab.path
+        import reflectlab.stopping
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("insert_knot called")
+
+        copies = []
+
+        def counting(*args):
+            copies.append(args)
+            return fast_path(*args)
+
+        fast_path = reflectlab.path._fast_path
+        monkeypatch.setattr(reflectlab.stopping, "insert_knot", refuse)
+        monkeypatch.setattr(reflectlab.path, "insert_knot", refuse)
+        monkeypatch.setattr(reflectlab.path, "_fast_path", counting)
+        p = Path(np.array([0.0, 1.0, 2.0]), np.array([10.0, -3.0]))
+        tr = ladder_trace(1, 2, p, 6)
+        assert tr.path.knots.size == p.knots.size + 6
+        assert len(copies) == 1
+
+    def test_trace_returns_input_when_every_step_is_anchored(self):
+        sampler = BrownianMotion(dt=0.01, horizon=4.0, seed=19)
+        pinned = 0
+        for i in range(10):
+            tr = ladder_trace(1, 2, sampler.sample(i), 6)
+            pinned += tr.finite_count - 1
+            again = ladder_trace(1, 2, tr.path, 6)
+            assert again.path is tr.path
+            assert again.times == tr.times
+            assert again.anchor_values == tr.anchor_values
+        assert pinned >= 30
 
     def test_anchor_beyond_first_block_preempts_later_float_hit(self):
         # knot 3000 holds exactly 1 but rounds just below it; the float scan
@@ -590,3 +676,103 @@ class TestEvaluateMatchesObserve:
         assert rule.evaluate(p) == expected
         with pytest.raises(AssertionError, match="insert_knot called"):
             rule.observe(p)  # observe pins, so the patch is live
+
+
+# --- ladder traces pinned bit for bit ----------------------------------------
+
+def _fractions(xs):
+    return " ".join(f"{x.numerator}/{x.denominator}" for x in xs)
+
+
+def _update_trace_digest(h, tr):
+    """Feed every bit of a trace into h: times, directions and exact values,
+    then the annotated path's knots, increments and anchors."""
+    h.update(",".join(float(t).hex() for t in tr.times).encode())
+    h.update(repr(tr.directions).encode())
+    h.update(_fractions(tr.anchor_values).encode())
+    h.update(tr.path.knots.tobytes())
+    h.update(tr.path.increments.tobytes())
+    anchors = sorted(tr.path.anchors.items())
+    h.update(" ".join(str(j) for j, _ in anchors).encode())
+    h.update(_fractions(x for _, x in anchors).encode())
+
+
+def _retraces(a, b, p, n):
+    """The trace of p, then the re-traces of its reflections at tau_0 .. tau_n
+    (the finite ones)."""
+    tr = ladder_trace(a, b, p, n)
+    yield tr
+    for t in tr.times:
+        if is_observed(t):
+            yield ladder_trace(a, b, reflect_at_time(tr.path, t), n)
+
+
+class TestLadderTraceDigests:
+    """sha256 of every output bit of ladder traces on raw, negated and
+    anchored draws and on their reflections at each finite ladder time.
+
+    The first-passage pin at 1/2 leaves an anchor off the ladder's grid for
+    the integer barriers, and the pins at 1 and at the two-sided exit leave
+    anchors on it, which the ladder windows can end at.
+    """
+
+    SAMPLERS = {
+        "bm": BrownianMotion(dt=1e-3, horizon=4.0, seed=61),
+        "ocone": OconeTimeChange(clock="random_rate", dt=1e-3, horizon=4.0,
+                                 seed=62),
+    }
+    BARRIERS = {"1,2": (F(1), F(2)), "1/3,1/2": (F(1, 3), F(1, 2)),
+                "2,3": (F(2), F(3)), "1/5,2/7": (F(1, 5), F(2, 7))}
+    DIGESTS = {
+        ("bm", "1,2"):
+            "1f35a0d0fac903cf35dcdcc8437085b6bbb76b031ed18c51885188810ced5a88",
+        ("bm", "1/3,1/2"):
+            "31b1783d16dc742d3d02fcaf1448b73e4717012301437f449717427f0143b9e0",
+        ("bm", "2,3"):
+            "eafa5a88788b0d3764b20096be86a6cac0126555bde913afb6799e53c0921dfa",
+        ("bm", "1/5,2/7"):
+            "2e212e4c0a3a382cef6e47c8adc795588871b59e2c19a6bdcdb273c2d0a128cc",
+        ("ocone", "1,2"):
+            "4fcc36b0c9b8273675d291fa5fb599232fdd207fe10335cf76111c058be7123f",
+        ("ocone", "1/3,1/2"):
+            "051fe62237d3625b3f72053a986003f24de6b29e0c688e9a0a8603e925901aee",
+        ("ocone", "2,3"):
+            "51f9baa6646c27651a284f65b3e0a4cea8423fb079454d8645d7081b1d8ec607",
+        ("ocone", "1/5,2/7"):
+            "c2689e337966b7ff30f0d56cf9ea0657e51e484bce9d5bfd0965e605e38e84f3",
+    }
+
+    @staticmethod
+    def digest(sampler, a, b, draws=10, n=6):
+        h = hashlib.sha256()
+        for i in range(draws):
+            p = sampler.sample(i)
+            for q in (p, negate(p), FirstPassage(F(1, 2)).observe(p)[1],
+                      FirstPassage(F(1)).observe(p)[1],
+                      TwoSidedHit(a, b).observe(p)[1]):
+                for tr in _retraces(a, b, q, n):
+                    _update_trace_digest(h, tr)
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("law,barriers", sorted(DIGESTS))
+    def test_pinned(self, law, barriers):
+        a, b = self.BARRIERS[barriers]
+        assert (self.digest(self.SAMPLERS[law], a, b)
+                == self.DIGESTS[law, barriers])
+
+    def test_all_crossings_in_one_segment(self):
+        # the path rises by 10 over the first unit, so the six unit ladder
+        # steps all cross inside segment (0, 1)
+        p = Path(np.array([0.0, 1.0, 2.0]), np.array([10.0, -3.0]))
+        tr = ladder_trace(1, 2, p, 6)
+        assert tr.directions == (1,) * 6
+        assert tr.anchor_values == tuple(F(k) for k in range(7))
+        assert tr.path.knots.size == 9
+        assert tr.path.anchors == {k: F(k) for k in range(1, 7)}
+        for k in range(1, 7):
+            assert tr.path.knots[k] == tr.times[k]
+        h = hashlib.sha256()
+        for t in _retraces(1, 2, p, 6):
+            _update_trace_digest(h, t)
+        assert h.hexdigest() == ("3a48d9c52f5d2e722099013ec715634e"
+                                 "53d3c2fc5840c028921422c22373b32a")

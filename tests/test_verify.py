@@ -128,6 +128,12 @@ class TestInvarianceTest:
             invariance_test(BrownianMotion(seed=1), FixedTime(0.0),
                             [ValueAtTime(1.0)], 100)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hitting_level_rejected_at_construction(self, level):
+        # it used to raise only at the first draw, inside a pool worker
+        with pytest.raises(RuleError):
+            HittingTime(level)
+
     def test_colliding_functional_names_rejected(self):
         # both print as value_at_1 under :g, which would give two statistics
         # and two summary rows of one name
