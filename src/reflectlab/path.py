@@ -16,6 +16,12 @@ when a crossing knot is inserted at an exact target level and are consulted
 by the scanning code to resolve hits that float comparison alone cannot
 decide at the last ulp.  They are refinements, never a second source of
 truth: dropping every anchor changes results only at ulp scale.
+
+A path never changes after construction, so it caches what is derived from
+it alone, in its ``__dict__``: its prefix-sum ``values``, built on first use,
+and the level passages that :mod:`reflectlab.stopping` has pinned on it
+(time and annotated copy, at most a few per path).  Both return the bits a
+new computation would; an equal path built anew starts with neither.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ The kernel only locates the exit (time, knot or segment, side) and leaves the
 path alone.  Pinning it, a knot inserted at the exact target or an anchor
 written on an existing knot, is paid only where an annotated path is wanted:
 by ``observe`` and by the pivot of ``ComposeReflect``.  ``evaluate`` returns
-the same float as ``observe`` and never annotates.  A ladder trace locates
+the same float as ``observe`` and never annotates.  A pinned level passage
+(``FirstPassage``, ``TwoSidedHit``) is memoized on the path it scanned, so
+every later ``observe``, ``evaluate``, reflection or pivot of the same rule
+on the same path object reads it instead of scanning and copying again;
+``evaluate`` only reads that memo (see ``_passage``).  A ladder trace locates
 all of its steps on the input path: a window that starts at a crossing not
 inserted yet scans from the next knot, with the crossing's split increment
 as the first summand (the kernel's ``lead``), which is the sum the inserted
@@ -278,11 +282,22 @@ def _ladder_grid(a: LevelLike, b: LevelLike, n: int
                  ) -> tuple[LevelLadder, int, tuple[int, ...],
                             tuple[float, ...]]:
     """The ladder, the common denominator den of its levels, and its steps
-    as integers over den and as floats."""
+    as integers over den and as floats.
+
+    Raises RuleError when a step has no positive finite float: the scan
+    would treat every window as exited at its start, or fail mid-trace.
+    """
     ladder = ladder_levels(a, b, n)
     den = math.lcm(ladder.a.denominator, ladder.b.denominator)
     steps = tuple(int(s * den) for s in ladder.steps)
-    return ladder, den, steps, tuple(s / den for s in steps)
+    message = "every ladder step needs a positive finite float value"
+    try:
+        steps_f = tuple(s / den for s in steps)
+    except OverflowError as exc:  # int / int past the float range
+        raise RuleError(message) from exc
+    if 0.0 in steps_f:
+        raise RuleError(message)
+    return ladder, den, steps, steps_f
 
 
 def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace:
@@ -360,13 +375,35 @@ class StoppingRule:
         raise NotImplementedError
 
 
+#: Pinned passages kept on one path; a full memo drops its oldest entry.
+_MEMO_SIZE = 8
+
+
 def _passage(p: Path, bounds: tuple[Bound, Bound],
              pin: bool) -> tuple[float, Path]:
     """First exit from knot 0 through the bounds, pinned when pin is set: a
     knot inserted at the target, or the target's exact value recorded as
     the anchor of an existing knot.  A knot anchored at an exact target
     decides the hit there, overriding a float crossing in the segment that
-    ends at it."""
+    ends at it.
+
+    A pinned result is memoized on p, in its ``__dict__`` beside the
+    ``values`` cache, and serves every later call with the same bounds
+    object, pinned or not: paths and rules are immutable and the scan is
+    deterministic, so the memo returns the bits a new scan would.  A call
+    without pin only looks the memo up.  The key is ``id(bounds)``; the
+    entry holds bounds, so that id is not reused while the entry lives, and
+    a path unpickled elsewhere misses.  When the pinned path is p itself,
+    the entry holds None instead, so a path never refers to itself.  A
+    memo keeps at most ``_MEMO_SIZE`` entries, so however many rules ask
+    about a long-lived path, its memo holds at most that many pinned
+    copies.
+    """
+    memo = p.__dict__.get("_passages")
+    if memo is not None:
+        entry = memo.get(id(bounds))
+        if entry is not None and entry[0] is bounds:
+            return entry[1], p if entry[2] is None or not pin else entry[2]
     (lo_f, lo_q), (hi_f, hi_q) = bounds
     anchor = None
     if p.anchors and (lo_q is not None or hi_q is not None):
@@ -376,17 +413,27 @@ def _passage(p: Path, bounds: tuple[Bound, Bound],
                 anchor = j, 1 if x == hi_q else -1
     hit = _locate_exit(p, 0, lo_f, hi_f, anchor)
     if hit is None:
-        return NOT_OBSERVED, p
-    t, j, side, inside = hit
-    if not pin:
-        return t, p
-    target_f, target_q = bounds[side == 1]
-    if inside:
-        value = target_f if target_q is None else float(target_q)
-        return t, insert_knot(p, t, value, target_q)[0]
-    if target_q is not None and p.anchors.get(j) != target_q:
-        p = _fast_path(p.knots, p.increments, {**p.anchors, j: target_q})
-    return t, p
+        t, pinned = NOT_OBSERVED, p
+    else:
+        t, j, side, inside = hit
+        if not pin:
+            return t, p
+        target_f, target_q = bounds[side == 1]
+        if inside:
+            value = target_f if target_q is None else float(target_q)
+            pinned = insert_knot(p, t, value, target_q)[0]
+        elif target_q is not None and p.anchors.get(j) != target_q:
+            pinned = _fast_path(p.knots, p.increments,
+                                {**p.anchors, j: target_q})
+        else:
+            pinned = p
+    if pin:
+        if memo is None:
+            memo = p.__dict__["_passages"] = {}
+        elif len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[id(bounds)] = bounds, t, None if pinned is p else pinned
+    return t, pinned
 
 
 @dataclass(frozen=True)
@@ -453,9 +500,11 @@ class LadderStep(StoppingRule):
     n: int
 
     def __post_init__(self):
-        ladder_levels(self.a, self.b, 0)  # validates a, b and the ratio
         if self.n < 0:
             raise RuleError("ladder index must be nonnegative")
+        # validates a, b, their ratio and the float steps up to n here,
+        # not at the first trace
+        _ladder_grid(self.a, self.b, self.n)
 
     def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
         # the trace pins every step, with or without pin

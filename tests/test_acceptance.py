@@ -32,6 +32,44 @@ from reflectlab.verify import default_functionals
 WORKERS = 2
 
 
+def _bound_family():
+    reports = []
+    for c_level in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        for t_fixed in (1.0, 5.0):
+            rule = MinOf(TwoSidedHit(c_level, c_level), FixedTime(t_fixed))
+            reports.append(bound_check(
+                BrownianMotion(dt=0.01, horizon=5.0), c_level, c_level, rule,
+                bound_cap=float(c_level), n_draws=100_000,
+                seed=105 + int(2 * c_level) + int(t_fixed), workers=WORKERS))
+    return reports
+
+
+#: The run behind each criterion, as a list of reports; bench/criteria.py
+#: times the same runs.
+CRITERIA = {
+    1: lambda: [advance_formula_check(12)],
+    2: lambda: [non_dyadic_sweep(200)],
+    3: lambda: [stability_suite(10_000, seed=101,
+                                sampler=BrownianMotion(dt=1e-3, horizon=10.0),
+                                workers=WORKERS)],
+    4: lambda: [sign_identity_test(BrownianMotion(dt=1e-3, horizon=10.0),
+                                   1, 2, 8, 10_000, seed=102,
+                                   workers=WORKERS)],
+    5: lambda: [exit_alignment_test(BrownianMotion(dt=0.01, horizon=3.0),
+                                    1, 2, 4, min_per_word=100,
+                                    n_draws_max=150_000, seed=103)],
+    6: lambda: [counterexample_demo(100_000, seed=104, c=Fraction(3),
+                                    workers=WORKERS)],
+    7: _bound_family,
+    8: lambda: [martingale_step_test(BrownianMotion(dt=1e-4, horizon=2.0),
+                                     1, 2, 4, 100_000, seed=106,
+                                     workers=WORKERS)],
+    9: lambda: [invariance_test(DriftedBM(0.5, dt=0.01, horizon=2.0),
+                                FixedTime(0.0), default_functionals(2.0),
+                                100_000, seed=107, workers=WORKERS)],
+}
+
+
 def report_line(number, label, ok, elapsed, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number} ({label}): {status} "
@@ -40,7 +78,7 @@ def report_line(number, label, ok, elapsed, detail=""):
 
 def test_criterion_1_exhaustive_advance_formula():
     t0 = time.time()
-    rep = advance_formula_check(12)
+    rep, = CRITERIA[1]()
     elapsed = time.time() - t0
     ok = rep.verdict == "pass" and elapsed < 60
     report_line(1, "advance formula, n <= 12, both suffix heads", ok, elapsed,
@@ -51,7 +89,7 @@ def test_criterion_1_exhaustive_advance_formula():
 
 def test_criterion_2_non_dyadic_sweep():
     t0 = time.time()
-    rep = non_dyadic_sweep(200)
+    rep, = CRITERIA[2]()
     elapsed = time.time() - t0
     ok = rep.verdict == "pass" and elapsed < 60
     report_line(2, "non-dyadic triples to 200", ok, elapsed,
@@ -62,9 +100,7 @@ def test_criterion_2_non_dyadic_sweep():
 
 def test_criterion_3_pathwise_stability():
     t0 = time.time()
-    rep = stability_suite(10_000, seed=101,
-                          sampler=BrownianMotion(dt=1e-3, horizon=10.0),
-                          workers=WORKERS)
+    rep, = CRITERIA[3]()
     elapsed = time.time() - t0
     fails = {s.name: s.value for s in rep.statistics}
     ok = rep.verdict == "pass" and elapsed < 120
@@ -77,8 +113,7 @@ def test_criterion_3_pathwise_stability():
 
 def test_criterion_4_sign_dynamics_identities():
     t0 = time.time()
-    rep = sign_identity_test(BrownianMotion(dt=1e-3, horizon=10.0),
-                             1, 2, 8, 10_000, seed=102, workers=WORKERS)
+    rep, = CRITERIA[4]()
     elapsed = time.time() - t0
     fails = {s.name: s.value for s in rep.statistics}
     ok = rep.verdict == "pass" and elapsed < 120
@@ -90,9 +125,7 @@ def test_criterion_4_sign_dynamics_identities():
 
 def test_criterion_5_alignment_contract():
     t0 = time.time()
-    rep = exit_alignment_test(BrownianMotion(dt=0.01, horizon=3.0),
-                              1, 2, 4, min_per_word=100,
-                              n_draws_max=150_000, seed=103)
+    rep, = CRITERIA[5]()
     elapsed = time.time() - t0
     stats = {s.name: s for s in rep.statistics}
     ok = rep.verdict == "pass" and elapsed < 300
@@ -106,8 +139,7 @@ def test_criterion_5_alignment_contract():
 
 def test_criterion_6_counterexample_reproduction():
     t0 = time.time()
-    rep = counterexample_demo(100_000, seed=104, c=Fraction(3),
-                              workers=WORKERS)
+    rep, = CRITERIA[6]()
     elapsed = time.time() - t0
     stats = {s.name: s for s in rep.statistics}
     mean_stat = stats["stopped_mean_vs_expected"]
@@ -123,19 +155,13 @@ def test_criterion_7_bound_family():
     t0 = time.time()
     worst_ratio = 0.0
     all_ok = True
-    for c_level in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        for t_fixed in (1.0, 5.0):
-            rule = MinOf(TwoSidedHit(c_level, c_level), FixedTime(t_fixed))
-            rep = bound_check(
-                BrownianMotion(dt=0.01, horizon=5.0), c_level, c_level, rule,
-                bound_cap=float(c_level), n_draws=100_000,
-                seed=105 + int(2 * c_level) + int(t_fixed), workers=WORKERS)
-            stat = rep.statistics[0]
-            # stricter than the generic bound: the sampled law is an exact
-            # martingale here, so the mean itself must sit within 4 SE of 0
-            ratio = abs(stat.value) / stat.se if stat.se else 0.0
-            worst_ratio = max(worst_ratio, ratio)
-            all_ok = all_ok and ratio <= 4.0 and rep.verdict == "pass"
+    for rep in CRITERIA[7]():
+        stat = rep.statistics[0]
+        # stricter than the generic bound: the sampled law is an exact
+        # martingale here, so the mean itself must sit within 4 SE of 0
+        ratio = abs(stat.value) / stat.se if stat.se else 0.0
+        worst_ratio = max(worst_ratio, ratio)
+        all_ok = all_ok and ratio <= 4.0 and rep.verdict == "pass"
     elapsed = time.time() - t0
     ok = all_ok and elapsed < 300
     report_line(7, "stopped-mean bound, 6 configurations", ok, elapsed,
@@ -146,8 +172,7 @@ def test_criterion_7_bound_family():
 
 def test_criterion_8_martingale_steps():
     t0 = time.time()
-    rep = martingale_step_test(BrownianMotion(dt=1e-4, horizon=2.0),
-                               1, 2, 4, 100_000, seed=106, workers=WORKERS)
+    rep, = CRITERIA[8]()
     elapsed = time.time() - t0
     anti = next(s for s in rep.statistics
                 if s.name == "antisymmetry_failures")
@@ -165,10 +190,7 @@ def test_criterion_8_martingale_steps():
 
 def test_criterion_9_drift_negative_control():
     t0 = time.time()
-    sampler = DriftedBM(0.5, dt=0.01, horizon=2.0)
-    rep = invariance_test(sampler, FixedTime(0.0),
-                          default_functionals(2.0), 100_000, seed=107,
-                          workers=WORKERS)
+    rep, = CRITERIA[9]()
     elapsed = time.time() - t0
     live = [s for s in rep.statistics if s.verdict != "skip"]
     min_p = min(s.value for s in live)

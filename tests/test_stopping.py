@@ -65,6 +65,20 @@ class TestLadderLevels:
         with pytest.raises(RuleError):
             ladder_levels(-1, 2, 2)
 
+    @pytest.mark.parametrize("a, b", [
+        (F(1, 3 * 2 ** 1100), F(2, 3 * 2 ** 1100)),
+        (10 ** 400, 2 * 10 ** 400),
+    ], ids=["steps-round-to-zero", "steps-overflow"])
+    def test_steps_need_positive_finite_floats(self, a, b):
+        # such steps made every window exit at its start, or raised a bare
+        # OverflowError at the first trace
+        with pytest.raises(RuleError):
+            LadderStep(a, b, 2)
+        with pytest.raises(RuleError):
+            parse_rule(f"tau({a},{b},2)")
+        with pytest.raises(RuleError):
+            ladder_trace(a, b, line_to(1.0, 1.0), 4)
+
     @given(st.integers(1, 30), st.integers(1, 30))
     @settings(max_examples=200, deadline=None)
     def test_invariants_on_random_barriers(self, a, b):
@@ -648,7 +662,8 @@ class TestEvaluateMatchesObserve:
     def test_evaluate_is_observe_time_bit_for_bit(self, rule, k):
         p = KERNEL_PATHS[k]
         t, _ = rule.observe(p)
-        assert rule.evaluate(p).hex() == float(t).hex()
+        # a fresh copy holds no memo, so evaluate scans it
+        assert rule.evaluate(_fresh(p)).hex() == float(t).hex()
 
     @pytest.mark.parametrize("rule", [
         FixedTime(0.25),
@@ -676,6 +691,76 @@ class TestEvaluateMatchesObserve:
         assert rule.evaluate(p) == expected
         with pytest.raises(AssertionError, match="insert_knot called"):
             rule.observe(p)  # observe pins, so the patch is live
+
+
+def _fresh(p):
+    """An equal path built anew: no values cache and no pinned passages."""
+    return Path(p.knots, p.increments, p.anchors)
+
+
+def _same_bits(p, q):
+    return (p.knots.tobytes() == q.knots.tobytes()
+            and p.increments.tobytes() == q.increments.tobytes()
+            and sorted(p.anchors.items()) == sorted(q.anchors.items()))
+
+
+class TestPassageMemo:
+    @pytest.mark.parametrize("rule", [FirstPassage(F(1)), FirstPassage(-0.5),
+                                      TwoSidedHit(1, 2), FirstPassage(F(50))])
+    def test_level_rule_scanned_once_per_path(self, rule, monkeypatch):
+        import reflectlab.stopping
+
+        scans = []
+        locate = reflectlab.stopping._locate_exit
+
+        def counting(*args):
+            scans.append(args[0])
+            return locate(*args)
+
+        monkeypatch.setattr(reflectlab.stopping, "_locate_exit", counting)
+        p = BrownianMotion(dt=0.01, horizon=4.0, seed=3).sample(0)
+        t, q = rule.observe(p)
+        assert rule.observe(p) == (t, q) and rule.observe(p)[1] is q
+        assert rule.evaluate(p) == t
+        assert rule._observe(p, False)[1] is p  # unpinned: the time only
+        reflect_at_rule(p, rule)
+        ComposeReflect(FixedTime(0.5), rule).observe(p)
+        TimeCompare(rule, FixedTime(1.0), "le").holds(p)
+        MinOf(rule, FixedTime(3.0)).evaluate(p)
+        assert [s is p for s in scans] == [True]
+        # evaluate alone reads the memo and fills none
+        fresh = _fresh(p)
+        assert rule.evaluate(fresh) == rule.evaluate(fresh) == t
+        assert len(scans) == 3
+        rule.observe(fresh)
+        assert len(scans) == 4
+
+    @given(GRAMMAR_RULES, st.sampled_from(range(len(KERNEL_PATHS))))
+    @settings(max_examples=300, deadline=None)
+    def test_memo_served_answer_is_a_fresh_scan(self, rule, k):
+        # the kernel paths live across examples, so their memos fill up
+        p = KERNEL_PATHS[k]
+        t0, q0 = rule.observe(_fresh(p))
+        for t, q in (rule.observe(p), rule.observe(p)):
+            assert float(t).hex() == float(t0).hex()
+            assert _same_bits(q, q0)
+        assert rule.evaluate(p).hex() == float(t0).hex()
+
+    def test_memo_keeps_few_pinned_copies(self):
+        import weakref
+
+        from reflectlab.stopping import _MEMO_SIZE
+
+        p = line_to(100.0, 1.0)
+        copies = []
+        for k in range(1, 41):  # each rule crosses inside the segment
+            t, q = FirstPassage(F(k, 3)).observe(p)
+            assert q is not p and t == pytest.approx(k / 300)
+            copies.append(weakref.ref(q))
+            del q
+        alive = [c() is not None for c in copies]
+        assert sum(alive) <= _MEMO_SIZE
+        assert alive[-1]
 
 
 # --- ladder traces pinned bit for bit ----------------------------------------

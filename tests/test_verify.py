@@ -18,6 +18,7 @@ from reflectlab import (
     FixedTime,
     FirstPassage,
     MinOf,
+    Path,
     RuleError,
     StoppedSymmetric,
     TwoSidedHit,
@@ -29,6 +30,7 @@ from reflectlab import (
     invariance_test,
     is_dyadic,
     martingale_step_test,
+    max_deviation,
     non_dyadic_sweep,
     sign_identity_test,
     stability_suite,
@@ -228,6 +230,63 @@ class TestStabilitySuite:
         assert rep.seed == 9
         assert rep.to_json() == stability_suite(
             1, seed=9, sampler=BrownianMotion(dt=0.01, horizon=2.0)).to_json()
+
+
+class _OnePath:
+    """A sampler stub that draws the same path every time."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def sample(self, i):
+        return self.path
+
+
+class TestStabilityDraw:
+    @pytest.mark.parametrize("sampler", [
+        # exits (-1, 2) at -1 inside segment (0, 1), reaches 1 later but
+        # never -3: hit(1) is not observed after the reflection at the exit
+        _OnePath(Path.from_values([0.0, 1.0, 2.0, 3.0],
+                                  [0.0, -1.5, 0.0, 1.5])),
+        BrownianMotion(dt=0.01, horizon=10.0, seed=7),
+    ], ids=["constructed", "bm"])
+    def test_deviations_are_sup_norms_over_the_union(self, sampler,
+                                                     monkeypatch):
+        import reflectlab.verify as verify
+
+        deviation = verify._deviation
+        calls = []
+
+        def checked(p1, p2):
+            # the caller's claim: p1's knots hold p2's
+            assert np.isin(p2.knots, p1.knots).all()
+            d = deviation(p1, p2)
+            scale = max(1.0, np.max(np.abs(p1.values)),
+                        np.max(np.abs(p2.values)))
+            assert d == max_deviation(p1, p2) / scale
+            calls.append(d)
+            return d
+
+        monkeypatch.setattr(verify, "_deviation", checked)
+        for i in range(20):
+            fails, _ = verify._stability_draw((sampler,), i)
+            assert not any(fails.values())
+        assert calls
+
+    def test_no_cyclic_garbage(self):
+        import gc
+
+        import reflectlab.verify as verify
+
+        sampler = BrownianMotion(dt=0.01, horizon=10.0, seed=7)
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(5):
+                verify._stability_draw((sampler,), i)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSignIdentitySuite:
