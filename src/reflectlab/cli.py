@@ -11,7 +11,11 @@ Subcommands:
 * ``demo-counterexample``     the dyadic-ratio counterexample experiment.
 
 Each run writes ``report.json`` and ``summary.csv`` into the output
-directory, and optional path dumps.  Exit status: 0 when every verdict
+directory, and optional path dumps.  A path file holds exactly what the path
+holds: header ``t,dx,exact``, one row per knot with its time, the increment
+that reaches it (``0.0`` at knot 0) and its exact anchor as ``p/q`` (empty
+when it has none), floats written with ``repr``, so a reloaded path is the
+dumped one bit for bit.  Exit status: 0 when every verdict
 passes, 2 when any verdict fails, 1 on configuration or runtime errors.
 The environment variable ``REFLECTLAB_SEED`` overrides the config seed
 (an explicit ``--seed`` flag wins over both).
@@ -32,10 +36,10 @@ Config keys (kind selects the experiment; the rest as needed):
     n_max       maximal word length for the advance-formula check
     workers     parallel workers (default 1; draws are sharded by index,
                 so results do not depend on the worker count)
-    paths_csv   list of path CSV files to load for the ladder table
-                (alongside or instead of sampled draws)
+    paths_csv   list of path files (as written by dump_paths) to load for
+                the ladder table (alongside or instead of sampled draws)
     out_dir     output directory (default "out")
-    dump_paths  dump the first k sampled paths as CSV
+    dump_paths  dump the first k sampled paths as path files
 """
 
 from __future__ import annotations

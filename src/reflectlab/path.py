@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, Mapping, Optional
 
 import numpy as np
 
@@ -95,15 +95,6 @@ class Path:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "increments", inc)
         object.__setattr__(self, "anchors", dict(self.anchors))
-
-    @classmethod
-    def from_values(cls, knots: Sequence[float],
-                    values: Sequence[float]) -> "Path":
-        """Build a path from knot values (values[0] must be 0)."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0 or values[0] != 0.0:
-            raise PathError("value at the first knot must be 0")
-        return cls(np.asarray(knots, dtype=np.float64), np.diff(values))
 
     @classmethod
     def zero(cls, horizon: float) -> "Path":
@@ -386,20 +377,53 @@ def max_deviation(p: Path, q: Path) -> float:
     return float(np.max(np.abs(dp - dq)))
 
 
+_CSV_HEADER = ["t", "dx", "exact"]
+
+
 def dump_csv(p: Path, fp: IO[str]) -> None:
-    """Serialize as CSV with header ``t,x`` (knot time, knot value)."""
+    """Serialize exactly what p holds as CSV with header ``t,dx,exact``.
+
+    Each knot is one row: its time, the increment that reaches it (``0.0``
+    at knot 0) and its anchor as ``p/q`` (empty when it has none).  Floats
+    are written with ``repr``, so :func:`load_csv` gives back the same
+    knots, increments and anchors bit for bit.
+    """
     w = csv.writer(fp)
-    w.writerow(["t", "x"])
-    for t, x in zip(p.knots, p.values):
-        w.writerow([repr(float(t)), repr(float(x))])
+    w.writerow(_CSV_HEADER)
+    for i, (t, dx) in enumerate(zip(p.knots, np.append(0.0, p.increments))):
+        a = p.anchors.get(i)
+        w.writerow([repr(float(t)), repr(float(dx)),
+                    "" if a is None else str(a)])
 
 
 def load_csv(fp: IO[str]) -> Path:
-    """Load a path serialized by :func:`dump_csv` (values at knots are
-    reconstructed through increments)."""
-    rows = list(csv.reader(fp))
-    if not rows or rows[0] != ["t", "x"]:
-        raise PathError("expected CSV header 't,x'")
-    ts = [float(r[0]) for r in rows[1:]]
-    xs = [float(r[1]) for r in rows[1:]]
-    return Path.from_values(ts, xs)
+    """Load a path written by :func:`dump_csv`.
+
+    The file is outside input, so the path is built through the validating
+    constructor; a bad header, a malformed number or fraction, a non-zero
+    first increment, or an anchor that disagrees with its knot's value
+    (beyond INSERT_RTOL) raises :class:`PathError`.
+    """
+    rows = csv.reader(fp)
+    header = next(rows, None)
+    if header != _CSV_HEADER:
+        raise PathError(f"expected CSV header {','.join(_CSV_HEADER)!r}, "
+                        f"got {header!r}")
+    knots, inc, anchors = [], [], {}
+    for i, row in enumerate(rows):
+        if len(row) != 3:
+            raise PathError(f"knot {i}: expected 3 fields, got {row!r}")
+        try:
+            knots.append(float(row[0]))
+            inc.append(float(row[1]))
+            if row[2]:
+                anchors[i] = Fraction(row[2])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PathError(f"knot {i}: {exc}") from exc
+    if inc and inc[0] != 0.0:
+        raise PathError(f"the increment into knot 0 must be 0.0, "
+                        f"got {inc[0]!r}")
+    p = Path(knots, inc[1:], anchors)
+    for i, a in anchors.items():
+        _check_knot_value(knots[i], float(p.values[i]), float(a))
+    return p

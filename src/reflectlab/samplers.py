@@ -150,21 +150,27 @@ class StoppedSymmetric:
     seed: int = 0
 
     def __post_init__(self):
+        # built once, outside the fields, so repr and equality are the law's
         try:
-            TwoSidedHit(self.level, self.level)
+            exit_rule = TwoSidedHit(self.level, self.level)
         except RuleError as exc:
             raise SamplerError(f"bad stopping level: {exc}") from exc
-        _grid(self.dt, self.horizon)
+        object.__setattr__(self, "_exit", exit_rule)
+        object.__setattr__(self, "_base",
+                           BrownianMotion(self.dt, self.horizon, self.seed))
 
     def sample(self, index: int) -> Path:
-        base = BrownianMotion(self.dt, self.horizon, self.seed).sample(index)
-        t, annotated = TwoSidedHit(self.level, self.level).observe(base)
+        t, annotated = self._exit.observe(self._base.sample(index))
         if t == np.inf or t == annotated.horizon:
             return annotated
         idx = annotated.knot_index(t)  # observe makes t a knot
-        return Path(np.append(annotated.knots[:idx + 1], annotated.horizon),
-                    np.append(annotated.increments[:idx], 0.0),
-                    {j: a for j, a in annotated.anchors.items() if j <= idx})
+        knots = np.append(annotated.knots[:idx + 1], annotated.horizon)
+        inc = np.append(annotated.increments[:idx], 0.0)
+        knots.setflags(write=False)
+        inc.setflags(write=False)
+        return _fast_path(
+            knots, inc,
+            {j: a for j, a in annotated.anchors.items() if j <= idx})
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ coincides with ladder step n on the event that the observed word equals e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional
 
 from .errors import RuleError
 from .path import Path, negate, reflect_at_rule
@@ -77,54 +77,46 @@ class SignWord:
         return f"SignWord({self.to_string()!r})"
 
 
-WordLike = Union[SignWord, Sequence[int]]
-
-
-def _as_word(e: WordLike) -> SignWord:
-    return e if isinstance(e, SignWord) else SignWord(tuple(e))
-
-
-def first_down_index(e: WordLike) -> Optional[int]:
+def first_down_index(e: SignWord) -> Optional[int]:
     """1-based index of the first -1, or None."""
-    for i, x in enumerate(_as_word(e).entries):
+    for i, x in enumerate(e.entries):
         if x == -1:
             return i + 1
     return None
 
 
-def first_zero_index(e: WordLike) -> Optional[int]:
+def first_zero_index(e: SignWord) -> Optional[int]:
     """1-based index of the first 0, or None."""
-    for i, x in enumerate(_as_word(e).entries):
+    for i, x in enumerate(e.entries):
         if x == 0:
             return i + 1
     return None
 
 
-def negate_word(e: WordLike) -> SignWord:
-    return SignWord(tuple(-x for x in _as_word(e).entries))
+def negate_word(e: SignWord) -> SignWord:
+    return SignWord(tuple(-x for x in e.entries))
 
 
-def reflect_word(e: WordLike) -> SignWord:
+def reflect_word(e: SignWord) -> SignWord:
     """Keep entries up to and including the first -1, flip the rest.
 
     This is the action on sign words of reflecting the path at the two-sided
     exit time.  Without a -1 the word is unchanged (the exit never happens, so
     the reflection is the identity).  It is an involution.
     """
-    w = _as_word(e)
-    m = first_down_index(w)
+    m = first_down_index(e)
     if m is None:
-        return w
-    return SignWord(w.entries[:m] + tuple(-x for x in w.entries[m:]))
+        return e
+    return SignWord(e.entries[:m] + tuple(-x for x in e.entries[m:]))
 
 
-def advance_word(e: WordLike) -> SignWord:
+def advance_word(e: SignWord) -> SignWord:
     """One odometer step: negate, then reflect.  A bijection of the
     zero-absorbing words of each length."""
     return reflect_word(negate_word(e))
 
 
-def rewind_word(e: WordLike) -> SignWord:
+def rewind_word(e: SignWord) -> SignWord:
     """Inverse of :func:`advance_word` (reflect, then negate)."""
     return negate_word(reflect_word(e))
 
@@ -142,7 +134,7 @@ def all_words(n: int) -> Iterator[SignWord]:
         yield SignWord(entries)
 
 
-def word_after_steps(n: int, steps: int, suffix: WordLike = ()) -> SignWord:
+def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
     """Closed form for advancing the all-plus word of length n ``steps``
     times: entry i is (-1)**a_i over the base-2 digits a_0..a_{n-1} of
     ``steps`` (least significant first), followed by the untouched suffix.
@@ -152,10 +144,10 @@ def word_after_steps(n: int, steps: int, suffix: WordLike = ()) -> SignWord:
     if not 0 <= steps < 2 ** n:
         raise RuleError(f"steps must be in [0, 2**{n}), got {steps}")
     head = tuple(1 if (steps >> i) & 1 == 0 else -1 for i in range(n))
-    return SignWord(head + _as_word(suffix).entries)
+    return SignWord(head + suffix)
 
 
-def exit_alignment_power(e: WordLike) -> int:
+def exit_alignment_power(e: SignWord) -> int:
     """Number of advance steps aligning the two-sided exit with ladder step n.
 
     For a word e of length n with d nonzero entries and digits a_i defined by
@@ -167,11 +159,10 @@ def exit_alignment_power(e: WordLike) -> int:
 
     Negative values mean rewinding (applying the inverse path map).
     """
-    w = _as_word(e)
-    n = len(w)
-    d = first_zero_index(w)
+    n = len(e)
+    d = first_zero_index(e)
     d = n if d is None else d - 1
-    digits = [0 if x == 1 else 1 for x in w.entries[:d]]
+    digits = [0 if x == 1 else 1 for x in e.entries[:d]]
     low = sum(a << i for i, a in enumerate(digits))
     if d == n:
         if n == 0:

@@ -203,7 +203,9 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int) -> Iterator:
     Every caller reduces the rows in the order they come, so each statistic
     is bit-identical at any worker count.  An empty run is rejected when its
     rows are first asked for: its reductions would report a pass with
-    nothing checked.
+    nothing checked.  A consumer may stop reading early; when it does, or
+    when a draw raises, the shards that have not started are cancelled
+    rather than run on the way out of the pool.
     """
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
@@ -214,10 +216,13 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int) -> Iterator:
     # shards at a time, whatever its size
     size = min(1000, -(-n // workers))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        shards = deque(ex.submit(_draws, fn, args, s, min(s + size, n))
-                       for s in range(0, n, size))
-        while shards:
-            yield from shards.popleft().result()
+        try:
+            shards = deque(ex.submit(_draws, fn, args, s, min(s + size, n))
+                           for s in range(0, n, size))
+            while shards:
+                yield from shards.popleft().result()
+        finally:
+            ex.shutdown(cancel_futures=True)
 
 
 def _draws(fn: Callable, args: tuple, start: int, stop: int) -> list:
@@ -516,8 +521,10 @@ _HIT_DOWN = FirstPassage(Fraction(-1))
 _FIXED_MID = FixedTime(1.0)
 _REFLECT_RULES = (_EXIT, _HIT_UP, _FIXED_MID, LadderStep(1, 2, 2),
                   FirstPassage(Fraction(50)))
-_COMPOSE_PAIRS = ((_HIT_UP, _EXIT), (_FIXED_MID, _EXIT), (_HIT_UP, _FIXED_MID),
-                  (_EXIT, _EXIT))
+# (s, t, compose(s, t)) for the reflected-composition formulas
+_COMPOSE_PAIRS = tuple((s, t, ComposeReflect(s, t)) for s, t in (
+    (_HIT_UP, _EXIT), (_FIXED_MID, _EXIT), (_HIT_UP, _FIXED_MID),
+    (_EXIT, _EXIT)))
 _MIX = Mixture(((_HIT_UP, TimeCompare(_HIT_UP, _FIXED_MID, "le")),
                 (_FIXED_MID, TimeCompare(_HIT_UP, _FIXED_MID, "gt"))))
 _MIX_MIN = MinOf(_HIT_UP, _FIXED_MID)
@@ -547,14 +554,16 @@ def _stability_draw(args, i):
               "negated_level_chain", "prefix_determinism", "order_consistency",
               "mixture_events", "mixture_min", "mixture_involution"]}
     worst = 0.0
+    reflected = {}  # rule -> p reflected at it, for the checks below
 
     for rule in _REFLECT_RULES:
         t, p1 = rule.observe(p)
         if not is_observed(t):
-            if reflect_at_rule(p, rule) != p:
+            reflected[rule] = reflect_at_rule(p, rule)
+            if reflected[rule] != p:
                 fails["involution_exact"] += 1
             continue
-        q1 = reflect_at_time(p1, t)
+        reflected[rule] = q1 = reflect_at_time(p1, t)
         t2, q1a = rule.observe(q1)
         if t2 != t:
             fails["time_idempotent"] += 1
@@ -565,13 +574,13 @@ def _stability_draw(args, i):
         if d > PATH_RTOL:
             fails["involution_function"] += 1
 
-    for s_rule, t_rule in _COMPOSE_PAIRS:
+    for s_rule, t_rule, composed in _COMPOSE_PAIRS:
         ts, tt = s_rule.evaluate(p), t_rule.evaluate(p)
-        lhs = reflect_at_rule(p, ComposeReflect(s_rule, t_rule))
-        q = reflect_at_rule(p, t_rule)
+        lhs = reflect_at_rule(p, composed)
+        q = reflected[t_rule]
         if ts <= tt:
             s_on_q = s_rule.evaluate(q)
-            d = _deviation(lhs, reflect_at_rule(p, s_rule))
+            d = _deviation(lhs, reflected[s_rule])
             worst = max(worst, d)
             if (is_observed(ts) and s_on_q != ts) or d > PATH_RTOL:
                 fails["formulas_low_branch"] += 1
@@ -607,7 +616,7 @@ def _stability_draw(args, i):
                 if _cmp(op_, rp) != _cmp(oq_, rq):
                     fails["order_consistency"] += 1
 
-    q = reflect_at_rule(p, _FIXED_MID)
+    q = reflected[_FIXED_MID]
     for op in ("lt", "eq", "gt"):
         ev = TimeCompare(_HIT_UP, _FIXED_MID, op)
         if ev.holds(p) != ev.holds(q):
@@ -727,6 +736,13 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
 # exit alignment (word -> power of the advance map)
 # ---------------------------------------------------------------------------
 
+def _alignment_draw(args, i):
+    """The sign word of draw i and its ladder trace."""
+    sampler, a, b, n = args
+    tr = ladder_trace(a, b, sampler.sample(i), n)
+    return trace_sign_word(tr).entries, tr
+
+
 def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
                         min_per_word: int, n_draws_max: int,
                         seed: Optional[int] = None) -> TestReport:
@@ -736,10 +752,9 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     map (rewinding when negative); unobserved on both sides in the truncated
     case.  Draws continue until every word has min_per_word checks or the
     draw cap is reached (falling short is a failure)."""
-    if min_per_word < 1 or n_draws_max < 1:
+    if min_per_word < 1:
         raise ConfigurationError(
-            f"min_per_word and n_draws_max must be at least 1, got "
-            f"{min_per_word} and {n_draws_max}")
+            f"min_per_word must be at least 1, got {min_per_word}")
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
@@ -747,22 +762,21 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     words = list(all_words(n))
     powers = {w.entries: exit_alignment_power(w) for w in words}
     counts = {w.entries: 0 for w in words}
+    short = len(words)  # words below quota
     failures = 0
-    draws = 0
-    while draws < n_draws_max and any(c < min_per_word
-                                      for c in counts.values()):
-        p = sampler.sample(draws)
-        draws += 1
-        tr = ladder_trace(a, b, p, n)
-        w = trace_sign_word(tr).entries
+    # one worker: a pool would draw past the draw that fills the last quota
+    for draws, (w, tr) in enumerate(_run_draws(
+            _alignment_draw, (sampler, a, b, n), n_draws_max, 1), 1):
         if counts[w] >= min_per_word:
             continue
         counts[w] += 1
         q = advance_path_power(tr.path, rule, powers[w])
-        t_exit = rule.evaluate(q)
-        if t_exit != tr.times[n]:
+        if rule.evaluate(q) != tr.times[n]:
             failures += 1
-    short = sum(1 for c in counts.values() if c < min_per_word)
+        if counts[w] == min_per_word:
+            short -= 1
+            if not short:
+                break
     return TestReport(
         name="exit_alignment_test",
         params={"a": a, "b": b, "n": n, "min_per_word": min_per_word,

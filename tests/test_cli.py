@@ -95,7 +95,25 @@ class TestRun:
         assert (tmp_path / "out" / "paths.csv").exists()
         assert (tmp_path / "out" / "paths_001.csv").exists()
         header = (tmp_path / "out" / "paths.csv").read_text().splitlines()[0]
-        assert header == "t,x"
+        assert header == "t,dx,exact"
+
+    def test_dumped_paths_reload_to_the_same_tau_table(self, tmp_path):
+        # dump sampled paths, then read them back in a second ladder run:
+        # the reloaded paths give the sampled run's ladder times exactly
+        # (a file of rounded knot values moves the times of draws 4 and 5)
+        cfg = write_config(tmp_path, kind="ladder", a="1", b="2", n=6,
+                           law="bm(dt=0.01,T=3)", N=6, seed=13, dump_paths=6,
+                           out_dir=str(tmp_path / "sampled"))
+        assert main(["run", cfg]) == 0
+        names = ["paths.csv"] + [f"paths_{i:03d}.csv" for i in range(1, 6)]
+        cfg = write_config(tmp_path, kind="ladder", a="1", b="2", n=6,
+                           paths_csv=[str(tmp_path / "sampled" / name)
+                                      for name in names],
+                           out_dir=str(tmp_path / "reloaded"))
+        assert main(["run", cfg]) == 0
+        sampled = read_report(tmp_path / "sampled")["params"]["tau_table"]
+        reloaded = read_report(tmp_path / "reloaded")["params"]["tau_table"]
+        assert [row[1:] for row in reloaded] == [row[1:] for row in sampled]
 
 
 class TestDeterminism:
@@ -172,7 +190,7 @@ class TestGridOverrides:
                            seed=4, dump_paths=1, out_dir=str(tmp_path / "o"))
         assert main(["run", cfg]) == 0
         lines = (tmp_path / "o" / "paths.csv").read_text().splitlines()
-        assert lines[1] == "0.0,0.0"
+        assert lines[1] == "0.0,0.0,"
         assert len(lines) == 42  # 2.0 / 0.05 + 1 knots plus header
 
 

@@ -10,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectlab import (
+    BrownianMotion,
     KnotConflictError,
     Path,
     PathError,
+    StoppedSymmetric,
     TimeOutOfRangeError,
+    TwoSidedHit,
     dump_csv,
     insert_knot,
+    ladder_trace,
     load_csv,
     max_deviation,
     negate,
+    reflect_at_rule,
     reflect_at_time,
     value_at,
 )
@@ -236,26 +241,67 @@ class TestDeviation:
         assert max_deviation(p, q) == 1.0
 
 
+def _reloaded(p):
+    buf = io.StringIO()
+    dump_csv(p, buf)
+    buf.seek(0)
+    return load_csv(buf)
+
+
 class TestCsv:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         p = Path(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1, 40))]),
                  rng.standard_normal(40))
-        buf = io.StringIO()
-        dump_csv(p, buf)
-        buf.seek(0)
-        q = load_csv(buf)
+        q = _reloaded(p)
         assert np.array_equal(q.knots, p.knots)
-        assert q.horizon == p.horizon
-        scale = max(1.0, float(np.max(np.abs(p.values))))
-        assert max_deviation(p, q) <= 1e-12 * scale
+        assert np.array_equal(q.increments, p.increments)
+        assert q.anchors == p.anchors == {}
+
+    @pytest.mark.parametrize("kind", ["sampled", "reflected", "ladder"])
+    def test_round_trip_keeps_anchors_and_ladder_times(self, kind):
+        # a path file holds what the path holds: increments bit for bit and
+        # the exact anchors, so exact-hit verdicts on a reloaded path agree
+        make = {
+            "sampled": lambda p: p,
+            "reflected": lambda p: reflect_at_rule(p, TwoSidedHit(1, 2)),
+            "ladder": lambda p: ladder_trace(1, 2, p, 8).path,
+        }[kind]
+        anchored = 0
+        for sampler in (BrownianMotion(dt=1e-3, horizon=10.0, seed=1),
+                        StoppedSymmetric(level=1, dt=0.01, horizon=6.0,
+                                         seed=3)):
+            for i in range(15):
+                p = make(sampler.sample(i))
+                q = _reloaded(p)
+                assert q == p
+                assert q.anchors == p.anchors
+                assert (ladder_trace(1, 2, q, 8).times
+                        == ladder_trace(1, 2, p, 8).times)
+                anchored += bool(p.anchors)
+        assert anchored
 
     def test_zero_path_exact(self):
-        buf = io.StringIO()
-        dump_csv(Path.zero(1.0), buf)
-        buf.seek(0)
-        assert load_csv(buf) == Path.zero(1.0)
+        assert _reloaded(Path.zero(1.0)) == Path.zero(1.0)
 
     def test_rejects_bad_header(self):
+        # the older t,x value format included: there is one reader
+        for text in ("a,b\n0.0,0.0\n", "t,x\n0.0,0.0\n1.0,0.5\n", ""):
+            with pytest.raises(PathError, match="t,dx,exact"):
+                load_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("rows", [
+        "0.0,0.0,\n1.0,0.5,1/0\n",
+        "0.0,0.0,\n1.0,0.5,half\n",
+        "0.0,0.0,\n1.0,0.5x,\n",
+        "0.0,0.0,\n1.0,0.5\n",
+        "0.0,0.25,\n1.0,0.5,\n",
+        "0.0,0.0,\n1.0,0.5,1/3\n",
+        "0.0,0.0,\n1.0,nan,\n",
+        "0.0,0.0,\n0.0,0.5,\n",
+    ], ids=["zero_denominator", "bad_fraction", "bad_number", "short_row",
+            "nonzero_first_increment", "anchor_off_value", "non_finite",
+            "repeated_time"])
+    def test_rejects_malformed_rows(self, rows):
         with pytest.raises(PathError):
-            load_csv(io.StringIO("a,b\n0.0,0.0\n"))
+            load_csv(io.StringIO("t,dx,exact\n" + rows))

@@ -3,6 +3,8 @@
 import json
 import math
 import operator
+import pathlib
+import time
 import warnings
 from fractions import Fraction
 
@@ -246,8 +248,7 @@ class TestStabilityDraw:
     @pytest.mark.parametrize("sampler", [
         # exits (-1, 2) at -1 inside segment (0, 1), reaches 1 later but
         # never -3: hit(1) is not observed after the reflection at the exit
-        _OnePath(Path.from_values([0.0, 1.0, 2.0, 3.0],
-                                  [0.0, -1.5, 0.0, 1.5])),
+        _OnePath(Path([0.0, 1.0, 2.0, 3.0], [-1.5, 1.5, 1.5])),
         BrownianMotion(dt=0.01, horizon=10.0, seed=7),
     ], ids=["constructed", "bm"])
     def test_deviations_are_sup_norms_over_the_union(self, sampler,
@@ -345,6 +346,16 @@ _SHARDED = {
 }
 
 
+def _marking_draw(directory, i):
+    """Leave a marker for the shard that starts at draw i, then fail at
+    draw 0 and sleep at the start of every other shard."""
+    if i % 1000 == 0:
+        (pathlib.Path(directory) / str(i)).touch()
+        if i == 0:
+            raise ZeroDivisionError("draw 0")
+        time.sleep(0.2)
+
+
 class TestSharding:
     @pytest.mark.parametrize("name", sorted(_SHARDED))
     def test_report_independent_of_worker_count(self, name):
@@ -357,6 +368,17 @@ class TestSharding:
         n = 2500
         rows = list(_run_draws(operator.getitem, range(n), n, workers=2))
         assert rows == list(range(n))
+
+    def test_stopping_cancels_shards_not_started(self, tmp_path):
+        # draw 0 raises; the 19 other shards of 1000 draws wait 0.2 s at
+        # their first draw, so without cancellation all 20 would run.  The
+        # pool starts the shards it has queued ahead (5 or 6 in all)
+        with pytest.raises(ZeroDivisionError):
+            for _ in _run_draws(_marking_draw, str(tmp_path), 20_000,
+                                workers=2):
+                pass
+        started = len(list(tmp_path.iterdir()))
+        assert 1 <= started < 10
 
     @pytest.mark.parametrize("run", [
         lambda s: stability_suite(0, sampler=s),
