@@ -133,7 +133,16 @@ def _run_bound(cfg: dict) -> TestReport:
         workers=int(cfg.get("workers", 1)))
 
 
-def _run_ladder(cfg: dict) -> TestReport:
+def _first_draws(cfg: dict, n: int, drawn: list) -> list:
+    """Draws 0 .. n - 1 of the config's law; drawn holds the draws this run
+    has made so far and is extended, so each index is sampled once."""
+    if len(drawn) < n:
+        sampler = _law_from(cfg, default=DEFAULT_LAW)
+        drawn.extend(sampler.sample(i) for i in range(len(drawn), n))
+    return drawn[:n]
+
+
+def _run_ladder(cfg: dict, drawn: list) -> TestReport:
     _require(cfg, "a", "b", "n")
     a, b, n = Fraction(cfg["a"]), Fraction(cfg["b"]), int(cfg["n"])
     ladder = ladder_levels(a, b, n)
@@ -151,8 +160,8 @@ def _run_ladder(cfg: dict) -> TestReport:
     sources = []
     n_paths = int(cfg.get("N", 0))
     if n_paths:
-        sampler = _law_from(cfg, default=DEFAULT_LAW)
-        sources = [(str(i), sampler.sample(i)) for i in range(n_paths)]
+        sources = [(str(i), p) for i, p in
+                   enumerate(_first_draws(cfg, n_paths, drawn))]
     for fname in cfg.get("paths_csv", []):
         with open(fname) as fp:
             sources.append((fname, load_csv(fp)))
@@ -216,15 +225,14 @@ _KINDS = {
 }
 
 
-def _dump_paths(cfg: dict, out_dir: FsPath) -> None:
+def _dump_paths(cfg: dict, out_dir: FsPath, drawn: list) -> None:
     k = int(cfg.get("dump_paths", 0))
     if k <= 0:
         return
-    sampler = _law_from(cfg, default=DEFAULT_LAW)
-    for i in range(k):
+    for i, path in enumerate(_first_draws(cfg, k, drawn)):
         name = "paths.csv" if i == 0 else f"paths_{i:03d}.csv"
         with open(out_dir / name, "w", newline="") as fp:
-            dump_csv(sampler.sample(i), fp)
+            dump_csv(path, fp)
 
 
 def write_outputs(report: TestReport, out_dir: FsPath) -> None:
@@ -251,10 +259,12 @@ def run_config(cfg: dict) -> int:
         raise ConfigurationError(
             f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
     cfg.setdefault("seed", 0)
-    report = _KINDS[kind](cfg)
+    drawn: list = []  # draws of the law made in this run, in index order
+    report = (_run_ladder(cfg, drawn) if kind == "ladder"
+              else _KINDS[kind](cfg))
     out_dir = FsPath(cfg.get("out_dir", "out"))
     write_outputs(report, out_dir)
-    _dump_paths(cfg, out_dir)
+    _dump_paths(cfg, out_dir, drawn)
     print(f"{report.name}: {report.verdict} "
           f"({len(report.statistics)} statistics) -> {out_dir}/report.json")
     return 0 if report.verdict == "pass" else 2

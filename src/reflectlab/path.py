@@ -121,7 +121,7 @@ class Path:
 
     def knot_index(self, t: float) -> Optional[int]:
         """Index of the knot at time t exactly, or None."""
-        i = int(np.searchsorted(self.knots, t))
+        i = int(self.knots.searchsorted(t))
         if i < self.knots.size and self.knots[i] == t:
             return i
         return None
@@ -165,12 +165,18 @@ def value_at(p: Path, t: float) -> float:
     """Value of the piecewise-linear interpolant at time t in [0, horizon]."""
     if not (0.0 <= t <= p.horizon):
         raise TimeOutOfRangeError(f"t={t!r} outside [0, {p.horizon!r}]")
-    i = int(np.searchsorted(p.knots, t, side="right")) - 1
-    v = p.values
-    if p.knots[i] == t:
-        return float(v[i])
-    return _interpolate(float(p.knots[i]), float(p.knots[i + 1]),
-                        float(v[i]), float(v[i + 1]), t)
+    return float(_values_at(p.knots, p.values, t))
+
+
+def _values_at(knots: np.ndarray, values: np.ndarray, t: float):
+    """Value at time t in [0, knots[-1]] of every path on knots whose
+    prefix sums run along the last axis of values (one path, or a matrix
+    of them), with the one interpolation formula."""
+    i = int(knots.searchsorted(t, side="right")) - 1
+    if knots[i] == t:
+        return values.T[i]
+    return _interpolate(float(knots[i]), float(knots[i + 1]),
+                        values.T[i], values.T[i + 1], t)
 
 
 def insert_knot(p: Path, t: float, v: float,
@@ -334,7 +340,7 @@ def reflect_at_time(p: Path, r: float) -> Path:
     if idx is None:
         p, idx = insert_knot(p, r, value_at(p, r))
     inc = p.increments.copy()
-    inc[idx:] = -inc[idx:]
+    np.negative(inc[idx:], out=inc[idx:])
     inc.setflags(write=False)
     pivot = p.exact_value(idx)
     anchors = {j: a for j, a in p.anchors.items() if j <= idx}

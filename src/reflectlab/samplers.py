@@ -12,9 +12,13 @@ NumPy default and is documented here for reproducibility.
 
 The uniform grid of a (dt, horizon) pair, its steps and their square roots
 are built once per process (``_grid`` is cached) and shared read-only by
-every draw.  The grid samplers scale one standard-normal draw in place and
-wrap it without re-validating or copying, since the sampler built every
-array itself; parameters are validated once, at construction.
+every draw.  The grid laws draw a block of indices at once (``_rows``): the
+Generator of each (seed, index) fills its own row of one increment matrix
+(``standard_normal(out=row)`` gives the bits of ``standard_normal(m)``), and
+the rows are scaled in place.  ``sample`` is the block of one index, so a
+row of any block holds the increments of ``sample`` of its index bit for
+bit.  Paths are wrapped without re-validating or copying, since the sampler
+built every array itself; parameters are validated once, at construction.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -62,20 +66,36 @@ def _grid(dt: float, horizon: float
     return grid
 
 
-def _scaled_normals(seed: int, index: int, scale: np.ndarray) -> np.ndarray:
-    """The draw's standard normals times scale, computed in place."""
-    z = _rng(seed, index).standard_normal(scale.size)
+def _scaled_normals(seed: int, indices: Sequence[int],
+                   scale: np.ndarray) -> np.ndarray:
+    """One row of standard normals per index, each from its own stream,
+    times scale (one row for all, or one per index), computed in place."""
+    z = np.empty((len(indices), scale.shape[-1]))
+    for row, index in zip(z, indices):
+        _rng(seed, index).standard_normal(out=row)
     z *= scale
     return z
 
 
-def _sampled_path(knots: np.ndarray, increments: np.ndarray) -> Path:
-    increments.setflags(write=False)
-    return _fast_path(knots, increments, {})
+class _GridLaw:
+    """A law whose draws share the knots of one uniform grid.
+
+    Subclasses implement ``_rows(indices)``: the grid's knots and the
+    (len(indices), steps) matrix whose row r holds the increments of draw
+    indices[r].
+    """
+
+    def _rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def sample(self, index: int) -> Path:
+        knots, inc = self._rows((index,))
+        inc.setflags(write=False)
+        return _fast_path(knots, inc[0], {})
 
 
 @dataclass(frozen=True)
-class BrownianMotion:
+class BrownianMotion(_GridLaw):
     """Standard Brownian motion on a uniform grid, linearly interpolated."""
 
     dt: float = 1e-3
@@ -85,14 +105,13 @@ class BrownianMotion:
     def __post_init__(self):
         _grid(self.dt, self.horizon)
 
-    def sample(self, index: int) -> Path:
+    def _rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         knots, _, root_steps = _grid(self.dt, self.horizon)
-        return _sampled_path(knots,
-                             _scaled_normals(self.seed, index, root_steps))
+        return knots, _scaled_normals(self.seed, indices, root_steps)
 
 
 @dataclass(frozen=True)
-class DriftedBM:
+class DriftedBM(_GridLaw):
     """Brownian motion plus linear drift; a negative control, since its law
     is not symmetric under the sign flip at time 0."""
 
@@ -106,11 +125,11 @@ class DriftedBM:
             raise SamplerError(f"drift must be finite, got {self.drift!r}")
         _grid(self.dt, self.horizon)
 
-    def sample(self, index: int) -> Path:
+    def _rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         knots, steps, root_steps = _grid(self.dt, self.horizon)
-        inc = _scaled_normals(self.seed, index, root_steps)
+        inc = _scaled_normals(self.seed, indices, root_steps)
         inc += self.drift * steps
-        return _sampled_path(knots, inc)
+        return knots, inc
 
 
 @dataclass(frozen=True)
@@ -174,7 +193,7 @@ class StoppedSymmetric:
 
 
 @dataclass(frozen=True)
-class OconeTimeChange:
+class OconeTimeChange(_GridLaw):
     """Brownian motion run through an independent nondecreasing clock.
 
     clock = "identity":     clock(t) = t (the path is plain Brownian motion).
@@ -193,18 +212,20 @@ class OconeTimeChange:
             raise SamplerError(f"unknown clock spec {self.clock!r}")
         _grid(self.dt, self.horizon)
 
-    def sample(self, index: int) -> Path:
+    def _rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         knots, steps, root_steps = _grid(self.dt, self.horizon)
         if self.clock == "random_rate":
-            rates_rng = _rng(self.seed, index, stream=1)
+            # each draw's own rates, one per unit of path time
             n_units = int(np.ceil(self.horizon))
-            unit_rates = np.exp(rates_rng.uniform(np.log(0.25), np.log(4.0),
-                                                  size=n_units))
             mid = (knots[:-1] + knots[1:]) / 2.0
-            root_steps = np.sqrt(steps * unit_rates[
-                np.minimum(mid.astype(int), n_units - 1)])
-        return _sampled_path(knots,
-                             _scaled_normals(self.seed, index, root_steps))
+            unit = np.minimum(mid.astype(int), n_units - 1)
+            root_steps = np.empty((len(indices), steps.size))
+            for row, index in zip(root_steps, indices):
+                rates_rng = _rng(self.seed, index, stream=1)
+                unit_rates = np.exp(rates_rng.uniform(
+                    np.log(0.25), np.log(4.0), size=n_units))
+                np.sqrt(steps * unit_rates[unit], out=row)
+        return knots, _scaled_normals(self.seed, indices, root_steps)
 
 
 Sampler = Union[BrownianMotion, DriftedBM, DyadicCounterexample,

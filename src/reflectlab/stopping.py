@@ -175,14 +175,45 @@ def _locate_exit(p: Path, k: int, lo: float, hi: float,
             if ui == target:
                 return float(knots[j]), j, side, False
             tl = t0 if start + i == 1 else float(knots[j - 1])
-            tr = float(knots[j])
-            return (tl + (target - u_prev) * ((tr - tl) / (ui - u_prev)),
+            return (_crossing(tl, float(knots[j]), u_prev, ui, target),
                     j, side, True)
         offset = float(u[-1])
         start = stop
     if anchor is None:
         return None
     return float(knots[anchor[0]]), anchor[0], anchor[1], False
+
+
+def _crossing(tl, tr, u_prev, u, target):
+    """Time at which the segment from sum u_prev at tl to sum u at tr meets
+    target; elementwise on arrays, with the bits of the scalar form."""
+    return tl + (target - u_prev) * ((tr - tl) / (u - u_prev))
+
+
+def _exit_rows(knots: np.ndarray, values: np.ndarray, lo: float,
+               hi: float) -> np.ndarray:
+    """The time ``_locate_exit(p, 0, lo, hi)`` gives, for every unanchored
+    path p on knots whose ``p.values`` is a row of values, NOT_OBSERVED
+    where it gives None.
+
+    Each row exits at its first knot outside (lo, hi): at that knot when it
+    is knot 0 or its sum is exactly on the bound crossed, else at the
+    crossing inside the segment that ends there.  The tests and the
+    formula are the scalar kernel's, applied to the columns.
+    """
+    out = (values <= lo) | (values >= hi)
+    j = out.argmax(axis=1)
+    rows = np.flatnonzero(out[np.arange(j.size), j])
+    j = j[rows]
+    u = values[rows, j]
+    target = np.where(u >= hi, hi, lo)
+    t = np.full(values.shape[0], NOT_OBSERVED)
+    t[rows] = knots[j]
+    inside = (u != target) & (j > 0)
+    rows, j = rows[inside], j[inside]
+    t[rows] = _crossing(knots[j - 1], knots[j], values[rows, j - 1],
+                        u[inside], target[inside])
+    return t
 
 
 # ---------------------------------------------------------------------------

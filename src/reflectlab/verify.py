@@ -16,6 +16,23 @@ Conventions
   null is preserved under invariance.
 * every report records seed, sizes, statistics and thresholds; verdicts are
   recomputable from the recorded numbers alone.
+
+Block draws
+-----------
+``invariance_test`` runs the draw loop over blocks of draws, each returning
+an array indexed by arm, functional and draw.  On a law with a shared grid
+(``BrownianMotion``, ``DriftedBM``, ``OconeTimeChange``) a block holds about
+``_BLOCK_INCREMENTS`` increments: the sampler fills one increment matrix, one
+row per draw from that draw's own Generator, and one ``cumsum(axis=1)`` gives
+every row's ``Path.values`` bit for bit.  Each draw is still reflected on its
+own path.  The rows of an arm that hold the grid's knot array itself and no
+anchor are summed into one matrix, and a functional with a ``rows`` form
+reads them off its columns.  Everything else goes through ``apply`` on the
+path: a reflected row with an inserted knot, or with an anchor (an exact
+value that can override a float verdict), every functional without a rows
+form (``ValueAtRuleTime``), and every draw of a law without a shared grid,
+which is drawn one path per block.  Both routes give the same bits, so the
+report does not depend on the route or the block size.
 """
 
 from __future__ import annotations
@@ -36,6 +53,8 @@ from .errors import ConfigurationError, RuleError
 from .path import (
     NOT_OBSERVED,
     Path,
+    _fast_path,
+    _values_at,
     is_observed,
     negate,
     reflect_at_rule,
@@ -43,6 +62,7 @@ from .path import (
     value_at,
 )
 from .rational import as_rational, is_dyadic
+from .samplers import BrownianMotion, DyadicCounterexample, _GridLaw
 from .signs import (
     SignWord,
     advance_path,
@@ -69,6 +89,7 @@ from .stopping import (
     StoppingRule,
     TimeCompare,
     TwoSidedHit,
+    _exit_rows,
     ladder_trace,
 )
 
@@ -236,20 +257,39 @@ def _reseeded(sampler, seed: Optional[int]):
 # ---------------------------------------------------------------------------
 # functionals (closed vocabulary for invariance testing)
 # ---------------------------------------------------------------------------
+#
+# ``apply(p)`` is a functional's value on one path.  ``rows(knots, values)``,
+# where a functional has it, gives the same numbers bit for bit for a matrix
+# of unanchored paths on one knot array, one path per row of ``values`` (its
+# ``Path.values``).
 
 @dataclass(frozen=True)
 class ValueAtTime:
     t: float
 
+    def __post_init__(self):
+        # here, not at the first draw (inside a pool worker)
+        if not 0.0 <= self.t < math.inf:
+            raise ConfigurationError(
+                f"functional time must be finite and nonnegative, "
+                f"got {self.t!r}")
+
     @property
     def name(self) -> str:
         return f"value_at_{self.t:g}"
 
-    def apply(self, p: Path) -> float:
-        if self.t > p.horizon:
+    def _check(self, horizon: float) -> None:
+        if self.t > horizon:
             raise ConfigurationError(
-                f"functional time {self.t} exceeds horizon {p.horizon}")
+                f"functional time {self.t} exceeds horizon {horizon}")
+
+    def apply(self, p: Path) -> float:
+        self._check(p.horizon)
         return value_at(p, self.t)
+
+    def rows(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        self._check(float(knots[-1]))
+        return _values_at(knots, values, self.t)
 
 
 @dataclass(frozen=True)
@@ -260,6 +300,9 @@ class RunningMax:
 
     def apply(self, p: Path) -> float:
         return float(np.max(p.values))
+
+    def rows(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return values.max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -280,6 +323,12 @@ class HittingTime:
     def apply(self, p: Path) -> float:
         t = self._rule.evaluate(p)
         return t if is_observed(t) else p.horizon + 1.0
+
+    def rows(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        (lo, _), (hi, _) = self._rule._bounds
+        t = _exit_rows(knots, values, lo, hi)
+        t[t == NOT_OBSERVED] = float(knots[-1]) + 1.0
+        return t
 
 
 @dataclass(frozen=True)
@@ -313,12 +362,60 @@ def default_functionals(horizon: float) -> list:
 # invariance test
 # ---------------------------------------------------------------------------
 
-def _invariance_draw(args, i):
-    """The functionals of draw i and of its reflection, one row per arm."""
-    sampler, rule, functionals = args
-    p = sampler.sample(i)
-    return [[f.apply(q) for f in functionals]
-            for q in (p, reflect_at_rule(p, rule))]
+#: Increments that one block of draws on a shared grid holds, about.
+_BLOCK_INCREMENTS = 2 ** 15
+
+
+def _block_size(sampler) -> int:
+    """Draws per block: enough to fill _BLOCK_INCREMENTS on a shared grid;
+    a law without one is drawn one path per block."""
+    if not isinstance(sampler, _GridLaw):
+        return 1
+    return max(1, _BLOCK_INCREMENTS // round(sampler.horizon / sampler.dt))
+
+
+def _invariance_block(args, b):
+    """The functionals of the draws of block b and of their reflections, as
+    an array indexed by arm, functional and draw."""
+    sampler, rule, functionals, n, size = args
+    indices = range(b * size, min(n, (b + 1) * size))
+    if isinstance(sampler, _GridLaw):
+        knots, inc = sampler._rows(indices)
+        inc.setflags(write=False)
+        paths = [_fast_path(knots, row, {}) for row in inc]
+    else:
+        knots, paths = None, [sampler.sample(i) for i in indices]
+    out = np.empty((2, len(functionals), len(paths)))
+    _read_off(out[0], functionals, knots, paths)
+    _read_off(out[1], functionals, knots,
+              [reflect_at_rule(p, rule) for p in paths])
+    return out
+
+
+def _read_off(out: np.ndarray, functionals: Sequence, knots,
+              paths: list) -> None:
+    """out[j, r] = functionals[j].apply(paths[r]), bit for bit.
+
+    The paths that hold the knot array ``knots`` itself and carry no
+    anchors are summed in one matrix, and each functional with a rows form
+    reads them off it.  Every other path (one with an inserted knot, or
+    an anchor that can override a float verdict), and every functional
+    without a rows form, goes through apply.
+    """
+    joins = [p.knots is knots and not p.anchors for p in paths]
+    rows = [r for r, ok in enumerate(joins) if ok]
+    others = [r for r, ok in enumerate(joins) if not ok]
+    if rows:
+        values = np.zeros((len(rows), knots.size))
+        np.cumsum([paths[r].increments for r in rows], axis=1,
+                  out=values[:, 1:])
+    for j, f in enumerate(functionals):
+        scalar = range(len(paths))
+        if rows and hasattr(f, "rows"):
+            out[j, rows] = f.rows(knots, values)
+            scalar = others
+        for r in scalar:
+            out[j, r] = f.apply(paths[r])
 
 
 def _ks_statistics(functionals: Sequence, x: np.ndarray, y: np.ndarray,
@@ -362,11 +459,13 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     if len(set(names)) != len(names):
         raise ConfigurationError(f"functional names collide: {names}")
     sampler = _reseeded(sampler, seed)
+    size = _block_size(sampler)
     values = np.empty((2, len(functionals), n_draws))  # arm, functional, draw
-    for i, row in enumerate(_run_draws(
-            _invariance_draw, (sampler, rule, list(functionals)), n_draws,
-            workers)):
-        values[..., i] = row
+    for b, block in enumerate(_run_draws(
+            _invariance_block,
+            (sampler, rule, list(functionals), n_draws, size),
+            -(-n_draws // size), workers)):
+        values[..., b * size:(b + 1) * size] = block
     stats = _ks_statistics(functionals, *values, alpha)
     return TestReport(
         name="invariance",
@@ -638,7 +737,6 @@ def stability_suite(n_paths: int, seed: Optional[int] = None, sampler=None,
     the stopping time, both branches of the reflected-composition formula,
     the negated-level reflection chain, prefix determinism of rule times,
     order consistency, and mixture stability."""
-    from .samplers import BrownianMotion
     if sampler is None:
         sampler = BrownianMotion(dt=1e-3, horizon=10.0)
     sampler = _reseeded(sampler, seed)
@@ -850,7 +948,6 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     (-1, 1), whose barrier ratio 1/2 is dyadic); and the paired invariance
     tests at those two reflections pass.
     """
-    from .samplers import DyadicCounterexample
     if n_draws < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
     c = as_rational(c)

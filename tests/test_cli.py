@@ -97,6 +97,35 @@ class TestRun:
         header = (tmp_path / "out" / "paths.csv").read_text().splitlines()[0]
         assert header == "t,dx,exact"
 
+    def test_ladder_run_samples_each_dumped_path_once(self, tmp_path,
+                                                      monkeypatch):
+        import io
+
+        from reflectlab import BrownianMotion, dump_csv
+        law = BrownianMotion(dt=0.01, horizon=2.0, seed=21)
+        expected = []
+        for i in range(3):
+            fp = io.StringIO(newline="")
+            dump_csv(law.sample(i), fp)
+            expected.append(fp.getvalue())
+        drawn = []
+        sample = BrownianMotion.sample
+
+        def counted(self, index):
+            drawn.append(index)
+            return sample(self, index)
+
+        monkeypatch.setattr(BrownianMotion, "sample", counted)
+        cfg = write_config(tmp_path, kind="ladder", a="1", b="2", n=4,
+                           law="bm(dt=0.01,T=2)", N=3, seed=21, dump_paths=3,
+                           out_dir=str(tmp_path / "out"))
+        assert main(["run", cfg]) == 0
+        assert drawn == [0, 1, 2]
+        names = ["paths.csv", "paths_001.csv", "paths_002.csv"]
+        written = [(tmp_path / "out" / name).read_bytes().decode()
+                   for name in names]
+        assert written == expected
+
     def test_dumped_paths_reload_to_the_same_tau_table(self, tmp_path):
         # dump sampled paths, then read them back in a second ladder run:
         # the reloaded paths give the sampled run's ladder times exactly
@@ -181,6 +210,15 @@ class TestFunctionalSpecs:
     def test_non_finite_hitting_level_rejected_at_parse(self):
         with pytest.raises(RuleError):
             parse_functional("hitting_time:nan")
+
+    def test_bad_functional_time_rejected_at_parse(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            parse_functional("value_at:nan")
+        cfg = write_config(tmp_path, kind="invariance", law="bm(dt=0.1,T=1)",
+                           rule="fixed(0)", N=1000, functionals=["value_at:-1"],
+                           out_dir=str(tmp_path / "out"))
+        assert main(["run", cfg]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestGridOverrides:

@@ -13,8 +13,10 @@ import pytest
 
 from reflectlab import (
     BrownianMotion,
+    DriftedBM,
     FixedTime,
     MinOf,
+    OconeTimeChange,
     TwoSidedHit,
     advance_formula_check,
     bound_check,
@@ -26,6 +28,12 @@ from reflectlab import (
     non_dyadic_sweep,
     sign_identity_test,
     stability_suite,
+)
+from reflectlab.verify import (
+    HittingTime,
+    RunningMax,
+    ValueAtRuleTime,
+    ValueAtTime,
 )
 
 # name -> (report factory, sha256 of its JSON)
@@ -64,6 +72,21 @@ GOLDEN = {
             BrownianMotion(dt=0.02, horizon=2.0), TwoSidedHit(1, 1),
             default_functionals(2.0), 1000, seed=12),
         "11f52918512bb887f33687301cb8bda7d9c7b2f71d1d4bb435893699c95b5b9b"),
+    # the sign flip keeps every reflected row on the sampler's knots
+    "invariance_test_drift": (
+        lambda: invariance_test(
+            DriftedBM(0.5, dt=0.02, horizon=2.0), FixedTime(0.0),
+            default_functionals(2.0), 1000, seed=15),
+        "6beb94eb0554a625d4a462b7d00a50fe9be4cf94b1988f8c3ee5a380cd5ac074"),
+    # a per-draw scale, a pivot inside the grid, a value between knots and
+    # a functional read off the path of each row
+    "invariance_test_ocone": (
+        lambda: invariance_test(
+            OconeTimeChange("random_rate", dt=0.02, horizon=2.0),
+            FixedTime(1.0),
+            [ValueAtTime(0.37), RunningMax(), HittingTime(0.5),
+             ValueAtRuleTime(TwoSidedHit(1, 1), "exit11")], 1000, seed=16),
+        "941e3a0b615f5ff8f9f0f0e8244b12476fd84349116f795269b4fb0917c546a5"),
     "counterexample_demo": (
         lambda: counterexample_demo(1000, seed=13),
         "81b87f271ac65c90e09089a7dae74fb0238b7d4876a68564661c17d95cc7e584"),

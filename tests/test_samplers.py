@@ -35,6 +35,19 @@ class TestReproducibility:
         assert p == q
         assert sampler.sample(4) != p
 
+    @pytest.mark.parametrize("sampler", [
+        BrownianMotion(dt=0.05, horizon=2.0, seed=5),
+        DriftedBM(0.3, dt=0.05, horizon=2.0, seed=5),
+        OconeTimeChange(clock="identity", dt=0.05, horizon=2.0, seed=5),
+        OconeTimeChange(clock="random_rate", dt=0.05, horizon=2.5, seed=5),
+    ])
+    def test_block_rows_are_the_draws_bit_for_bit(self, sampler):
+        knots, inc = sampler._rows(range(7, 30))
+        for r, row in enumerate(inc):
+            p = sampler.sample(7 + r)
+            assert p.knots is knots
+            assert row.tobytes() == p.increments.tobytes()
+
     def test_distinct_seeds_differ(self):
         a = BrownianMotion(dt=0.05, horizon=2.0, seed=1).sample(0)
         b = BrownianMotion(dt=0.05, horizon=2.0, seed=2).sample(0)

@@ -1,5 +1,6 @@
 """Verification layer: exact suites, statistical tests, reports."""
 
+import dataclasses
 import json
 import math
 import operator
@@ -10,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from reflectlab import (
@@ -20,6 +23,7 @@ from reflectlab import (
     FixedTime,
     FirstPassage,
     MinOf,
+    OconeTimeChange,
     Path,
     RuleError,
     StoppedSymmetric,
@@ -34,15 +38,19 @@ from reflectlab import (
     martingale_step_test,
     max_deviation,
     non_dyadic_sweep,
+    parse_rule,
+    reflect_at_rule,
     sign_identity_test,
     stability_suite,
 )
+from reflectlab.samplers import _GridLaw
 from reflectlab.verify import (
     HittingTime,
     RunningMax,
     Statistic,
     ValueAtRuleTime,
     ValueAtTime,
+    _invariance_block,
     _run_draws,
 )
 
@@ -138,6 +146,20 @@ class TestInvarianceTest:
         with pytest.raises(RuleError):
             HittingTime(level)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_functional_time_rejected_at_construction(self, t):
+        # it used to raise TimeOutOfRangeError only at the first draw
+        with pytest.raises(ConfigurationError):
+            ValueAtTime(t)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_functional_time_past_horizon_rejected(self, workers):
+        sampler = BrownianMotion(dt=0.05, horizon=2.0, seed=47)
+        with pytest.raises(ConfigurationError,
+                           match="functional time 2.5 exceeds horizon 2.0"):
+            invariance_test(sampler, FixedTime(0.0), [ValueAtTime(2.5)],
+                            1000, workers=workers)
+
     def test_colliding_functional_names_rejected(self):
         # both print as value_at_1 under :g, which would give two statistics
         # and two summary rows of one name
@@ -163,6 +185,100 @@ class TestInvarianceTest:
                             1200, seed=7)
         assert a.statistics[0].value == b.statistics[0].value
         assert a.seed == 7
+
+
+@dataclasses.dataclass(frozen=True)
+class _OneRow(_GridLaw):
+    """A grid law whose every draw is the same constructed path."""
+
+    knots: tuple
+    increments: tuple
+    seed: int = 0
+
+    def _rows(self, indices):
+        knots = np.array(self.knots)
+        knots.setflags(write=False)
+        return knots, np.tile(self.increments, (len(indices), 1))
+
+
+# values 0, 0.5, 1, 0.75, 1.75: hit(1) and the exit from (-1, 1) are
+# exactly at knot 2, so their reflections keep the knot array and anchor
+# knot 2
+_EXACT_AT_KNOT = _OneRow((0.0, 0.5, 1.0, 1.5, 2.0), (0.5, 0.5, -0.25, 1.0))
+
+# the block routes: a grid law (bm, drift, ocone) sums its draws in a
+# matrix, the others (stopped, counterexample) go a path at a time
+_BLOCK_LAWS = [
+    BrownianMotion(dt=0.05, horizon=2.0),
+    DriftedBM(0.5, dt=0.05, horizon=2.0),
+    OconeTimeChange("identity", dt=0.05, horizon=2.0),
+    OconeTimeChange("random_rate", dt=0.05, horizon=2.0),
+    StoppedSymmetric(level=1, dt=0.05, horizon=2.0),
+    DyadicCounterexample(horizon=2.0),
+    _EXACT_AT_KNOT,
+]
+# fixed(1.0) is a knot of the grid and fixed(0.37) is not
+_BLOCK_RULES = [parse_rule(spec) for spec in (
+    "fixed(0)", "fixed(1.0)", "fixed(0.37)", "fixed(3.0)", "hit(1)",
+    "Tpm(1,1)", "min(Tpm(1,2),fixed(1))")]
+_BLOCK_FUNCTIONALS = [
+    ValueAtTime(0.37), ValueAtTime(2.0), RunningMax(), HittingTime(0.0),
+    HittingTime(0.5), HittingTime(-0.5),
+    ValueAtRuleTime(TwoSidedHit(1, 1), "exit11")]
+
+
+def _block_reference(sampler, rule, functionals, indices):
+    """apply on each draw and on its reflection, indexed by arm, functional
+    and draw as a block is."""
+    rows = []
+    for i in indices:
+        p = sampler.sample(i)
+        rows.append([[f.apply(q) for f in functionals]
+                     for q in (p, reflect_at_rule(p, rule))])
+    return np.array(rows).transpose(1, 2, 0)
+
+
+class TestInvarianceBlocks:
+    @given(st.sampled_from(_BLOCK_LAWS), st.sampled_from(_BLOCK_RULES),
+           st.integers(0, 2 ** 32), st.integers(1, 9), st.integers(0, 3),
+           st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_block_is_apply_bit_for_bit(self, law, rule, seed, size, b,
+                                        short):
+        sampler = dataclasses.replace(law, seed=seed)
+        n = max(b * size + 1, (b + 1) * size - short)  # may cut the block
+        block = _invariance_block(
+            (sampler, rule, _BLOCK_FUNCTIONALS, n, size), b)
+        indices = range(b * size, min(n, (b + 1) * size))
+        expected = _block_reference(sampler, rule, _BLOCK_FUNCTIONALS,
+                                    indices)
+        assert block.shape == expected.shape
+        assert block.tobytes() == expected.tobytes()
+
+    def test_fixed_rules_sit_on_and_off_the_grid(self):
+        knots = BrownianMotion(dt=0.05, horizon=2.0).sample(0).knots
+        assert 1.0 in knots and 0.37 not in knots
+
+    def test_anchored_reflection_goes_through_apply(self, monkeypatch):
+        # the reflected rows keep the sampled knot array but carry an
+        # anchor, which can override a float verdict: apply reads them
+        sampler, rule = _EXACT_AT_KNOT, TwoSidedHit(1, 1)
+        p = sampler.sample(0)
+        q = reflect_at_rule(p, rule)
+        assert q.knots is p.knots and q.anchors == {2: Fraction(1)}
+        applied = []
+
+        def spy(self, p):
+            applied.append(p)
+            return float(np.max(p.values))
+
+        functionals = [RunningMax(), HittingTime(1)]
+        expected = _block_reference(sampler, rule, functionals, range(3))
+        monkeypatch.setattr(RunningMax, "apply", spy)
+        block = _invariance_block((sampler, rule, functionals, 3, 3), 0)
+        # the sampled rows are read off the matrix, the reflected ones not
+        assert [p.anchors for p in applied] == [{2: Fraction(1)}] * 3
+        assert block.tobytes() == expected.tobytes()
 
 
 class TestBoundCheck:
