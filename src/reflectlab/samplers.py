@@ -1,10 +1,20 @@
 """Seeded path samplers.
 
 Each sampler is an immutable law descriptor; ``sample(index)`` returns one
-path.  Streams are derived per draw from ``SeedSequence(seed, spawn_key=
-(index, ...))``, so draws with equal (law, seed, index) are bit-identical,
-distinct indices are independent streams, and workers can draw in parallel
-with no shared generator state.
+path.  The random stream of a draw is, bit for bit, NumPy's
+``default_rng(SeedSequence(seed, spawn_key=(index, stream)))`` (stream 0
+for the increments, 1 for the random clock's rates), so draws with equal
+(law, seed, index) are bit-identical, distinct indices are independent
+streams, and workers can draw in parallel with no shared generator state.
+The seed is validated at construction: anything ``operator.index`` takes,
+except bool, and nonnegative.
+
+SeedSequence's hash is computed here, not by NumPy (``_seed_words``): the
+seed's words are hashed once per seed (``_seed_pool`` is cached), and a
+block of indices mixes in its spawn-key words elementwise over one index
+column, so one pass seeds the whole block; PCG64 then seeds itself from
+the four words of each row.  A single index runs the same hash on Python
+ints.
 
 Gaussian increments use NumPy's ziggurat standard-normal generator on top of
 the PCG64 stream; any exact-distribution method would do, this one is the
@@ -24,6 +34,7 @@ built every array itself; parameters are validated once, at construction.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +42,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import RuleError, SamplerError
 from .path import Path, _fast_path
@@ -42,9 +54,139 @@ __all__ = [
 ]
 
 
-def _rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index, stream)))
+# The SeedSequence hash of numpy's bit_generator.pyx (stable since numpy
+# 1.19).  Every step masks its result to 32 bits, so the same code runs on
+# Python ints and elementwise on uint64 arrays: a product of two 32-bit
+# words fits in 64 bits, and a wrapped uint64 difference keeps its low 32.
+# Every operand is a uint64 array or a Python int below 2**32, which stays
+# uint64 under the legacy and the NEP 50 promotion rules alike.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words(n) -> list[int]:
+    """The uint32 words of a nonnegative int, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise SamplerError(f"expected a nonnegative index, got {n}")
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """A hashed word and the next hash constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _absorb(pool: list, words, const: int, skip: int = -1) -> int:
+    """Mix each word into every pool word but pool[skip], in place; returns
+    the hash constant after the last word."""
+    for w in words:
+        for dst in range(_POOL):
+            if dst != skip:
+                # _hashmix(w, const), inline: this loop is per draw
+                const_next = const * _MULT_A & _MASK32
+                hashed = (w ^ const) * const_next & _MASK32
+                const = const_next
+                mixed = (_MIX_MULT_L * pool[dst]
+                         - _MIX_MULT_R * (hashed ^ hashed >> 16) & _MASK32)
+                pool[dst] = mixed ^ mixed >> 16
+    return const
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant after the seed's words, which SeedSequence
+    pads with zeros to the pool size whenever it has a spawn key."""
+    words = _words(seed)
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for w in words[:_POOL]:
+        hashed, const = _hashmix(w, const)
+        pool.append(hashed)
+    for src in range(_POOL):
+        # so late words reach early ones
+        const = _absorb(pool, [pool[src]], const, skip=src)
+    const = _absorb(pool, words[_POOL:], const)
+    return tuple(pool), const
+
+
+def _state(pool: list) -> list:
+    """generate_state(4, np.uint64): eight words hashed from the pool read
+    twice, joined in (low, high) pairs."""
+    out, const = [], _INIT_B
+    for j in range(2 * _POOL):
+        word, const = _hashmix(pool[j % _POOL], const, _MULT_B)
+        out.append(word)
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _seed_words(seed: int, indices: Sequence[int],
+                stream: int = 0) -> np.ndarray:
+    """Row r: SeedSequence(seed, spawn_key=(indices[r], stream))
+    .generate_state(4, np.uint64), bit for bit.
+
+    A block of one-word indices is hashed elementwise over its index
+    column; a single index, or a block with a wider one, row by row.
+    """
+    pool, const = _seed_pool(seed)
+    tail = _words(stream)
+    n = len(indices)
+    words = np.empty((n, _POOL), np.uint64)
+    if n > 1 and 0 <= min(indices) and max(indices) <= _MASK32:
+        columns = [np.asarray(indices, np.uint64)]
+        columns += [np.full(n, w, np.uint64) for w in tail]
+        rows = [np.full(n, w, np.uint64) for w in pool]
+        _absorb(rows, columns, const)
+        words.T[:] = _state(rows)
+    else:
+        for r, index in enumerate(indices):
+            row = list(pool)
+            _absorb(row, _words(index) + tail, const)
+            words[r] = _state(row)
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 the four uint64 words it asks its seed sequence for."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL or dtype is not np.uint64:
+            raise ValueError("only PCG64's four uint64 words are held")
+        return self.words
+
+
+def _generators(seed: int, indices: Sequence[int], stream: int = 0):
+    """default_rng(SeedSequence(seed, spawn_key=(index, stream))) for each
+    index, bit for bit; PCG64 still seeds itself from the words."""
+    for words in _seed_words(seed, indices, stream):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def _check_seed(law) -> None:
+    """Validate a law's seed at construction, not at its first draw (which
+    may run in a pool worker), and store it as an int."""
+    try:
+        seed = operator.index(law.seed)
+    except TypeError:
+        seed = -1
+    if seed < 0 or isinstance(law.seed, bool):
+        raise SamplerError(
+            f"seed must be a nonnegative integer, got {law.seed!r}")
+    object.__setattr__(law, "seed", seed)
 
 
 @lru_cache(maxsize=16)
@@ -71,8 +213,8 @@ def _scaled_normals(seed: int, indices: Sequence[int],
     """One row of standard normals per index, each from its own stream,
     times scale (one row for all, or one per index), computed in place."""
     z = np.empty((len(indices), scale.shape[-1]))
-    for row, index in zip(z, indices):
-        _rng(seed, index).standard_normal(out=row)
+    for row, rng in zip(z, _generators(seed, indices)):
+        rng.standard_normal(out=row)
     z *= scale
     return z
 
@@ -103,6 +245,7 @@ class BrownianMotion(_GridLaw):
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self)
         _grid(self.dt, self.horizon)
 
     def _rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -121,6 +264,7 @@ class DriftedBM(_GridLaw):
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self)
         if not math.isfinite(self.drift):
             raise SamplerError(f"drift must be finite, got {self.drift!r}")
         _grid(self.dt, self.horizon)
@@ -147,12 +291,13 @@ class DyadicCounterexample:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self)
         if not 1.0 < self.horizon < math.inf:
             raise SamplerError("horizon must be finite and exceed the first "
                                "segment (1.0)")
 
     def sample(self, index: int) -> Path:
-        rng = _rng(self.seed, index)
+        rng, = _generators(self.seed, (index,))
         xi, eta = 2.0 * rng.integers(0, 2, size=2) - 1.0
         return Path(np.array([0.0, 1.0, self.horizon]),
                     np.array([xi, (self.horizon - 1.0) * eta]),
@@ -169,6 +314,7 @@ class StoppedSymmetric:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self)
         # built once, outside the fields, so repr and equality are the law's
         try:
             exit_rule = TwoSidedHit(self.level, self.level)
@@ -208,6 +354,7 @@ class OconeTimeChange(_GridLaw):
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self)
         if self.clock not in ("identity", "random_rate"):
             raise SamplerError(f"unknown clock spec {self.clock!r}")
         _grid(self.dt, self.horizon)
@@ -220,8 +367,8 @@ class OconeTimeChange(_GridLaw):
             mid = (knots[:-1] + knots[1:]) / 2.0
             unit = np.minimum(mid.astype(int), n_units - 1)
             root_steps = np.empty((len(indices), steps.size))
-            for row, index in zip(root_steps, indices):
-                rates_rng = _rng(self.seed, index, stream=1)
+            for row, rates_rng in zip(
+                    root_steps, _generators(self.seed, indices, stream=1)):
                 unit_rates = np.exp(rates_rng.uniform(
                     np.log(0.25), np.log(4.0), size=n_units))
                 np.sqrt(steps * unit_rates[unit], out=row)

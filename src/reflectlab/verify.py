@@ -276,7 +276,7 @@ class ValueAtTime:
 
     @property
     def name(self) -> str:
-        return f"value_at_{self.t:g}"
+        return f"value_at_{float(self.t):g}"
 
     def _check(self, horizon: float) -> None:
         if self.t > horizon:
@@ -318,7 +318,7 @@ class HittingTime:
 
     @property
     def name(self) -> str:
-        return f"hitting_time_{self.level:g}"
+        return f"hitting_time_{float(self.level):g}"
 
     def apply(self, p: Path) -> float:
         t = self._rule.evaluate(p)

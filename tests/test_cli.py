@@ -53,6 +53,16 @@ class TestRun:
             out_dir=str(tmp_path / "out"))
         assert main(["run", bad_rational]) == 1
 
+    def test_string_seed_exit_one(self, tmp_path, capsys):
+        # it used to raise TypeError at the first draw, past the CLI's
+        # error handling
+        cfg = write_config(
+            tmp_path, kind="invariance", law="bm(dt=0.1,T=1)",
+            rule="fixed(0)", N=1000, seed="3", out_dir=str(tmp_path / "out"))
+        assert main(["run", cfg]) == 1
+        assert "seed must be a nonnegative integer, got '3'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dyadic_ladder_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, kind="ladder", a="1", b="3", n=4,
                            out_dir=str(tmp_path / "out"))

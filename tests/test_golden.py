@@ -78,6 +78,12 @@ GOLDEN = {
             DriftedBM(0.5, dt=0.02, horizon=2.0), FixedTime(0.0),
             default_functionals(2.0), 1000, seed=15),
         "6beb94eb0554a625d4a462b7d00a50fe9be4cf94b1988f8c3ee5a380cd5ac074"),
+    # a two-word seed, as the benchmark's sub-seeds are
+    "invariance_test_drift_wide_seed": (
+        lambda: invariance_test(
+            DriftedBM(0.5, dt=0.02, horizon=2.0), FixedTime(0.0),
+            default_functionals(2.0), 1000, seed=2**63 + 15),
+        "77f2aeaeb2d8ea4065cb61a070f32a348b3947e0f8bc054b691711e49b9b0557"),
     # a per-draw scale, a pivot inside the grid, a value between knots and
     # a functional read off the path of each row
     "invariance_test_ocone": (

@@ -1,5 +1,6 @@
 """Samplers: reproducibility, law properties, spec strings."""
 
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from reflectlab import (
@@ -20,6 +23,7 @@ from reflectlab import (
     parse_law,
     value_at,
 )
+from reflectlab.samplers import _generators, _seed_words
 
 
 class TestReproducibility:
@@ -52,6 +56,72 @@ class TestReproducibility:
         a = BrownianMotion(dt=0.05, horizon=2.0, seed=1).sample(0)
         b = BrownianMotion(dt=0.05, horizon=2.0, seed=2).sample(0)
         assert a != b
+
+
+class TestSeedHash:
+    """The block hash is numpy's SeedSequence, bit for bit."""
+
+    # every bit length up to 200, so seeds of one to seven words (past the
+    # pool of four) are all drawn
+    @given(seed=st.integers(0, 200).flatmap(
+               lambda bits: st.integers(2**bits >> 1, 2**bits - 1)),
+           extra=st.lists(st.integers(0, 2**70), max_size=6),
+           stream=st.sampled_from([0, 1]))
+    @example(seed=2**130 + 64, extra=[], stream=1)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_seed_sequence_states(self, seed, extra, stream):
+        # one-word indices go through the elementwise block hash, the
+        # wider ones row by row; a lone index is a block of one
+        narrow = [0, 7, 2**32 - 1] + [i for i in extra if i < 2**32]
+        for indices in (narrow, [0, 2**32 - 1, 2**32, 2**64 + 5, *extra],
+                        [extra[0] if extra else 3]):
+            words = _seed_words(seed, indices, stream)
+            assert words.dtype == np.uint64 and words.shape == (
+                len(indices), 4)
+            for row, i in zip(words, indices):
+                ss = np.random.SeedSequence(seed, spawn_key=(i, stream))
+                assert row.tolist() == ss.generate_state(4, np.uint64).tolist()
+        for i, rng in zip(narrow, _generators(seed, narrow, stream)):
+            ref = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i, stream)))
+            assert (rng.standard_normal(50).tobytes()
+                    == ref.standard_normal(50).tobytes())
+            assert rng.integers(0, 2, size=2).tolist() == \
+                ref.integers(0, 2, size=2).tolist()
+
+
+_LAWS = [
+    lambda seed: BrownianMotion(dt=0.05, horizon=2.0, seed=seed),
+    lambda seed: DriftedBM(0.3, dt=0.05, horizon=2.0, seed=seed),
+    lambda seed: OconeTimeChange(clock="random_rate", dt=0.05, horizon=2.0,
+                                 seed=seed),
+    lambda seed: DyadicCounterexample(horizon=4.0, seed=seed),
+    lambda seed: StoppedSymmetric(level=1, dt=0.05, horizon=2.0, seed=seed),
+]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("law", range(len(_LAWS)))
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False,
+                                      np.float64(2.0)])
+    def test_bad_seed_rejected_at_construction(self, law, seed):
+        # -1, 1.5 and "3" used to fail only at the first draw (maybe in a
+        # pool worker), and None drew fresh OS entropy on every call
+        with pytest.raises(SamplerError, match="seed"):
+            _LAWS[law](seed)
+        with pytest.raises(SamplerError, match="seed"):
+            dataclasses.replace(_LAWS[law](0), seed=seed)
+
+    @pytest.mark.parametrize("law", range(len(_LAWS)))
+    def test_index_like_seed_stored_as_int(self, law):
+        sampler = _LAWS[law](np.uint64(2**63 + 5))
+        assert type(sampler.seed) is int
+        assert sampler == _LAWS[law](2**63 + 5)
+        assert sampler.sample(2) == _LAWS[law](2**63 + 5).sample(2)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(SamplerError):
+            BrownianMotion(dt=0.05, horizon=2.0, seed=1).sample(-1)
 
 
 class TestParameterValidation:
@@ -222,15 +292,61 @@ class TestGridSamplers:
             "53887768de7167e827f27384731f857b"),
     }
 
-    @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_pinned_draws(self, name):
-        sampler, digest = self.PINNED[name]
+    # the same, for seeds of two words and of five (more than the hash's
+    # pool of four), and for single draws at indices of one and two words
+    WIDE = {
+        "bm_two_word_seed": (
+            BrownianMotion(dt=0.01, horizon=2.0, seed=2**63 + 61), range(50),
+            "f033ac00555fddc9ea2a74d37ecc68db"
+            "90058d05947a15cecb0d881e62f2763c"),
+        "ocone_five_word_seed": (
+            OconeTimeChange(clock="random_rate", dt=0.01, horizon=2.5,
+                            seed=2**130 + 64), range(50),
+            "49e9bc9efc08a6ca6f8b7141bdd56052"
+            "11fc046189d3b476e59e4d999c6445f6"),
+        "bm_index_2**32-1": (
+            BrownianMotion(dt=0.01, horizon=2.0, seed=61), [2**32 - 1],
+            "1736c12d5ed3e64cd3db1ca474d4f4cc"
+            "bd255ec208571d284ff95cbd69ac67a0"),
+        "bm_index_2**32": (
+            BrownianMotion(dt=0.01, horizon=2.0, seed=61), [2**32],
+            "62a0688fe4a26bdc029e170aaf9d3c68"
+            "46c0f1347d8f20334e8b8126bc2b78ae"),
+        "ocone_index_2**32-1": (
+            OconeTimeChange(clock="random_rate", dt=0.01, horizon=2.5,
+                            seed=64), [2**32 - 1],
+            "7b144a1ddf4c4491ea690edc3861b1b9"
+            "36cbff8f1306c162626bf51eb0b25e5d"),
+        "ocone_index_2**32": (
+            OconeTimeChange(clock="random_rate", dt=0.01, horizon=2.5,
+                            seed=64), [2**32],
+            "dc8cd61e6c33685b685c123f81355053"
+            "6af0651055a439fe1e21fcfcccd692cb"),
+        "counterexample_wide": (
+            DyadicCounterexample(horizon=4.0, seed=2**63 + 5),
+            [*range(20), 2**32 - 1, 2**32],
+            "d14ed23546f0a3edfbc8ea62e7cc6c5c"
+            "02d6e0ec311d581cc50a28c8e9a39957"),
+    }
+
+    @staticmethod
+    def _digest(sampler, indices):
         h = hashlib.sha256()
-        for i in range(50):
+        for i in indices:
             p = sampler.sample(i)
             h.update(p.knots.tobytes())
             h.update(p.increments.tobytes())
-        assert h.hexdigest() == digest
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_draws(self, name):
+        sampler, digest = self.PINNED[name]
+        assert self._digest(sampler, range(50)) == digest
+
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_pinned_wide_draws(self, name):
+        sampler, indices, digest = self.WIDE[name]
+        assert self._digest(sampler, indices) == digest
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_draws_share_one_read_only_grid(self, name):

@@ -26,6 +26,7 @@ from reflectlab import (
     OconeTimeChange,
     Path,
     RuleError,
+    SamplerError,
     StoppedSymmetric,
     TwoSidedHit,
     advance_formula_check,
@@ -176,6 +177,26 @@ class TestInvarianceTest:
         r2 = invariance_test(sampler, FixedTime(0.0), workers=2, **kw)
         assert [s.value for s in r1.statistics] == \
             [s.value for s in r2.statistics]
+
+    def test_fraction_levels_have_float_names(self):
+        # format(Fraction, "g") raised TypeError, so the name check failed
+        # although apply and rows take the level
+        assert HittingTime(Fraction(1, 2)).name == "hitting_time_0.5"
+        assert ValueAtTime(Fraction(1, 2)).name == "value_at_0.5"
+        assert HittingTime(-1).name == "hitting_time_-1"
+        assert ValueAtTime(2.0).name == "value_at_2"
+        sampler = BrownianMotion(dt=0.05, horizon=2.0, seed=48)
+        exact, floating = (
+            invariance_test(sampler, FixedTime(0.0), [f], 1000)
+            for f in (HittingTime(Fraction(1, 2)), HittingTime(0.5)))
+        assert exact.to_json() == floating.to_json()
+
+    def test_bad_reseed_rejected_before_any_draw(self):
+        sampler = BrownianMotion(dt=0.05, horizon=2.0, seed=0)
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(SamplerError, match="seed"):
+                invariance_test(sampler, FixedTime(0.0), [ValueAtTime(1.0)],
+                                1000, seed=seed, workers=2)
 
     def test_reseeding_reproducible(self):
         sampler = BrownianMotion(dt=0.05, horizon=2.0, seed=0)
