@@ -1,21 +1,27 @@
 """Wall time, peak memory and report digests of the nine acceptance criteria.
 
-    python3 bench/criteria.py --label NAME [--src DIR]
+    python3 bench/criteria.py --label NAME [CRITERION ...] [--repeat K]
+                              [--src DIR [--src-label NAME]]
 
 Each criterion runs exactly as ``tests/test_acceptance.py`` runs it (its
 ``CRITERIA`` table: same config, seed and worker count), in a fresh
-interpreter of its own with DIR on the path, by default the ``src`` of the
-checkout that holds this script.  Pointing --src at another checkout's
-``src`` (say, the parent commit's) times the same runs on that library.
+interpreter of its own with the ``src`` of the checkout that holds this
+script on the path.  The criterion numbers pick which to run (by default
+all nine), and ``--repeat K`` runs each of them K times.  With ``--src DIR``
+(say, the parent commit's ``src``) each criterion also runs K times on that
+library, the two libraries taking turns run by run, so that both see the
+same phases of the host's speed.
 
 The record, ``BENCH_criteria_<NAME>.json`` in the checkout root, holds the
-environment and, per criterion, its wall time; that time scaled to the
-host's full speed by the reference kernel of ``perfbench/bench.py``
-(``REF_NOMINAL_NS`` over the mean of the reference times measured right
-before and right after the run), as the benchmark scales its times; the peak
-RSS of the interpreter plus its largest pool worker; and the verdict and the
-sha256 of ``to_json()`` of each report.  A changed digest is a changed
-statistic.
+environment and, per criterion and library, the median and quartiles of its
+wall time and of that time scaled to the host's full speed by the reference
+kernel of ``perfbench/bench.py`` (``REF_NOMINAL_NS`` over the mean of the
+reference times measured right before and right after each run), as the
+benchmark scales its times; every run's times in run order; the largest
+peak RSS of the interpreter plus its largest pool worker; and the verdict
+and the sha256 of ``to_json()`` of each report, which every repeat must
+reproduce.  A changed digest is a changed statistic.  The ``--src``
+library's rows go under ``against``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -54,11 +61,52 @@ def run_criterion(number: int) -> dict:
                        for r in reports]}
 
 
+def run_child(number: int, src: str) -> dict:
+    """Run one criterion in a fresh interpreter on the library in src."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--child", str(number), "--src", src],
+        stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        text=True, timeout=CHILD_TIMEOUT_S, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summarize(number: int, runs: list[dict]) -> dict:
+    """One criterion's runs on one library: median, quartiles and every
+    run of the wall and scaled times, the largest peak RSS, and the
+    verdicts and digests, which every run must repeat."""
+    first = runs[0]
+    for run in runs[1:]:
+        if (run["verdicts"], run["sha256"]) != (first["verdicts"],
+                                                first["sha256"]):
+            raise RuntimeError(f"criterion {number}: a repeat changed a "
+                               f"report: {first['sha256']} then "
+                               f"{run['sha256']}")
+    row = {"verdicts": first["verdicts"], "sha256": first["sha256"],
+           "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+           "repeat": len(runs)}
+    for key in ("wall_s", "scaled_s"):
+        times = [r[key] for r in runs]
+        row[key] = statistics.median(times)
+        row[f"{key}_quartiles"] = (
+            statistics.quantiles(times, n=4, method="inclusive")[::2]
+            if len(times) > 1 else [times[0], times[0]])
+        row[f"{key}_runs"] = times
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("numbers", nargs="*", type=int, metavar="CRITERION",
+                    help="criteria to run, 1 to 9 (default: all nine)")
     ap.add_argument("--label", help="record name: BENCH_criteria_<label>.json")
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="directory holding the reflectlab package to time")
+    ap.add_argument("--repeat", type=int, default=1,
+                    help="runs of each criterion on each library")
+    ap.add_argument("--src", type=Path,
+                    help="directory holding a reflectlab package to run "
+                         "against this checkout's, run for run")
+    ap.add_argument("--src-label",
+                    help="name recorded for the --src library (say, its "
+                         "commit)")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
@@ -74,24 +122,41 @@ def main(argv=None) -> int:
         return 0
     if not args.label:
         ap.error("--label is required")
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    if not all(1 <= n <= 9 for n in args.numbers):
+        ap.error("criteria are numbered 1 to 9")
 
-    src = str(args.src.resolve())
-    sys.path[:0] = [str(ROOT / "perfbench"), src]  # bench imports reflectlab
+    own = str((ROOT / "src").resolve())
+    libraries = {"own": own}
+    if args.src is not None:
+        libraries["against"] = str(args.src.resolve())
+    sys.path[:0] = [str(ROOT / "perfbench"), own]  # bench imports reflectlab
     import bench
 
     record = {"label": args.label, "environment": bench.environment(),
               "ref_nominal_ns": bench.REF_NOMINAL_NS, "criteria": {}}
-    for number in range(1, 10):
-        done = subprocess.run(
-            [sys.executable, __file__, "--child", str(number), "--src", src],
-            stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
-            text=True, timeout=CHILD_TIMEOUT_S, check=True)
-        row = json.loads(done.stdout.splitlines()[-1])
-        record["criteria"][str(number)] = row
-        print(f"criterion {number}: {row['wall_s']:.1f} s "
-              f"(scaled {row['scaled_s']:.1f} s), "
-              f"{row['peak_rss_mb']:.0f} MB, {', '.join(row['verdicts'])}",
-              flush=True)
+    if args.src is not None:
+        record["against"] = {"label": args.src_label, "criteria": {}}
+    for number in sorted(set(args.numbers or range(1, 10))):
+        runs = {name: [] for name in libraries}
+        for r in range(args.repeat):
+            # take turns, each library first in every other round
+            order = list(libraries) if r % 2 else list(libraries)[::-1]
+            for name in order:
+                row = run_child(number, libraries[name])
+                runs[name].append(row)
+                print(f"criterion {number} [{name}] run {r + 1}: "
+                      f"{row['wall_s']:.1f} s (scaled {row['scaled_s']:.1f} "
+                      f"s), {row['peak_rss_mb']:.0f} MB, "
+                      f"{', '.join(row['verdicts'])}", flush=True)
+        record["criteria"][str(number)] = summarize(number, runs["own"])
+        if args.src is not None:
+            against = summarize(number, runs["against"])
+            record["against"]["criteria"][str(number)] = against
+            if against["sha256"] != record["criteria"][str(number)]["sha256"]:
+                print(f"criterion {number}: the --src library's digests "
+                      "differ", flush=True)
     out = ROOT / f"BENCH_criteria_{args.label}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out.name}")

@@ -58,7 +58,7 @@ from . import verify
 from .errors import ConfigurationError, ReflectlabError
 from .path import dump_csv, load_csv
 from .rational import is_dyadic
-from .samplers import parse_law
+from .samplers import _checked_seed, parse_law
 from .stopping import format_time, ladder_levels, ladder_trace, parse_rule
 from .verify import (
     HittingTime,
@@ -258,7 +258,9 @@ def run_config(cfg: dict) -> int:
     if kind not in _KINDS:
         raise ConfigurationError(
             f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
-    cfg.setdefault("seed", 0)
+    # checked for every kind, so that one that builds no sampler cannot
+    # record a seed no sampler would take
+    cfg["seed"] = _checked_seed(cfg.get("seed", 0))
     drawn: list = []  # draws of the law made in this run, in index order
     report = (_run_ladder(cfg, drawn) if kind == "ladder"
               else _KINDS[kind](cfg))

@@ -14,11 +14,14 @@ Exit scan
 done by one kernel (``_locate_exit``): the first exit of the increment sum
 restarted at a knot from an interval whose sides may be unbounded.  It sums
 with one rule: increments left to right from 0.0, in blocks that carry the
-running sum in as their first summand.  From knot 0 these sums are
-``Path.values`` bit for bit, so a level passage and the ladder window that
-defines the same stopping time agree to the bit, and a scan from knot 0
-reads that cache when the path already has it.  A window that ends at a
-knot anchored on one of its bounds is summed to that knot in one cumsum.
+running sum in as their first summand.  The first block holds ``_BLOCK``
+summands and each later one twice as many as the one before, so an early
+exit stops early and a long scan makes few numpy calls; where the seams
+fall never changes a bit.  From knot 0 these sums are ``Path.values`` bit
+for bit, so a level passage and the ladder window that defines the same
+stopping time agree to the bit, and a scan from knot 0 reads that cache
+when the path already has it.  A window that ends at a knot anchored on one
+of its bounds is summed to that knot in one cumsum.
 
 The kernel only locates the exit (time, knot or segment, side) and leaves the
 path alone.  Pinning it, a knot inserted at the exact target or an anchor
@@ -136,15 +139,18 @@ def _locate_exit(p: Path, k: int, lo: float, hi: float,
     ``anchor`` (j, side) is an anchored knot j after the start whose exact
     value is on the bound of that side: the exit is there unless the float
     sums leave before knot j, so the window up to it is summed in one
-    exact-length cumsum.  Without an anchor the sums run in blocks of
-    ``_BLOCK`` summands, so an early exit stops early.
+    exact-length cumsum.  Without an anchor the sums run in blocks: the
+    first of ``_BLOCK`` summands, so an early exit stops early, and each
+    later one twice the one before, so a scan of n summands pays the fixed
+    cost of a block (the numpy calls) about log2(n / _BLOCK) times instead
+    of n / _BLOCK times.
 
     One summation rule: summands are added left to right from 0.0, a
-    block's first summand being the running sum carried in.  From knot 0
-    these sums are ``p.values`` bit for bit, and that cache, when it
-    exists, is read instead.  A reflection pivoted at or before the start
-    negates the sums exactly, so a hit on a reflected path mirrors bit for
-    bit.
+    block's first summand being the running sum carried in, so the block
+    sizes move only the seams, never a sum.  From knot 0 these sums are
+    ``p.values`` bit for bit, and that cache, when it exists, is read
+    instead.  A reflection pivoted at or before the start negates the sums
+    exactly, so a hit on a reflected path mirrors bit for bit.
     """
     t0 = float(p.knots[k]) if lead is None else lead[0]
     if not lo < 0.0 < hi:  # the start is on or past a bound
@@ -153,9 +159,10 @@ def _locate_exit(p: Path, k: int, lo: float, hi: float,
     first = k if lead is None else k - 1  # the sum at knot first + i is u_i
     n = inc.size - first if anchor is None else anchor[0] - 1 - first
     values = p.__dict__.get("values") if first == 0 and lead is None else None
-    start, offset = 0, 0.0
+    start, offset, block = 0, 0.0, _BLOCK
     while start < n:
-        stop = n if anchor is not None else min(n, start + _BLOCK)
+        stop = n if anchor is not None else min(n, start + block)
+        block *= 2
         if values is not None:
             u = values[start:stop + 1]
         else:

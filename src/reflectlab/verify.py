@@ -83,6 +83,7 @@ from .stopping import (
     FirstPassage,
     FixedTime,
     LadderStep,
+    LadderTrace,
     LevelLike,
     MinOf,
     Mixture,
@@ -542,20 +543,41 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
 # discrete martingale checks along the ladder
 # ---------------------------------------------------------------------------
 
+def _skeleton_step(tr: LadderTrace, n: int) -> Fraction:
+    """Y_{n+1} - Y_n of the trace to step n + 1, read off tr, a trace of
+    the same path to that step or further: a trace to a smaller n_max is a
+    prefix of one to a larger, since no step looks past its own window."""
+    return tr.skeleton_value(n + 1) - tr.skeleton_value(n)
+
+
 def _martingale_draw(args, i):
     """The sign word of draw i, its skeleton increments Y_{n+1} - Y_n for
-    n <= n_steps as floats, and how many fail the exact antisymmetry."""
+    n <= n_steps as floats, and how many fail the exact antisymmetry.
+
+    The antisymmetry at n re-traces, from knot 0 and to step n + 1, the
+    annotated path reflected at tau_n, or the annotated path itself when
+    tau_n is unobserved.  The self-traces of all such n are one trace of
+    one path read at different steps, so the annotated path is traced once,
+    to n_steps + 1, when the first unobserved tau_n comes up, and each such
+    n reads its step from that trace (``_skeleton_step``).  Each reflected
+    path is still traced on its own.
+    """
     sampler, a, b, n_steps = args
     tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
     increments = []
     anti_failures = 0
+    self_trace = None
     for n in range(n_steps + 1):
-        dy = tr.skeleton_value(n + 1) - tr.skeleton_value(n)
+        dy = _skeleton_step(tr, n)
         increments.append(float(dy))
         t_n = tr.times[n]
-        q = reflect_at_time(tr.path, t_n) if is_observed(t_n) else tr.path
-        tr_q = ladder_trace(a, b, q, n + 1)
-        if tr_q.skeleton_value(n + 1) - tr_q.skeleton_value(n) != -dy:
+        if is_observed(t_n):
+            tr_q = ladder_trace(a, b, reflect_at_time(tr.path, t_n), n + 1)
+        else:
+            if self_trace is None:
+                self_trace = ladder_trace(a, b, tr.path, n_steps + 1)
+            tr_q = self_trace
+        if _skeleton_step(tr_q, n) != -dy:
             anti_failures += 1
     return trace_sign_word(tr).entries, tuple(increments), anti_failures
 

@@ -63,6 +63,30 @@ class TestRun:
         assert "seed must be a nonnegative integer, got '3'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"kind": "ladder", "a": "1", "b": "2", "n": 4, "seed": "3"},
+         "got '3'"),
+        ({"kind": "lemmas", "limit": 10, "n_max": 4, "seed": -4},
+         "got -4"),
+    ], ids=["ladder-string", "lemmas-negative"])
+    def test_seed_checked_for_kinds_without_sampler(self, tmp_path, capsys,
+                                                    cfg, message):
+        # such kinds used to write the seed into report.json unchecked
+        path = write_config(tmp_path, out_dir=str(tmp_path / "out"), **cfg)
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert f"seed must be a nonnegative integer, {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_checked_after_overrides(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, kind="ladder", a="1", b="2", n=4,
+                            seed="3", out_dir=str(tmp_path / "out"))
+        assert main(["run", path, "--seed", "4"]) == 0
+        assert read_report(tmp_path / "out")["seed"] == 4
+        monkeypatch.setenv("REFLECTLAB_SEED", "5")
+        assert main(["run", path]) == 0
+        assert read_report(tmp_path / "out")["seed"] == 5
+
     def test_dyadic_ladder_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, kind="ladder", a="1", b="3", n=4,
                            out_dir=str(tmp_path / "out"))

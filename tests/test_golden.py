@@ -52,6 +52,18 @@ GOLDEN = {
         lambda: martingale_step_test(
             BrownianMotion(dt=1e-4, horizon=2.0), 1, 2, 4, 200, seed=9),
         "5b02c04ab8e32cc15d21c1faf858877708ec2a83b42fc6ceed57914fe32c8ded"),
+    # every tau_n observed: each step runs the reflected re-trace
+    "martingale_step_test_thirds": (
+        lambda: martingale_step_test(
+            BrownianMotion(dt=1e-3, horizon=4.0), Fraction(1, 3),
+            Fraction(1, 2), 8, 200, seed=17),
+        "6e460b014faf1442338b7d5e697d641b8debc0db62a58e0de02b704ef1b8a123"),
+    # observed and unobserved tau_n mixed, on a time-changed law
+    "martingale_step_test_ocone": (
+        lambda: martingale_step_test(
+            OconeTimeChange("random_rate", dt=1e-3, horizon=4.0), 2, 3, 6,
+            200, seed=18),
+        "d2bad981f36eac26bbccd640a2ea6db06e7589d0fcd8987328100ec1b7c6d97a"),
     "exit_alignment_test": (
         lambda: exit_alignment_test(
             BrownianMotion(dt=0.01, horizon=3.0), 1, 2, 4, 3, 2000, seed=10),

@@ -36,6 +36,7 @@ from reflectlab import (
 )
 from reflectlab.errors import MixturePartitionError
 from reflectlab.samplers import BrownianMotion, OconeTimeChange
+from reflectlab.stopping import _locate_exit
 
 F = Fraction
 
@@ -438,6 +439,120 @@ class TestExitKernel:
         assert tr.anchor_values == (F(0), F(1), F(2))
         assert tr.path.knots.size == p.knots.size + 1
         assert tr.path.anchors == {1: F(1), 2049 + lead: F(2)}
+
+    # later seams: the second block holds 4096 summands, the third 8192
+    FINE = 2.0 ** -14  # up to 2**14 steps of this size sum exactly
+    SEAMS = [2048 + 4096, 2048 + 4096 + 8192]
+
+    @pytest.mark.parametrize("seam", SEAMS)
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_level_hit_at_later_seam(self, seam, lead, cached):
+        # the level is reached exactly seam + lead knots past knot 0, read
+        # from the values cache or summed in blocks
+        p = unit_grid([0.0] * lead + [self.FINE] * (seam + 50))
+        if cached:
+            assert p.values[seam + lead] == seam * self.FINE
+        level = F(seam, 2 ** 14)
+        t, q = FirstPassage(level).observe(p)
+        assert t == seam + lead
+        assert q.anchors == {seam + lead: level}
+        t, q = FirstPassage(level - F(1, 2 ** 15)).observe(p)
+        assert t == seam + lead - 0.5  # crossing inside the seam segment
+        assert q.knots.size == p.knots.size + 1
+
+    @pytest.mark.parametrize("seam", SEAMS)
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_ladder_hit_at_later_seam(self, seam, lead):
+        # steps x, x for barriers (x, 2x); tau_1 at knot 1, then the window
+        # restarted there moves by x exactly seam + lead knots later
+        x = F(seam, 2 ** 14)
+        p = unit_grid([float(x)] + [0.0] * lead + [self.FINE] * (seam + 50))
+        tr = ladder_trace(x, 2 * x, p, 2)
+        assert tr.times == (0.0, 1.0, seam + 1.0 + lead)
+        assert tr.anchor_values == (F(0), x, 2 * x)
+
+    @pytest.mark.parametrize("seam", SEAMS)
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_ladder_hit_at_later_seam_after_split(self, seam, lead):
+        # tau_1 crosses x inside segment (0, 1); the next window starts
+        # with the split increment FINE (the kernel's lead) and reaches x
+        # exactly seam + lead summands later
+        x = F(seam, 2 ** 14)
+        p = unit_grid([float(x) + self.FINE] + [0.0] * lead
+                      + [self.FINE] * (seam + 50))
+        tr = ladder_trace(x, 2 * x, p, 2)
+        assert 0.0 < tr.times[1] < 1.0
+        assert tr.times[2] == seam + lead
+        assert tr.anchor_values == (F(0), x, 2 * x)
+        assert tr.path.anchors == {1: x, seam + lead + 1: 2 * x}
+
+    @staticmethod
+    def _one_cumsum_exit(p, k, lo, hi, lead):
+        """``_locate_exit`` without an anchor, the whole window in one
+        cumsum."""
+        t0 = float(p.knots[k]) if lead is None else lead[0]
+        if not lo < 0.0 < hi:
+            return t0, k, 1 if hi <= 0.0 else -1, lead is not None
+        first = k if lead is None else k - 1
+        u = np.concatenate(([0.0], p.increments[first:]))
+        if lead is not None:
+            u[1] = lead[1]
+        u = np.cumsum(u)
+        out = (u <= lo) | (u >= hi)
+        if not out.any():
+            return None
+        i = int(out.argmax())
+        j = first + i
+        side = 1 if u[i] >= hi else -1
+        target = hi if side == 1 else lo
+        if u[i] == target:
+            return float(p.knots[j]), j, side, False
+        tl = t0 if i == 1 else float(p.knots[j - 1])
+        return (tl + (target - u[i - 1]) * ((p.knots[j] - tl)
+                                            / (u[i] - u[i - 1])),
+                j, side, True)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 1e-9, 0.25, -1e-9]), st.booleans(),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_one_cumsum(self, seed, shave, open_side,
+                                     with_lead, cached):
+        # exits from the first summands to past the third seam, exactly on a
+        # sum or inside a segment, one side open or not, with and without a
+        # lead and the values cache; sizes and places come from the seed,
+        # so that they spread evenly
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40_001))
+        p = Path(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n)))),
+                 rng.standard_normal(n) + rng.normal(0.0, 0.2))
+        k = int(rng.random() ** 3 * (n - 1)) + with_lead
+        lead = None
+        if with_lead:  # start inside segment (k - 1, k), as after a split
+            t_l, t_r = p.knots[k - 1], p.knots[k]
+            split = rng.uniform(0.01, 0.99)
+            lead = (t_l + split * (t_r - t_l),
+                    (1.0 - split) * p.increments[k - 1])
+        if cached:
+            p.values
+        # the bound crossed is the running extreme up to a chosen summand m,
+        # on the side of the sum there, shaved so that it falls on a sum or
+        # inside a segment, or raised a little so that it may not be met
+        u = np.cumsum(np.concatenate(([0.0], p.increments[k - with_lead:])))
+        if with_lead:
+            u[1:] += lead[1] - p.increments[k - 1]
+        m = 1 + int(rng.random() * (u.size - 2))
+        far = math.inf if open_side else np.abs(u).max() + 1.0
+        if u[m] > 0.0:
+            lo, hi = -far, u[1:m + 1].max() * (1.0 - shave)
+        else:
+            lo, hi = u[1:m + 1].min() * (1.0 - shave), far
+        got = _locate_exit(p, k, lo, hi, lead=lead)
+        want = self._one_cumsum_exit(p, k, lo, hi, lead)
+        assert got == want
+        if got is not None:
+            assert float(got[0]).hex() == float(want[0]).hex()
 
     def test_ladder_exit_inside_split_segment(self):
         # the window after a split crosses again before the segment's end

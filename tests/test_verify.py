@@ -36,11 +36,14 @@ from reflectlab import (
     exit_alignment_test,
     invariance_test,
     is_dyadic,
+    is_observed,
+    ladder_trace,
     martingale_step_test,
     max_deviation,
     non_dyadic_sweep,
     parse_rule,
     reflect_at_rule,
+    reflect_at_time,
     sign_identity_test,
     stability_suite,
 )
@@ -52,7 +55,9 @@ from reflectlab.verify import (
     ValueAtRuleTime,
     ValueAtTime,
     _invariance_block,
+    _martingale_draw,
     _run_draws,
+    _skeleton_step,
 )
 
 
@@ -351,6 +356,81 @@ class TestMartingaleStepTest:
         rep = martingale_step_test(
             BrownianMotion(dt=0.1, horizon=0.3, seed=62), 1, 2, 1, 1200)
         assert rep.verdict == "pass"
+
+    # (a, b, n_steps, horizon): each case has observed and unobserved steps
+    LADDERS = [(1, 2, 6, 2.0), (Fraction(1, 3), Fraction(1, 2), 12, 1.0),
+               (2, 3, 6, 4.0)]
+
+    @staticmethod
+    def _law(name, horizon):
+        if name == "bm":
+            return BrownianMotion(dt=1e-3, horizon=horizon, seed=71)
+        return OconeTimeChange("random_rate", dt=1e-3, horizon=horizon,
+                               seed=72)
+
+    @pytest.mark.parametrize("law", ["bm", "ocone"])
+    @pytest.mark.parametrize("a, b, n_steps, horizon", LADDERS)
+    def test_self_trace_prefix_reads_match_fresh_traces(
+            self, law, a, b, n_steps, horizon):
+        # the one trace of tr.path to n_steps + 1 read at step n is the
+        # trace to n + 1, at every n: where tau_n is unobserved (the reads
+        # the draw makes) and where it is observed, so that a read one step
+        # too far differs
+        sampler = self._law(law, horizon)
+        unobserved = moved = 0
+        for i in range(60):
+            tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
+            whole = ladder_trace(a, b, tr.path, n_steps + 1)
+            for n in range(n_steps + 1):
+                fresh = ladder_trace(a, b, tr.path, n + 1)
+                assert whole.times[:n + 2] == fresh.times
+                assert whole.directions[:n + 1] == fresh.directions
+                assert whole.anchor_values[:n + 2] == fresh.anchor_values
+                for m in (n, n + 1):
+                    assert whole.skeleton_value(m) == fresh.skeleton_value(m)
+                step = fresh.skeleton_value(n + 1) - fresh.skeleton_value(n)
+                assert _skeleton_step(whole, n) == step
+                unobserved += not is_observed(tr.times[n])
+                moved += step != 0
+        assert unobserved >= 20 and moved >= 20
+
+    @pytest.mark.parametrize("law", ["bm", "ocone"])
+    @pytest.mark.parametrize("a, b, n_steps, horizon", LADDERS)
+    def test_draw_traces_its_path_once(self, monkeypatch, law, a, b,
+                                       n_steps, horizon):
+        # each draw gives what fresh traces of every step give, and traces
+        # the annotated path itself at most once
+        import reflectlab.verify
+
+        calls = []
+
+        def counting(a, b, p, n_max):
+            calls.append((p, ladder_trace(a, b, p, n_max)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(reflectlab.verify, "ladder_trace", counting)
+        sampler = self._law(law, horizon)
+        for i in range(20):
+            calls.clear()
+            entries, increments, failures = _martingale_draw(
+                (sampler, a, b, n_steps), i)
+            tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
+            expected = []
+            for n in range(n_steps + 1):
+                dy = tr.skeleton_value(n + 1) - tr.skeleton_value(n)
+                expected.append(float(dy))
+                t_n = tr.times[n]
+                q = reflect_at_time(tr.path, t_n) if is_observed(t_n) \
+                    else tr.path
+                fresh = ladder_trace(a, b, q, n + 1)
+                assert fresh.skeleton_value(n + 1) \
+                    - fresh.skeleton_value(n) == -dy
+            assert increments == tuple(expected) and failures == 0
+            observed = sum(map(is_observed, tr.times[:n_steps + 1]))
+            retraced = observed < n_steps + 1
+            assert len(calls) == 1 + observed + retraced
+            annotated = calls[0][1].path
+            assert sum(p is annotated for p, _ in calls[1:]) == retraced
 
 
 class TestStabilitySuite:
