@@ -1,6 +1,7 @@
 """CLI: config execution, outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import re
 
@@ -206,6 +207,120 @@ class TestDeterminism:
         monkeypatch.setenv("REFLECTLAB_SEED", "12")
         a, _ = self._run_twice(tmp_path, [], [])
         assert json.loads(a.replace(",\n\n", ",\n"))["seed"] == 12
+
+
+def report_digest(out_dir):
+    """sha256 of report.json without its generated_at line, and for a
+    ladder report without its params.law line: the ladder recorded no law
+    when the digests below were pinned."""
+    lines = (out_dir / "report.json").read_text().splitlines(keepends=True)
+    ladder = '  "name": "ladder",\n' in lines
+    kept = [line for line in lines
+            if not line.startswith('  "generated_at": ')
+            and not (ladder and line.startswith('    "law": '))]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+# name -> (config, or CLI arguments before --out-dir; exit status; report
+# digest).  Every report-writing config of this file, run in a fresh
+# directory that holds line.csv (a straight line from 0 to 3 at time 3).
+# The digests were taken before the config keys were checked, the
+# demo-counterexample subcommand ran through run_config and the ladder
+# recorded its law; those changes must keep every byte of these reports.
+REPORTS = {
+    "invariance": (
+        {"kind": "invariance", "law": "counterexample()", "rule": "Tpm(1,1)",
+         "N": 1500, "seed": 3, "functionals": ["value_at:2.0", "running_max"]},
+        0,
+        "fecafd1fac7ea4f43a5ba813053de512a1c75e91d4548b4840631372f3294fc2"),
+    "invariance-seed-11": (
+        {"kind": "invariance", "law": "counterexample()", "rule": "fixed(0)",
+         "N": 1000, "seed": 11,
+         "functionals": ["value_at:2.0", "running_max"]},
+        0,
+        "98c6364c504895b9e79cbcc70349250626ac640719756fdbb4800018f6cb6cea"),
+    "negative-control": (
+        {"kind": "invariance", "law": "drift(0.5,dt=0.02,T=2)",
+         "rule": "fixed(0)", "N": 3000, "seed": 1,
+         "functionals": ["value_at:1.0"]},
+        2,
+        "5ee4f16ee44bded0c8eddd4475da6305fbc8153006e35bf5f348967e0fae7698"),
+    "bound": (
+        {"kind": "bound", "law": "bm(dt=0.02,T=2)",
+         "rule": "min(Tpm(1,1),fixed(1.0))", "a": "1", "b": "1", "N": 1200,
+         "bound_cap": 1.0, "seed": 8},
+        0,
+        "b8dce68e427f4de80d628dd156193f6cc3cd3ec439c710572164619707ba9418"),
+    "signs": (
+        {"kind": "signs", "law": "bm(dt=0.02,T=2)", "a": "1", "b": "2",
+         "n": 3, "N": 120, "seed": 6},
+        0,
+        "50616ba397ba9474f840d946a10c48d48f39213eb1021cef0d63226bed57485a"),
+    "suite": (
+        {"kind": "suite", "law": "bm(dt=0.02,T=3)", "N": 30, "seed": 7},
+        0,
+        "f2af3f784118074864242300e5a38b1c0e654c05270d8d4282d84a8241ffecd9"),
+    "suite-default-law": (
+        {"kind": "suite", "N": 3, "seed": 7}, 0,
+        "fd6dac284799056ff9ebc68437cf7299414f61989c4caf69067870d2b5d268cd"),
+    "ladder-no-draws": (
+        {"kind": "ladder", "a": "1", "b": "2", "n": 4, "seed": 4}, 0,
+        "b11e6c0aea68ff2a9d6212bf573a4dd5f89f2be0d16e2e3aacfa82f71576610b"),
+    "ladder-draws": (
+        {"kind": "ladder", "a": "1", "b": "2", "n": 6, "N": 2,
+         "law": "bm(dt=0.01,T=4)", "seed": 5},
+        0,
+        "d6cebd638574d9d31d768d82ec4e351b5a175bcacdb27a807f0e58e6d7a31f5c"),
+    "ladder-dumps": (
+        {"kind": "ladder", "a": "1", "b": "2", "n": 4, "N": 3,
+         "law": "bm(dt=0.01,T=2)", "seed": 21, "dump_paths": 3},
+        0,
+        "e3c6b52bc680b2f82c951f8097f6f024708ca7a925d4d8277214f2cedb867455"),
+    "ladder-default-law": (
+        {"kind": "ladder", "a": "1", "b": "2", "n": 2, "N": 1, "seed": 9},
+        0,
+        "5eb4f3e2e215533b3d50551ccda3ed8d05007d900ccfe1ac0e0e7c313392a496"),
+    "ladder-csv": (
+        {"kind": "ladder", "a": "1", "b": "2", "n": 3,
+         "paths_csv": ["line.csv"], "seed": 0},
+        0,
+        "3d7e918a32dc5f09bbab4c56b53890e8185e00b5b21007b64eefed333ee18eae"),
+    "lemmas-subcommand": (
+        ["lemmas", "--limit", "25", "--n-max", "6"], 0,
+        "bfb1283f5ab02de7108bff6f0c3e0972cac7cf02b218ff953e78856a2cd7b7f9"),
+    "ladder-subcommand": (
+        ["ladder", "--a", "2", "--b", "3", "--n", "8"], 0,
+        "d32cfaa0ac2d59cd267e8e2bcb1ae9b9d1952af9f10a77f4d2509e1adcfc3995"),
+    "ladder-subcommand-law": (
+        ["ladder", "--a", "1", "--b", "2", "--n", "4",
+         "--law", "bm(dt=0.1,T=2)", "--seed", "2"],
+        0,
+        "aa08fb382b916da4ac4f19a6d6142c056169a2f8064f275ce5fc905473498749"),
+    "demo-subcommand": (
+        ["demo-counterexample", "--N", "1500"], 0,
+        "5f9f8e7390bf50799bca753fb86e219cc1f0c48880347e3a30f2516854c3afe4"),
+}
+
+
+def run_in(directory, monkeypatch, args):
+    """main's exit status for a config dict or CLI arguments, run in
+    directory (which gets line.csv) with output to its out/."""
+    import numpy as np
+    from reflectlab import Path, dump_csv
+    monkeypatch.chdir(directory)
+    with open("line.csv", "w", newline="") as fp:
+        dump_csv(Path(np.array([0.0, 3.0]), np.array([3.0])), fp)
+    if isinstance(args, dict):
+        args = ["run", write_config(directory, **args)]
+    return main(args + ["--out-dir", "out"])
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_report_digest(self, name, tmp_path, monkeypatch):
+        args, status, digest = REPORTS[name]
+        assert run_in(tmp_path, monkeypatch, args) == status
+        assert report_digest(tmp_path / "out") == digest
 
 
 class TestLemmasAndDemo:

@@ -270,6 +270,30 @@ class TestLawGrammar:
         with pytest.raises(SamplerError):
             parse_law(bad)
 
+    # the error of every malformed spec in the reject lists of this file
+    @pytest.mark.parametrize("bad,message", [
+        ("", "cannot parse law ''"),
+        ("bm", "cannot parse law 'bm'"),
+        ("warp(1)", "unknown law 'warp'"),
+        ("bm(dt=x)", "bad value 'x' for 'dt' in 'bm(dt=x)'"),
+        ("bm(1,2,3,4)", "too many positional args in 'bm(1,2,3,4)'"),
+        ("bm(dt=0.01,T=inf)", "dt and horizon must be positive and finite"),
+        ("drift(nan,dt=0.01,T=2)", "drift must be finite, got nan"),
+        ("counterexample(T=inf)",
+         "horizon must be finite and exceed the first segment (1.0)"),
+        ("ocone(clock=identity,dt=0.01,T=nan)",
+         "dt and horizon must be positive and finite"),
+        ("stopped(level=nan,dt=0.01,T=2)",
+         "bad stopping level: level must be finite, got nan"),
+        ("stopped(level=1,dt=nan,T=2)",
+         "dt and horizon must be positive and finite"),
+    ])
+    def test_reject_messages(self, bad, message):
+        with pytest.raises(SamplerError) as info:
+            parse_law(bad)
+        assert type(info.value) is SamplerError
+        assert str(info.value) == message
+
 
 class TestGridSamplers:
     # sha256 of the knots and increments of 50 draws per sampler, taken

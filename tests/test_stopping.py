@@ -352,6 +352,30 @@ class TestRuleGrammar:
         with pytest.raises(DyadicRatioError):
             parse_rule("tau(1,3,2)")
 
+    # the error of every malformed spec in the reject lists of this class
+    @pytest.mark.parametrize("bad,error,message", [
+        ("", RuleError, "cannot parse rule ''"),
+        ("frob(1)", RuleError, "unknown rule 'frob'"),
+        ("hit()", RuleError, "hit expects 1 argument(s), got 0"),
+        ("min(hit(1))", RuleError, "min expects 2 argument(s), got 1"),
+        ("hit(x)", RuleError, "cannot parse level 'x'"),
+        ("Tpm(1,2", RuleError, "cannot parse rule 'Tpm(1,2'"),
+        ("tau(1,3,2)", DyadicRatioError, "a/(a+b) = 1/4 is dyadic"),
+        ("hit(nan)", RuleError, "level must be finite, got nan"),
+        ("hit(-inf)", RuleError, "level must be finite, got -inf"),
+        ("Tpm(1,inf)", RuleError, "level must be finite, got inf"),
+        ("fixed(-inf)", RuleError,
+         "fixed time must be finite and nonnegative, got -inf"),
+        ("min(hit(1),hit(nan))", RuleError, "level must be finite, got nan"),
+        (f"tau({10 ** 400},{2 * 10 ** 400},2)", RuleError,
+         "every ladder step needs a positive finite float value"),
+    ])
+    def test_reject_messages(self, bad, error, message):
+        with pytest.raises(RuleError) as info:
+            parse_rule(bad)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", ["hit(nan)", "hit(inf)", "hit(-inf)",
                                      "Tpm(nan,1)", "Tpm(1,inf)", "fixed(nan)",
                                      "fixed(inf)", "fixed(-inf)",
