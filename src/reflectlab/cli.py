@@ -1,14 +1,15 @@
 """Experiment runner.
 
-Subcommands:
+Subcommands, each of which runs a config through ``run_config``:
 
 * ``run <config.json>``       execute one experiment described by a JSON
                               config; flags override config keys.
 * ``ladder``                  print the exact level sequence and a per-path
-                              table of ladder times.
+                              table of ladder times (kind ladder).
 * ``lemmas``                  deterministic exhaustive suites (non-dyadic
-                              triples, advance-formula check).
-* ``demo-counterexample``     the dyadic-ratio counterexample experiment.
+                              triples, advance-formula check; kind lemmas).
+* ``demo-counterexample``     the dyadic-ratio counterexample experiment
+                              (kind counterexample, N = 100000 by default).
 
 Each run writes ``report.json`` and ``summary.csv`` into the output
 directory, and optional path dumps.  A path file holds exactly what the path
@@ -20,12 +21,16 @@ passes, 2 when any verdict fails, 1 on configuration or runtime errors.
 The environment variable ``REFLECTLAB_SEED`` overrides the config seed
 (an explicit ``--seed`` flag wins over both).
 
-Config keys (kind selects the experiment; the rest as needed):
+Config keys (``_KINDS`` lists the keys each kind requires and takes; a
+config that lacks a required key or holds any other key is rejected):
 
     kind        invariance | bound | ladder | signs | suite | lemmas
-    law         law spec string, e.g. "bm(dt=1e-3,T=10)"
+                | counterexample
+    law         law spec string, e.g. "bm(dt=1e-3,T=10)" (the default
+                where it is optional); it alone sets the grid
     rule        rule spec string, e.g. "Tpm(1,2)"
     a, b        exact rationals as strings "p/q"
+    c           the counterexample's upper barrier, a rational (default 3)
     n           ladder depth / word length
     N           number of draws
     seed        base seed (64-bit int)
@@ -46,8 +51,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
@@ -72,16 +77,25 @@ from .verify import (
 DEFAULT_LAW = "bm(dt=1e-3,T=10)"
 
 
-def _law_from(cfg: dict, key: str = "law", default: str = None):
-    """Build the sampler from the law string; top-level "dt" and "horizon"
-    keys override the values inside the law string when the law has them."""
-    spec = cfg.get(key, default)
-    if spec is None:
-        raise ConfigurationError(f"config is missing {key!r}")
-    sampler = parse_law(spec, seed=cfg["seed"])
-    overrides = {k: float(cfg[k]) for k in ("dt", "horizon")
-                 if k in cfg and hasattr(sampler, k)}
-    return dataclasses.replace(sampler, **overrides) if overrides else sampler
+class _Draws:
+    """A run's law, the config's "law" or else DEFAULT_LAW, built at its
+    first use, and the draws 0, 1, ... of it made so far, so that the run
+    samples each index once."""
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.paths: list = []
+
+    @functools.cached_property
+    def law(self):
+        return parse_law(self.cfg.get("law", DEFAULT_LAW),
+                         seed=self.cfg["seed"])
+
+    def first(self, n: int) -> list:
+        """Draws 0 .. n - 1."""
+        self.paths.extend(self.law.sample(i)
+                          for i in range(len(self.paths), n))
+        return self.paths[:n]
 
 
 def parse_functional(spec: str):
@@ -99,51 +113,24 @@ def parse_functional(spec: str):
     raise ConfigurationError(f"cannot parse functional {spec!r}")
 
 
-def _build_functionals(cfg: dict, sampler) -> list:
-    specs = cfg.get("functionals")
-    if specs:
-        return [parse_functional(s) for s in specs]
-    horizon = getattr(sampler, "horizon", 10.0)
-    return verify.default_functionals(horizon)
-
-
-def _require(cfg: dict, *keys):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigurationError(
-            f"config for kind {cfg.get('kind')!r} is missing {missing}")
-
-
-def _run_invariance(cfg: dict) -> TestReport:
-    _require(cfg, "law", "rule", "N")
-    sampler = _law_from(cfg)
-    rule = parse_rule(cfg["rule"])
+def _run_invariance(cfg: dict, draws: _Draws) -> TestReport:
+    sampler, specs = draws.law, cfg.get("functionals")
     return verify.invariance_test(
-        sampler, rule, _build_functionals(cfg, sampler), int(cfg["N"]),
-        alpha=float(cfg.get("alpha", verify.DEFAULT_ALPHA)),
+        sampler, parse_rule(cfg["rule"]),
+        [parse_functional(s) for s in specs] if specs
+        else verify.default_functionals(sampler.horizon),
+        int(cfg["N"]), alpha=float(cfg.get("alpha", verify.DEFAULT_ALPHA)),
         workers=int(cfg.get("workers", 1)))
 
 
-def _run_bound(cfg: dict) -> TestReport:
-    _require(cfg, "law", "rule", "a", "b", "N", "bound_cap")
-    sampler = _law_from(cfg)
+def _run_bound(cfg: dict, draws: _Draws) -> TestReport:
     return verify.bound_check(
-        sampler, Fraction(cfg["a"]), Fraction(cfg["b"]),
+        draws.law, Fraction(cfg["a"]), Fraction(cfg["b"]),
         parse_rule(cfg["rule"]), float(cfg["bound_cap"]), int(cfg["N"]),
         workers=int(cfg.get("workers", 1)))
 
 
-def _first_draws(cfg: dict, n: int, drawn: list) -> list:
-    """Draws 0 .. n - 1 of the config's law; drawn holds the draws this run
-    has made so far and is extended, so each index is sampled once."""
-    if len(drawn) < n:
-        sampler = _law_from(cfg, default=DEFAULT_LAW)
-        drawn.extend(sampler.sample(i) for i in range(len(drawn), n))
-    return drawn[:n]
-
-
-def _run_ladder(cfg: dict, drawn: list) -> TestReport:
-    _require(cfg, "a", "b", "n")
+def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
     a, b, n = Fraction(cfg["a"]), Fraction(cfg["b"]), int(cfg["n"])
     ladder = ladder_levels(a, b, n)
     violations = 0
@@ -156,12 +143,14 @@ def _run_ladder(cfg: dict, drawn: list) -> TestReport:
         violations += 0 if ok else 1
     print("levels:", ", ".join(str(c) for c in ladder.levels))
     print("steps:", ", ".join(str(s) for s in ladder.steps))
-    table = []
-    sources = []
+    params = {"a": a, "b": b, "n": n,
+              "levels": [str(c) for c in ladder.levels],
+              "steps": [str(s) for s in ladder.steps]}
+    table, sources = [], []
     n_paths = int(cfg.get("N", 0))
     if n_paths:
-        sources = [(str(i), p) for i, p in
-                   enumerate(_first_draws(cfg, n_paths, drawn))]
+        params["law"] = repr(draws.law)
+        sources = [(str(i), p) for i, p in enumerate(draws.first(n_paths))]
     for fname in cfg.get("paths_csv", []):
         with open(fname) as fp:
             sources.append((fname, load_csv(fp)))
@@ -173,63 +162,67 @@ def _run_ladder(cfg: dict, drawn: list) -> TestReport:
             row = [label] + [format_time(t) for t in times]
             table.append(row)
             print("\t".join(row))
+    params["tau_table"] = table
     return TestReport(
-        name="ladder",
-        params={"a": a, "b": b, "n": n,
-                "levels": [str(c) for c in ladder.levels],
-                "steps": [str(s) for s in ladder.steps],
-                "tau_table": table},
-        seed=cfg["seed"], sample_size=len(table),
+        name="ladder", params=params, seed=cfg["seed"],
+        sample_size=len(table),
         statistics=[Statistic.judged("ladder_invariant_violations",
-                                     violations, 0.0, "abs_below")],
-    )
+                                     violations, 0.0, "abs_below")])
 
 
-def _run_signs(cfg: dict) -> TestReport:
-    _require(cfg, "law", "a", "b", "n", "N")
-    sampler = _law_from(cfg)
+def _run_signs(cfg: dict, draws: _Draws) -> TestReport:
     return verify.sign_identity_test(
-        sampler, Fraction(cfg["a"]), Fraction(cfg["b"]), int(cfg["n"]),
+        draws.law, Fraction(cfg["a"]), Fraction(cfg["b"]), int(cfg["n"]),
         int(cfg["N"]), workers=int(cfg.get("workers", 1)))
 
 
-def _run_suite(cfg: dict) -> TestReport:
-    _require(cfg, "N")
-    sampler = _law_from(cfg) if "law" in cfg else None
+def _run_suite(cfg: dict, draws: _Draws) -> TestReport:
     return verify.stability_suite(int(cfg["N"]), seed=cfg["seed"],
-                                  sampler=sampler,
+                                  sampler=draws.law,
                                   workers=int(cfg.get("workers", 1)))
 
 
-def _run_lemmas(cfg: dict) -> TestReport:
+def _run_lemmas(cfg: dict, _draws) -> TestReport:
     limit = int(cfg.get("limit", 200))
     n_max = int(cfg.get("n_max", 12))
     sweep = verify.non_dyadic_sweep(limit)
     formula = verify.advance_formula_check(n_max)
     return TestReport(
-        name="lemmas",
-        params={"limit": limit, "n_max": n_max},
-        seed=None,
+        name="lemmas", params={"limit": limit, "n_max": n_max}, seed=None,
         sample_size=sweep.sample_size + formula.sample_size,
-        statistics=sweep.statistics + formula.statistics,
-    )
+        statistics=sweep.statistics + formula.statistics)
 
 
+def _run_counterexample(cfg: dict, _draws) -> TestReport:
+    return verify.counterexample_demo(
+        int(cfg["N"]), seed=cfg["seed"], c=cfg.get("c", "3"),
+        workers=int(cfg.get("workers", 1)))
+
+
+#: kind -> (runner, required keys, optional keys); every kind also takes
+#: the _COMMON_KEYS.  dump_paths draws the law, so only the kinds that
+#: have one take it.
 _KINDS = {
-    "invariance": _run_invariance,
-    "bound": _run_bound,
-    "ladder": _run_ladder,
-    "signs": _run_signs,
-    "suite": _run_suite,
-    "lemmas": _run_lemmas,
+    "invariance": (_run_invariance, ("law", "rule", "N"),
+                   ("functionals", "alpha", "workers", "dump_paths")),
+    "bound": (_run_bound, ("law", "rule", "a", "b", "N", "bound_cap"),
+              ("workers", "dump_paths")),
+    "ladder": (_run_ladder, ("a", "b", "n"),
+               ("law", "N", "paths_csv", "dump_paths")),
+    "signs": (_run_signs, ("law", "a", "b", "n", "N"),
+              ("workers", "dump_paths")),
+    "suite": (_run_suite, ("N",), ("law", "workers", "dump_paths")),
+    "lemmas": (_run_lemmas, (), ("limit", "n_max")),
+    "counterexample": (_run_counterexample, ("N",), ("c", "workers")),
 }
+_COMMON_KEYS = ("kind", "seed", "out_dir")
 
 
-def _dump_paths(cfg: dict, out_dir: FsPath, drawn: list) -> None:
+def _dump_paths(cfg: dict, out_dir: FsPath, draws: _Draws) -> None:
     k = int(cfg.get("dump_paths", 0))
     if k <= 0:
         return
-    for i, path in enumerate(_first_draws(cfg, k, drawn)):
+    for i, path in enumerate(draws.first(k)):
         name = "paths.csv" if i == 0 else f"paths_{i:03d}.csv"
         with open(out_dir / name, "w", newline="") as fp:
             dump_csv(path, fp)
@@ -258,15 +251,25 @@ def run_config(cfg: dict) -> int:
     if kind not in _KINDS:
         raise ConfigurationError(
             f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
+    run, required, optional = _KINDS[kind]
+    missing = [k for k in required if k not in cfg]
+    if missing:
+        raise ConfigurationError(
+            f"config for kind {kind!r} is missing {missing}")
+    known = required + optional + _COMMON_KEYS
+    unknown = sorted(set(cfg).difference(known))
+    if unknown:
+        raise ConfigurationError(
+            f"config for kind {kind!r} has unknown keys {unknown}; it "
+            f"takes {sorted(known)}")
     # checked for every kind, so that one that builds no sampler cannot
     # record a seed no sampler would take
     cfg["seed"] = _checked_seed(cfg.get("seed", 0))
-    drawn: list = []  # draws of the law made in this run, in index order
-    report = (_run_ladder(cfg, drawn) if kind == "ladder"
-              else _KINDS[kind](cfg))
+    draws = _Draws(cfg)
+    report = run(cfg, draws)
     out_dir = FsPath(cfg.get("out_dir", "out"))
     write_outputs(report, out_dir)
-    _dump_paths(cfg, out_dir, drawn)
+    _dump_paths(cfg, out_dir, draws)
     print(f"{report.name}: {report.verdict} "
           f"({len(report.statistics)} statistics) -> {out_dir}/report.json")
     return 0 if report.verdict == "pass" else 2
@@ -321,30 +324,21 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.config) as fp:
                 cfg = json.load(fp)
-            return run_config(_apply_overrides(cfg, args))
-        if args.command == "ladder":
-            cfg = {"kind": "ladder", "a": args.a, "b": args.b, "n": args.n,
-                   "N": 0}
+            if not isinstance(cfg, dict):
+                raise ConfigurationError(
+                    f"{args.config} does not hold a JSON object")
+        elif args.command == "ladder":
+            cfg = {"kind": "ladder", "a": args.a, "b": args.b, "n": args.n}
             if args.law:
-                cfg["law"] = args.law
-                cfg["N"] = 3
-            return run_config(_apply_overrides(cfg, args))
-        if args.command == "lemmas":
+                cfg.update(law=args.law, N=3)
+        elif args.command == "lemmas":
             cfg = {"kind": "lemmas", "limit": args.limit, "n_max": args.n_max}
-            return run_config(_apply_overrides(cfg, args))
-        if args.command == "demo-counterexample":
-            cfg = _apply_overrides({"seed": 0}, args)
-            report = verify.counterexample_demo(
-                n_draws=int(cfg.get("N") or 100_000), seed=cfg["seed"],
-                c=Fraction(args.c), workers=int(cfg.get("workers") or 1))
-            out_dir = FsPath(cfg.get("out_dir", "out"))
-            write_outputs(report, out_dir)
-            print(f"{report.name}: {report.verdict} -> {out_dir}/report.json")
-            return 0 if report.verdict == "pass" else 2
+        else:
+            cfg = {"kind": "counterexample", "N": 100_000, "c": args.c}
+        return run_config(_apply_overrides(cfg, args))
     except (ReflectlabError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

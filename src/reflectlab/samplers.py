@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +45,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import RuleError, SamplerError
 from .path import Path, _fast_path
-from .stopping import LevelLike, TwoSidedHit, _parse_level, _split_args
+from .stopping import _CALL, LevelLike, TwoSidedHit, _parse_level, _split_args
 
 __all__ = [
     "BrownianMotion", "DriftedBM", "DyadicCounterexample", "OconeTimeChange",
@@ -386,8 +385,8 @@ Sampler = Union[BrownianMotion, DriftedBM, DyadicCounterexample,
 
 # law spec strings, e.g. bm(dt=1e-3,T=10), drift(0.5), counterexample(),
 # ocone(clock=random_rate,T=10), stopped(level=1,T=10)
-_LAW = re.compile(r"^([a-z_]+)\((.*)\)$", re.S)
 
+#: law name -> (sampler class, its arguments in positional order)
 _LAW_BUILDERS = {
     "bm": (BrownianMotion, ("dt", "T")),
     "drift": (DriftedBM, ("mu", "dt", "T")),
@@ -396,40 +395,48 @@ _LAW_BUILDERS = {
     "stopped": (StoppedSymmetric, ("level", "dt", "T")),
 }
 
+#: argument name -> sampler field, for the names that differ
 _KEY_MAP = {"T": "horizon", "mu": "drift"}
+
+#: sampler field -> value parser, for the fields that are not floats
+_VALUE_PARSERS = {"clock": str, "level": _parse_level}
 
 
 def parse_law(spec: str, seed: int = 0) -> Sampler:
-    """Parse a law spec string into a sampler with the given seed."""
-    m = _LAW.match(spec.strip())
+    """Parse a law spec string into a sampler with the given seed.  An
+    argument is named as in the spec or by its field (T or horizon)."""
+    m = _CALL.match(spec.strip())
     if not m:
         raise SamplerError(f"cannot parse law {spec!r}")
     name, inside = m.group(1), m.group(2)
     if name not in _LAW_BUILDERS:
         raise SamplerError(f"unknown law {name!r}")
     cls, positional = _LAW_BUILDERS[name]
-    kwargs: dict = {"seed": seed}
-    for i, arg in enumerate(_split_args(inside)):
+    fields = [_KEY_MAP.get(key, key) for key in positional]
+    try:
+        args = _split_args(inside)
+    except RuleError as exc:
+        raise SamplerError(f"cannot parse law {spec!r}") from exc
+    kwargs: dict = {}
+    for i, arg in enumerate(args):
         if "=" in arg:
-            key, val = arg.split("=", 1)
-            key = key.strip()
+            given, val = (s.strip() for s in arg.split("=", 1))
+        elif i < len(positional):
+            given, val = positional[i], arg
         else:
-            if i >= len(positional):
-                raise SamplerError(f"too many positional args in {spec!r}")
-            key, val = positional[i], arg
-        key = _KEY_MAP.get(key, key)
-        val = val.strip()
+            raise SamplerError(f"too many positional args in {spec!r}")
+        key = _KEY_MAP.get(given, given)
+        if key not in fields:
+            raise SamplerError(f"unknown argument {given!r} of {name!r} in "
+                               f"{spec!r}")
+        if key in kwargs:
+            raise SamplerError(f"repeated argument {given!r} in {spec!r}")
         try:
-            if key == "clock":
-                kwargs[key] = val
-            elif key == "level":
-                kwargs[key] = _parse_level(val)
-            else:
-                kwargs[key] = float(val)
+            kwargs[key] = _VALUE_PARSERS.get(key, float)(val)
         except ValueError as exc:
             raise SamplerError(f"bad value {val!r} for {key!r} in "
                                f"{spec!r}") from exc
     try:
-        return cls(**kwargs)
+        return cls(seed=seed, **kwargs)
     except TypeError as exc:
         raise SamplerError(f"bad arguments for {name!r}: {exc}") from exc

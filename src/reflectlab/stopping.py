@@ -81,7 +81,6 @@ from .errors import DyadicRatioError, MixturePartitionError, RuleError
 from .path import (
     NOT_OBSERVED,
     Path,
-    _fast_path,
     _KnotInsertion,
     insert_knot,
     is_observed,
@@ -457,14 +456,13 @@ def _passage(p: Path, bounds: tuple[Bound, Bound],
         if not pin:
             return t, p
         target_f, target_q = bounds[side == 1]
+        knots = _KnotInsertion(p)
         if inside:
-            value = target_f if target_q is None else float(target_q)
-            pinned = insert_knot(p, t, value, target_q)[0]
-        elif target_q is not None and p.anchors.get(j) != target_q:
-            pinned = _fast_path(p.knots, p.increments,
-                                {**p.anchors, j: target_q})
+            knots.insert(t, target_f if target_q is None else float(target_q),
+                         target_q)
         else:
-            pinned = p
+            knots.pin(j, target_q)
+        pinned = knots.path()
     if pin:
         if memo is None:
             memo = p.__dict__["_passages"] = {}
@@ -682,81 +680,77 @@ class ComposeReflect(StoppingRule):
 # ---------------------------------------------------------------------------
 # rule mini-grammar
 # ---------------------------------------------------------------------------
-#
-#   rule := fixed(<num>) | hit(<level>) | Tpm(<level>,<level>)
-#         | tau(<level>,<level>,<int>) | min(rule,rule) | max(rule,rule)
-#         | compose(rule,rule)
-#   level := integer | 'p/q' | decimal
-#
-# Rational-looking levels ('1', '1/2') are kept exact; decimals become floats.
 
 _CALL = re.compile(r"^([A-Za-z_]+)\((.*)\)$", re.S)
 
 
 def _split_args(s: str) -> list[str]:
-    args, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise RuleError(f"unbalanced parentheses in {s!r}")
+    args, depth, start = [], 0, 0
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            raise RuleError(f"unbalanced parentheses in {s!r}")
         if ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur or args:
-        args.append("".join(cur).strip())
-    return [a for a in args if a != ""]
+            args.append(s[start:i])
+            start = i + 1
+    args.append(s[start:])
+    return [a.strip() for a in args if a.strip()]
 
 
 def _parse_level(s: str) -> LevelLike:
-    if re.fullmatch(r"-?\d+(/\d+)?", s):
-        return Fraction(s)
     try:
-        return float(s)
-    except ValueError as exc:
+        return Fraction(s) if re.fullmatch(r"-?\d+(/\d+)?", s) else float(s)
+    except (ValueError, ZeroDivisionError) as exc:  # '1/0' is rational-looking
         raise RuleError(f"cannot parse level {s!r}") from exc
 
 
+def _number(convert, what: str):
+    """A parser of one number argument that raises RuleError."""
+    def parse(s: str):
+        try:
+            return convert(s)
+        except ValueError as exc:
+            raise RuleError(f"cannot parse {what} {s!r}") from exc
+    return parse
+
+
 def parse_rule(spec: str) -> StoppingRule:
-    """Parse the CLI rule grammar (see module docstring)."""
+    """Parse a rule spec of the CLI grammar:
+
+        rule  := fixed(<num>) | hit(<level>) | Tpm(<level>,<level>)
+               | tau(<level>,<level>,<int>) | min(rule,rule)
+               | max(rule,rule) | compose(rule,rule)
+        level := integer | 'p/q' | decimal
+
+    Rational-looking levels ('1', '1/2') are kept exact; decimals become
+    floats.  Every malformed spec raises RuleError.
+    """
     spec = spec.strip()
     m = _CALL.match(spec)
     if not m:
         raise RuleError(f"cannot parse rule {spec!r}")
     name, inside = m.group(1), m.group(2)
     args = _split_args(inside)
+    if name not in _RULES:
+        raise RuleError(f"unknown rule {name!r}")
+    cls, parsers = _RULES[name]
+    if len(args) != len(parsers):
+        raise RuleError(f"{name} expects {len(parsers)} argument(s), "
+                        f"got {len(args)}")
+    return cls(*(parse(arg) for parse, arg in zip(parsers, args)))
 
-    def need(k):
-        if len(args) != k:
-            raise RuleError(f"{name} expects {k} argument(s), got {len(args)}")
 
-    if name == "fixed":
-        need(1)
-        return FixedTime(float(args[0]))
-    if name == "hit":
-        need(1)
-        return FirstPassage(_parse_level(args[0]))
-    if name == "Tpm":
-        need(2)
-        return TwoSidedHit(_parse_level(args[0]), _parse_level(args[1]))
-    if name == "tau":
-        need(3)
-        return LadderStep(_parse_level(args[0]), _parse_level(args[1]),
-                          int(args[2]))
-    if name == "min":
-        need(2)
-        return MinOf(parse_rule(args[0]), parse_rule(args[1]))
-    if name == "max":
-        need(2)
-        return MaxOf(parse_rule(args[0]), parse_rule(args[1]))
-    if name == "compose":
-        need(2)
-        return ComposeReflect(parse_rule(args[0]), parse_rule(args[1]))
-    raise RuleError(f"unknown rule {name!r}")
+#: rule name -> (rule class, one parser per argument)
+_RULES = {
+    "fixed": (FixedTime, (_number(float, "time"),)),
+    "hit": (FirstPassage, (_parse_level,)),
+    "Tpm": (TwoSidedHit, (_parse_level, _parse_level)),
+    "tau": (LadderStep,
+            (_parse_level, _parse_level, _number(int, "ladder index"))),
+    "min": (MinOf, (parse_rule, parse_rule)),
+    "max": (MaxOf, (parse_rule, parse_rule)),
+    "compose": (ComposeReflect, (parse_rule, parse_rule)),
+}
 
 
 def format_time(t: float) -> str:

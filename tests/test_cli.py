@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from reflectlab.cli import main, parse_functional
+from reflectlab.cli import _KINDS, main, parse_functional
 from reflectlab.errors import ConfigurationError, RuleError
 from reflectlab.verify import HittingTime, RunningMax, ValueAtTime
 
@@ -322,6 +322,74 @@ class TestReportDigests:
         assert run_in(tmp_path, monkeypatch, args) == status
         assert report_digest(tmp_path / "out") == digest
 
+    def test_ladder_records_its_law_when_it_draws(self, tmp_path,
+                                                  monkeypatch):
+        for name, law in (("ladder-draws", "BrownianMotion(dt=0.01, "
+                           "horizon=4.0, seed=5)"),
+                          ("ladder-default-law", "BrownianMotion(dt=0.001, "
+                           "horizon=10.0, seed=9)"),
+                          ("ladder-no-draws", None),
+                          ("ladder-csv", None)):
+            assert run_in(tmp_path, monkeypatch, REPORTS[name][0]) == 0
+            assert read_report(tmp_path / "out")["params"].get("law") == law
+
+    def test_counterexample_config_gives_the_subcommand_report(
+            self, tmp_path, monkeypatch):
+        cfg = {"kind": "counterexample", "N": 1500}
+        assert run_in(tmp_path, monkeypatch, cfg) == 0
+        assert report_digest(tmp_path / "out") == \
+            REPORTS["demo-subcommand"][2]
+
+
+# a valid config of each kind; none of them runs in the tests below
+KINDS = {
+    "invariance": REPORTS["invariance"][0],
+    "bound": REPORTS["bound"][0],
+    "ladder": REPORTS["ladder-draws"][0],
+    "signs": REPORTS["signs"][0],
+    "suite": REPORTS["suite"][0],
+    "lemmas": {"kind": "lemmas", "limit": 25, "n_max": 6},
+    "counterexample": {"kind": "counterexample", "N": 1500, "c": "3"},
+}
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_unknown_key_exit_one(self, kind, tmp_path, capsys):
+        path = write_config(tmp_path, **KINDS[kind], colour="blue",
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert f"config for kind '{kind}' has unknown keys ['colour']" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind in sorted(KINDS) for key in _KINDS[kind][1]])
+    def test_missing_key_exit_one(self, kind, key, tmp_path, capsys):
+        cfg = {k: v for k, v in KINDS[kind].items() if k != key}
+        path = write_config(tmp_path, **cfg, out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert f"is missing ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_misspelled_alpha_exit_one(self, tmp_path, capsys):
+        # it used to run at the default alpha, 0.001, and record that
+        path = write_config(tmp_path, **KINDS["invariance"], aplha=0.2,
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "unknown keys ['aplha']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_an_object_exit_one(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["run", str(path)]) == 1
+
+    def test_flag_the_kind_does_not_take_exit_one(self, tmp_path, capsys):
+        assert main(["lemmas", "--N", "5",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "unknown keys ['N']" in capsys.readouterr().err
+
 
 class TestLemmasAndDemo:
     def test_lemmas_subcommand(self, tmp_path):
@@ -342,6 +410,14 @@ class TestLemmasAndDemo:
         assert main(["demo-counterexample", "--N", "1500",
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert read_report(tmp_path / "out")["name"] == "counterexample_demo"
+
+    def test_demo_subcommand_checks_its_size(self, tmp_path, capsys):
+        # --N 0 used to run 100,000 draws
+        assert main(["demo-counterexample", "--N", "0", "--workers", "0",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "invariance test needs at least 10^3 draws" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFunctionalSpecs:
@@ -371,14 +447,16 @@ class TestFunctionalSpecs:
 
 
 class TestGridOverrides:
-    def test_dt_and_horizon_keys_override_law(self, tmp_path):
-        cfg = write_config(tmp_path, kind="ladder", a="1", b="2", n=2,
-                           N=1, law="bm(dt=0.1,T=1)", dt=0.05, horizon=2.0,
-                           seed=4, dump_paths=1, out_dir=str(tmp_path / "o"))
-        assert main(["run", cfg]) == 0
-        lines = (tmp_path / "o" / "paths.csv").read_text().splitlines()
-        assert lines[1] == "0.0,0.0,"
-        assert len(lines) == 42  # 2.0 / 0.05 + 1 knots plus header
+    def test_dt_and_horizon_keys_exit_one(self, tmp_path, capsys):
+        # they used to override the law's grid unrecorded; the law spec is
+        # the one place a grid is set
+        for key, value in (("dt", 0.05), ("horizon", 2.0)):
+            cfg = write_config(tmp_path, kind="ladder", a="1", b="2", n=2,
+                               N=1, law="bm(dt=0.1,T=1)", seed=4,
+                               out_dir=str(tmp_path / "o"), **{key: value})
+            assert main(["run", cfg]) == 1
+            assert f"unknown keys ['{key}']" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 class TestLadderCsvInput:

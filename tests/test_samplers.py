@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -293,6 +294,26 @@ class TestLawGrammar:
             parse_law(bad)
         assert type(info.value) is SamplerError
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad,message", [
+        # every unknown key used to be parsed as a float and passed on
+        ("bm(seed=3)", "unknown argument 'seed' of 'bm'"),
+        ("bm(mu=0.5)", "unknown argument 'mu' of 'bm'"),
+        ("counterexample(dt=0.1)", "unknown argument 'dt' of 'counterexample'"),
+        # the last one used to win
+        ("bm(dt=0.1,T=1,T=2)", "repeated argument 'T'"),
+        ("drift(dt=0.1,0.5)", "repeated argument 'dt'"),
+        ("bm(dt=0.1))", "cannot parse law 'bm(dt=0.1))'"),
+        ("stopped(level=1/0)", "bad value '1/0' for 'level'"),
+    ])
+    def test_rejects_bad_arguments(self, bad, message):
+        with pytest.raises(SamplerError, match=re.escape(message)):
+            parse_law(bad)
+
+    def test_accepts_field_names(self):
+        assert parse_law("bm(horizon=2,dt=0.5)") == BrownianMotion(
+            dt=0.5, horizon=2.0)
+        assert parse_law("drift(drift=0.5)") == DriftedBM(drift=0.5)
 
 
 class TestGridSamplers:

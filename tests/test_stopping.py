@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -375,6 +376,17 @@ class TestRuleGrammar:
             parse_rule(bad)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad,message", [
+        ("fixed(abc)", "cannot parse time 'abc'"),
+        ("tau(1,2,x)", "cannot parse ladder index 'x'"),
+        ("tau(1,2,2.5)", "cannot parse ladder index '2.5'"),
+        ("hit(1/0)", "cannot parse level '1/0'"),
+    ])
+    def test_bad_arguments_raise_rule_error(self, bad, message):
+        # they used to raise a bare ValueError (ZeroDivisionError for 1/0)
+        with pytest.raises(RuleError, match=re.escape(message)):
+            parse_rule(bad)
 
     @pytest.mark.parametrize("bad", ["hit(nan)", "hit(inf)", "hit(-inf)",
                                      "Tpm(nan,1)", "Tpm(1,inf)", "fixed(nan)",
@@ -817,18 +829,18 @@ class TestEvaluateMatchesObserve:
                   TimeCompare(FirstPassage(F(1)), FixedTime(0.75), "gt")))),
     ])
     def test_evaluate_inserts_no_knot(self, rule, monkeypatch):
-        import reflectlab.path
-        import reflectlab.stopping
+        from reflectlab.path import _KnotInsertion
 
         def refuse(*args, **kwargs):
-            raise AssertionError("insert_knot called")
+            raise AssertionError("knot inserted")
 
         p = line_to(2.0, 1.0)  # every rule here stops inside the segment
         expected = rule.evaluate(p)
-        monkeypatch.setattr(reflectlab.stopping, "insert_knot", refuse)
-        monkeypatch.setattr(reflectlab.path, "insert_knot", refuse)
+        # every knot insertion, insert_knot's and a passage pin's, goes
+        # through this method
+        monkeypatch.setattr(_KnotInsertion, "insert", refuse)
         assert rule.evaluate(p) == expected
-        with pytest.raises(AssertionError, match="insert_knot called"):
+        with pytest.raises(AssertionError, match="knot inserted"):
             rule.observe(p)  # observe pins, so the patch is live
 
 
