@@ -56,13 +56,12 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path as FsPath
 
 from . import verify
 from .errors import ConfigurationError, ReflectlabError
 from .path import dump_csv, load_csv
-from .rational import is_dyadic
+from .rational import as_rational, is_dyadic
 from .samplers import _checked_seed, parse_law
 from .stopping import format_time, ladder_levels, ladder_trace, parse_rule
 from .verify import (
@@ -125,13 +124,13 @@ def _run_invariance(cfg: dict, draws: _Draws) -> TestReport:
 
 def _run_bound(cfg: dict, draws: _Draws) -> TestReport:
     return verify.bound_check(
-        draws.law, Fraction(cfg["a"]), Fraction(cfg["b"]),
+        draws.law, as_rational(cfg["a"]), as_rational(cfg["b"]),
         parse_rule(cfg["rule"]), float(cfg["bound_cap"]), int(cfg["N"]),
         workers=int(cfg.get("workers", 1)))
 
 
 def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
-    a, b, n = Fraction(cfg["a"]), Fraction(cfg["b"]), int(cfg["n"])
+    a, b, n = as_rational(cfg["a"]), as_rational(cfg["b"]), int(cfg["n"])
     ladder = ladder_levels(a, b, n)
     violations = 0
     for k in range(1, n + 1):
@@ -172,8 +171,8 @@ def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
 
 def _run_signs(cfg: dict, draws: _Draws) -> TestReport:
     return verify.sign_identity_test(
-        draws.law, Fraction(cfg["a"]), Fraction(cfg["b"]), int(cfg["n"]),
-        int(cfg["N"]), workers=int(cfg.get("workers", 1)))
+        draws.law, as_rational(cfg["a"]), as_rational(cfg["b"]),
+        int(cfg["n"]), int(cfg["N"]), workers=int(cfg.get("workers", 1)))
 
 
 def _run_suite(cfg: dict, draws: _Draws) -> TestReport:

@@ -228,7 +228,7 @@ class _GridLaw:
 
     Subclasses implement ``_rows(indices)``: the grid's knots and the
     (len(indices), steps) matrix whose row r holds the increments of draw
-    indices[r].
+    indices[r], a fresh matrix that the caller owns and may write.
     """
 
     def _rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

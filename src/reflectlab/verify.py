@@ -24,15 +24,20 @@ an array indexed by arm, functional and draw.  On a law with a shared grid
 (``BrownianMotion``, ``DriftedBM``, ``OconeTimeChange``) a block holds about
 ``_BLOCK_INCREMENTS`` increments: the sampler fills one increment matrix, one
 row per draw from that draw's own Generator, and one ``cumsum(axis=1)`` gives
-every row's ``Path.values`` bit for bit.  Each draw is still reflected on its
-own path.  The rows of an arm that hold the grid's knot array itself and no
-anchor are summed into one matrix, and a functional with a ``rows`` form
-reads them off its columns.  Everything else goes through ``apply`` on the
+every row's ``Path.values`` bit for bit, which a functional with a ``rows``
+form reads off its columns.  When the rule pivots every draw at one knot of
+the grid (``_grid_pivot``: a fixed time on a knot, or at least the horizon),
+the reflected arm is the same matrix with the columns from that knot on
+negated, summed the same way; negation is exact, so no draw is built as a
+path.  Under any other rule each draw is reflected on its own path, and the
+reflected rows that hold the grid's knot array itself and no anchor are
+summed into one matrix again.  Everything else goes through ``apply`` on a
 path: a reflected row with an inserted knot, or with an anchor (an exact
 value that can override a float verdict), every functional without a rows
-form (``ValueAtRuleTime``), and every draw of a law without a shared grid,
-which is drawn one path per block.  Both routes give the same bits, so the
-report does not depend on the route or the block size.
+form (``ValueAtRuleTime``, on paths built from the matrix rows), and every
+draw of a law without a shared grid, which is drawn one path per block.
+All routes give the same bits, so the report does not depend on the route
+or the block size.
 """
 
 from __future__ import annotations
@@ -375,22 +380,73 @@ def _block_size(sampler) -> int:
     return max(1, _BLOCK_INCREMENTS // round(sampler.horizon / sampler.dt))
 
 
+def _grid_pivot(rule, knots: np.ndarray) -> Optional[int]:
+    """The knot index from which ``reflect_at_rule`` negates the increments
+    of every unanchored path on knots, or None when that index depends on
+    the path or the reflection inserts a knot or an anchor.
+
+    Only a fixed time has one index for all paths: the index of r when r is
+    a knot, and knots.size - 1, where nothing is negated, when r is the
+    horizon or beyond it (the reflection is then the identity).
+    """
+    if not isinstance(rule, FixedTime):
+        return None
+    if rule.r >= knots[-1]:
+        return knots.size - 1
+    i = int(knots.searchsorted(rule.r))
+    return i if knots[i] == rule.r else None
+
+
 def _invariance_block(args, b):
     """The functionals of the draws of block b and of their reflections, as
     an array indexed by arm, functional and draw."""
     sampler, rule, functionals, n, size = args
     indices = range(b * size, min(n, (b + 1) * size))
-    if isinstance(sampler, _GridLaw):
-        knots, inc = sampler._rows(indices)
+    out = np.empty((2, len(functionals), len(indices)))
+    if not isinstance(sampler, _GridLaw):
+        paths = [sampler.sample(i) for i in indices]
+        _read_off(out[0], functionals, None, paths)
+        _read_off(out[1], functionals, None,
+                  [reflect_at_rule(p, rule) for p in paths])
+        return out
+    knots, inc = sampler._rows(indices)
+    col = _grid_pivot(rule, knots)
+    if col is None:
         inc.setflags(write=False)
         paths = [_fast_path(knots, row, {}) for row in inc]
+        _read_rows(out[0], functionals, knots, inc, paths)
+        _read_off(out[1], functionals, knots,
+                  [reflect_at_rule(p, rule) for p in paths])
     else:
-        knots, paths = None, [sampler.sample(i) for i in indices]
-    out = np.empty((2, len(functionals), len(paths)))
-    _read_off(out[0], functionals, knots, paths)
-    _read_off(out[1], functionals, knots,
-              [reflect_at_rule(p, rule) for p in paths])
+        # every row reflects at knot col: the block's own matrix, negated
+        # from that column on, is the reflected arm
+        _read_rows(out[0], functionals, knots, inc)
+        np.negative(inc[:, col:], out=inc[:, col:])
+        _read_rows(out[1], functionals, knots, inc)
     return out
+
+
+def _read_rows(out: np.ndarray, functionals: Sequence, knots: np.ndarray,
+               inc: np.ndarray, paths: Optional[list] = None) -> None:
+    """out[j, r] = functionals[j].apply(p_r), bit for bit, where p_r is the
+    unanchored path on knots with increments inc[r].
+
+    One cumsum sums the rows, and each functional with a rows form reads
+    them off it.  A functional without one applies to ``paths``, the p_r,
+    built here from the rows of inc when not given.
+    """
+    values = np.zeros((inc.shape[0], knots.size))
+    np.cumsum(inc, axis=1, out=values[:, 1:])
+    for j, f in enumerate(functionals):
+        if hasattr(f, "rows"):
+            out[j] = f.rows(knots, values)
+            continue
+        if paths is None:
+            paths = []
+            for row in inc:  # a read-only view of a row of inc
+                row.setflags(write=False)
+                paths.append(_fast_path(knots, row, {}))
+        out[j] = [f.apply(p) for p in paths]
 
 
 def _read_off(out: np.ndarray, functionals: Sequence, knots,
@@ -398,25 +454,21 @@ def _read_off(out: np.ndarray, functionals: Sequence, knots,
     """out[j, r] = functionals[j].apply(paths[r]), bit for bit.
 
     The paths that hold the knot array ``knots`` itself and carry no
-    anchors are summed in one matrix, and each functional with a rows form
-    reads them off it.  Every other path (one with an inserted knot, or
-    an anchor that can override a float verdict), and every functional
-    without a rows form, goes through apply.
+    anchors are read as rows (``_read_rows``).  Every other path, one with
+    an inserted knot or an anchor that can override a float verdict, goes
+    through apply.
     """
     joins = [p.knots is knots and not p.anchors for p in paths]
     rows = [r for r, ok in enumerate(joins) if ok]
-    others = [r for r, ok in enumerate(joins) if not ok]
     if rows:
-        values = np.zeros((len(rows), knots.size))
-        np.cumsum([paths[r].increments for r in rows], axis=1,
-                  out=values[:, 1:])
-    for j, f in enumerate(functionals):
-        scalar = range(len(paths))
-        if rows and hasattr(f, "rows"):
-            out[j, rows] = f.rows(knots, values)
-            scalar = others
-        for r in scalar:
-            out[j, r] = f.apply(paths[r])
+        joined = np.empty((len(functionals), len(rows)))
+        _read_rows(joined, functionals, knots,
+                   np.array([paths[r].increments for r in rows]),
+                   [paths[r] for r in rows])
+        out[:, rows] = joined
+    for r, ok in enumerate(joins):
+        if not ok:
+            out[:, r] = [f.apply(paths[r]) for f in functionals]
 
 
 def _ks_statistics(functionals: Sequence, x: np.ndarray, y: np.ndarray,

@@ -372,6 +372,18 @@ class TestConfigKeys:
         assert f"is missing ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind in ("bound", "ladder", "signs")
+        for key in ("a", "b")])
+    def test_float_barrier_exit_one(self, kind, key, tmp_path, capsys):
+        # a JSON float used to run on its binary value, recorded as such
+        path = write_config(tmp_path, **{**KINDS[kind], key: 0.1},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "expected int, str or Fraction, got float" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_misspelled_alpha_exit_one(self, tmp_path, capsys):
         # it used to run at the default alpha, 0.001, and record that
         path = write_config(tmp_path, **KINDS["invariance"], aplha=0.2,

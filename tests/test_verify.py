@@ -47,6 +47,7 @@ from reflectlab import (
     sign_identity_test,
     stability_suite,
 )
+from reflectlab import verify
 from reflectlab.samplers import _GridLaw
 from reflectlab.verify import (
     HittingTime,
@@ -54,6 +55,7 @@ from reflectlab.verify import (
     Statistic,
     ValueAtRuleTime,
     ValueAtTime,
+    _grid_pivot,
     _invariance_block,
     _martingale_draw,
     _run_draws,
@@ -243,10 +245,13 @@ _BLOCK_LAWS = [
     DyadicCounterexample(horizon=2.0),
     _EXACT_AT_KNOT,
 ]
-# fixed(1.0) is a knot of the grid and fixed(0.37) is not
+# fixed(1.0) and fixed(1.85) are knots of the grid, fixed(2.0) is its
+# horizon; fixed(0.37) is not a knot, nor is fixed(1.95), one ulp below the
+# knot 1.9500000000000002
 _BLOCK_RULES = [parse_rule(spec) for spec in (
-    "fixed(0)", "fixed(1.0)", "fixed(0.37)", "fixed(3.0)", "hit(1)",
-    "Tpm(1,1)", "min(Tpm(1,2),fixed(1))")]
+    "fixed(0)", "fixed(1.0)", "fixed(1.85)", "fixed(1.95)", "fixed(2.0)",
+    "fixed(0.37)", "fixed(3.0)", "hit(1)", "Tpm(1,1)",
+    "min(Tpm(1,2),fixed(1))")]
 _BLOCK_FUNCTIONALS = [
     ValueAtTime(0.37), ValueAtTime(2.0), RunningMax(), HittingTime(0.0),
     HittingTime(0.5), HittingTime(-0.5),
@@ -284,6 +289,40 @@ class TestInvarianceBlocks:
     def test_fixed_rules_sit_on_and_off_the_grid(self):
         knots = BrownianMotion(dt=0.05, horizon=2.0).sample(0).knots
         assert 1.0 in knots and 0.37 not in knots
+        assert knots[37] == 1.85 and knots[-1] == 2.0
+        assert 1.95 not in knots and knots[39] == np.nextafter(1.95, 2.0)
+        pivots = {spec: _grid_pivot(parse_rule(spec), knots) for spec in (
+            "fixed(0)", "fixed(1.0)", "fixed(1.85)", "fixed(2.0)",
+            "fixed(3.0)", "fixed(1.95)", "fixed(0.37)", "hit(1)",
+            "min(Tpm(1,2),fixed(1))")}
+        assert pivots == {
+            "fixed(0)": 0, "fixed(1.0)": 20, "fixed(1.85)": 37,
+            "fixed(2.0)": 40, "fixed(3.0)": 40, "fixed(1.95)": None,
+            "fixed(0.37)": None, "hit(1)": None,
+            "min(Tpm(1,2),fixed(1))": None}
+
+    @pytest.mark.parametrize("spec", ["fixed(0)", "fixed(1.0)"])
+    @pytest.mark.parametrize("rows_only", [True, False])
+    def test_grid_pivot_reflects_the_matrix(self, spec, rows_only,
+                                            monkeypatch):
+        # a fixed time on a knot reflects the block's matrix: no draw is
+        # reflected, and with rows-form functionals alone none is built as
+        # a path on either arm; ValueAtRuleTime applies to paths built from
+        # the rows of each arm's matrix
+        sampler = DriftedBM(0.5, dt=0.05, horizon=2.0, seed=7)
+        rule = parse_rule(spec)
+        functionals = [f for f in _BLOCK_FUNCTIONALS
+                       if hasattr(f, "rows") or not rows_only]
+        expected = _block_reference(sampler, rule, functionals, range(9))
+
+        def refuse(*args):
+            raise AssertionError("a draw took the per-path route")
+
+        monkeypatch.setattr(verify, "reflect_at_rule", refuse)
+        if rows_only:
+            monkeypatch.setattr(verify, "_fast_path", refuse)
+        block = _invariance_block((sampler, rule, functionals, 9, 9), 0)
+        assert block.tobytes() == expected.tobytes()
 
     def test_anchored_reflection_goes_through_apply(self, monkeypatch):
         # the reflected rows keep the sampled knot array but carry an
@@ -400,15 +439,13 @@ class TestMartingaleStepTest:
                                        n_steps, horizon):
         # each draw gives what fresh traces of every step give, and traces
         # the annotated path itself at most once
-        import reflectlab.verify
-
         calls = []
 
         def counting(a, b, p, n_max):
             calls.append((p, ladder_trace(a, b, p, n_max)))
             return calls[-1][1]
 
-        monkeypatch.setattr(reflectlab.verify, "ladder_trace", counting)
+        monkeypatch.setattr(verify, "ladder_trace", counting)
         sampler = self._law(law, horizon)
         for i in range(20):
             calls.clear()
@@ -470,8 +507,6 @@ class TestStabilityDraw:
     ], ids=["constructed", "bm"])
     def test_deviations_are_sup_norms_over_the_union(self, sampler,
                                                      monkeypatch):
-        import reflectlab.verify as verify
-
         deviation = verify._deviation
         calls = []
 
@@ -493,8 +528,6 @@ class TestStabilityDraw:
 
     def test_no_cyclic_garbage(self):
         import gc
-
-        import reflectlab.verify as verify
 
         sampler = BrownianMotion(dt=0.01, horizon=10.0, seed=7)
         gc.collect()
