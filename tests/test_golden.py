@@ -14,6 +14,7 @@ import pytest
 from reflectlab import (
     BrownianMotion,
     DriftedBM,
+    FirstPassage,
     FixedTime,
     MinOf,
     OconeTimeChange,
@@ -90,6 +91,13 @@ GOLDEN = {
             DriftedBM(0.5, dt=0.02, horizon=2.0), FixedTime(0.0),
             default_functionals(2.0), 1000, seed=15),
         "6beb94eb0554a625d4a462b7d00a50fe9be4cf94b1988f8c3ee5a380cd5ac074"),
+    # a passage rule: over half the draws are unobserved and reflect to
+    # themselves, the others gain a pinned knot
+    "invariance_test_passage": (
+        lambda: invariance_test(
+            BrownianMotion(dt=0.02, horizon=2.0), FirstPassage(1),
+            default_functionals(2.0), 1000, seed=19),
+        "e10298589f7d417e01ee9f41b28c80f31b47833540d9f949c3871a4bdac81e49"),
     # a two-word seed, as the benchmark's sub-seeds are
     "invariance_test_drift_wide_seed": (
         lambda: invariance_test(
