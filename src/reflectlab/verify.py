@@ -25,19 +25,16 @@ an array indexed by arm, functional and draw.  On a law with a shared grid
 ``_BLOCK_INCREMENTS`` increments: the sampler fills one increment matrix, one
 row per draw from that draw's own Generator, and one ``cumsum(axis=1)`` gives
 every row's ``Path.values`` bit for bit, which a functional with a ``rows``
-form reads off its columns.  When the rule pivots every draw at one knot of
-the grid (``_grid_pivot``: a fixed time on a knot, or at least the horizon),
-the reflected arm is the same matrix with the columns from that knot on
-negated, summed the same way; negation is exact, so no draw is built as a
-path.  Under any other rule each draw is reflected on its own path, and the
-reflected rows that hold the grid's knot array itself and no anchor are
-summed into one matrix again.  Everything else goes through ``apply`` on a
-path: a reflected row with an inserted knot, or with an anchor (an exact
-value that can override a float verdict), every functional without a rows
-form (``ValueAtRuleTime``, on paths built from the matrix rows), and every
-draw of a law without a shared grid, which is drawn one path per block.
-All routes give the same bits, so the report does not depend on the route
-or the block size.
+form reads off its columns; that is the sampled arm.  The reflected arm takes
+one of two routes.  When the rule pivots every draw at one knot of the grid
+(``_grid_pivot``: a fixed time on a knot, or at least the horizon), it is the
+same matrix with the columns from that knot on negated, summed the same way;
+negation is exact, so no draw is built as a path.  Under any other rule each
+draw is reflected on its own path and read with ``apply``.  A functional
+without a rows form (``ValueAtRuleTime``) reads a matrix through paths built
+from its rows, and a law without a shared grid is drawn one path per block,
+both arms read with ``apply``.  All routes give the same bits, so the report
+does not depend on the route or the block size.
 """
 
 from __future__ import annotations
@@ -404,39 +401,39 @@ def _invariance_block(args, b):
     indices = range(b * size, min(n, (b + 1) * size))
     out = np.empty((2, len(functionals), len(indices)))
     if not isinstance(sampler, _GridLaw):
-        paths = [sampler.sample(i) for i in indices]
-        _read_off(out[0], functionals, None, paths)
-        _read_off(out[1], functionals, None,
-                  [reflect_at_rule(p, rule) for p in paths])
+        for r, i in enumerate(indices):
+            p = sampler.sample(i)
+            for arm, q in enumerate((p, reflect_at_rule(p, rule))):
+                out[arm, :, r] = [f.apply(q) for f in functionals]
         return out
     knots, inc = sampler._rows(indices)
+    _read_rows(out[0], functionals, knots, inc)
     col = _grid_pivot(rule, knots)
     if col is None:
         inc.setflags(write=False)
-        paths = [_fast_path(knots, row, {}) for row in inc]
-        _read_rows(out[0], functionals, knots, inc, paths)
-        _read_off(out[1], functionals, knots,
-                  [reflect_at_rule(p, rule) for p in paths])
+        for r, row in enumerate(inc):
+            q = reflect_at_rule(_fast_path(knots, row, {}), rule)
+            out[1, :, r] = [f.apply(q) for f in functionals]
     else:
         # every row reflects at knot col: the block's own matrix, negated
         # from that column on, is the reflected arm
-        _read_rows(out[0], functionals, knots, inc)
         np.negative(inc[:, col:], out=inc[:, col:])
         _read_rows(out[1], functionals, knots, inc)
     return out
 
 
 def _read_rows(out: np.ndarray, functionals: Sequence, knots: np.ndarray,
-               inc: np.ndarray, paths: Optional[list] = None) -> None:
+               inc: np.ndarray) -> None:
     """out[j, r] = functionals[j].apply(p_r), bit for bit, where p_r is the
     unanchored path on knots with increments inc[r].
 
     One cumsum sums the rows, and each functional with a rows form reads
-    them off it.  A functional without one applies to ``paths``, the p_r,
-    built here from the rows of inc when not given.
+    them off it.  A functional without one applies to the p_r, built here
+    from the rows of inc.
     """
     values = np.zeros((inc.shape[0], knots.size))
     np.cumsum(inc, axis=1, out=values[:, 1:])
+    paths = None
     for j, f in enumerate(functionals):
         if hasattr(f, "rows"):
             out[j] = f.rows(knots, values)
@@ -447,28 +444,6 @@ def _read_rows(out: np.ndarray, functionals: Sequence, knots: np.ndarray,
                 row.setflags(write=False)
                 paths.append(_fast_path(knots, row, {}))
         out[j] = [f.apply(p) for p in paths]
-
-
-def _read_off(out: np.ndarray, functionals: Sequence, knots,
-              paths: list) -> None:
-    """out[j, r] = functionals[j].apply(paths[r]), bit for bit.
-
-    The paths that hold the knot array ``knots`` itself and carry no
-    anchors are read as rows (``_read_rows``).  Every other path, one with
-    an inserted knot or an anchor that can override a float verdict, goes
-    through apply.
-    """
-    joins = [p.knots is knots and not p.anchors for p in paths]
-    rows = [r for r, ok in enumerate(joins) if ok]
-    if rows:
-        joined = np.empty((len(functionals), len(rows)))
-        _read_rows(joined, functionals, knots,
-                   np.array([paths[r].increments for r in rows]),
-                   [paths[r] for r in rows])
-        out[:, rows] = joined
-    for r, ok in enumerate(joins):
-        if not ok:
-            out[:, r] = [f.apply(paths[r]) for f in functionals]
 
 
 def _ks_statistics(functionals: Sequence, x: np.ndarray, y: np.ndarray,
