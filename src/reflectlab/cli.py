@@ -45,6 +45,11 @@ config that lacks a required key or holds any other key is rejected):
                 the ladder table (alongside or instead of sampled draws)
     out_dir     output directory (default "out")
     dump_paths  dump the first k sampled paths as path files
+
+The counts (N, n, limit, n_max, workers, dump_paths) must be nonnegative
+integers, as the seed must: a float or true/false is rejected, not
+truncated.  a, b and c take an integer or a string, never a float or
+true/false.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import csv
 import datetime
 import functools
 import json
+import operator
 import os
 import sys
 from pathlib import Path as FsPath
@@ -118,19 +124,19 @@ def _run_invariance(cfg: dict, draws: _Draws) -> TestReport:
         sampler, parse_rule(cfg["rule"]),
         [parse_functional(s) for s in specs] if specs
         else verify.default_functionals(sampler.horizon),
-        int(cfg["N"]), alpha=float(cfg.get("alpha", verify.DEFAULT_ALPHA)),
-        workers=int(cfg.get("workers", 1)))
+        cfg["N"], alpha=float(cfg.get("alpha", verify.DEFAULT_ALPHA)),
+        workers=cfg.get("workers", 1))
 
 
 def _run_bound(cfg: dict, draws: _Draws) -> TestReport:
     return verify.bound_check(
         draws.law, as_rational(cfg["a"]), as_rational(cfg["b"]),
-        parse_rule(cfg["rule"]), float(cfg["bound_cap"]), int(cfg["N"]),
-        workers=int(cfg.get("workers", 1)))
+        parse_rule(cfg["rule"]), float(cfg["bound_cap"]), cfg["N"],
+        workers=cfg.get("workers", 1))
 
 
 def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
-    a, b, n = as_rational(cfg["a"]), as_rational(cfg["b"]), int(cfg["n"])
+    a, b, n = as_rational(cfg["a"]), as_rational(cfg["b"]), cfg["n"]
     ladder = ladder_levels(a, b, n)
     violations = 0
     for k in range(1, n + 1):
@@ -146,7 +152,7 @@ def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
               "levels": [str(c) for c in ladder.levels],
               "steps": [str(s) for s in ladder.steps]}
     table, sources = [], []
-    n_paths = int(cfg.get("N", 0))
+    n_paths = cfg.get("N", 0)
     if n_paths:
         params["law"] = repr(draws.law)
         sources = [(str(i), p) for i, p in enumerate(draws.first(n_paths))]
@@ -172,18 +178,18 @@ def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
 def _run_signs(cfg: dict, draws: _Draws) -> TestReport:
     return verify.sign_identity_test(
         draws.law, as_rational(cfg["a"]), as_rational(cfg["b"]),
-        int(cfg["n"]), int(cfg["N"]), workers=int(cfg.get("workers", 1)))
+        cfg["n"], cfg["N"], workers=cfg.get("workers", 1))
 
 
 def _run_suite(cfg: dict, draws: _Draws) -> TestReport:
-    return verify.stability_suite(int(cfg["N"]), seed=cfg["seed"],
+    return verify.stability_suite(cfg["N"], seed=cfg["seed"],
                                   sampler=draws.law,
-                                  workers=int(cfg.get("workers", 1)))
+                                  workers=cfg.get("workers", 1))
 
 
 def _run_lemmas(cfg: dict, _draws) -> TestReport:
-    limit = int(cfg.get("limit", 200))
-    n_max = int(cfg.get("n_max", 12))
+    limit = cfg.get("limit", 200)
+    n_max = cfg.get("n_max", 12)
     sweep = verify.non_dyadic_sweep(limit)
     formula = verify.advance_formula_check(n_max)
     return TestReport(
@@ -194,8 +200,8 @@ def _run_lemmas(cfg: dict, _draws) -> TestReport:
 
 def _run_counterexample(cfg: dict, _draws) -> TestReport:
     return verify.counterexample_demo(
-        int(cfg["N"]), seed=cfg["seed"], c=cfg.get("c", "3"),
-        workers=int(cfg.get("workers", 1)))
+        cfg["N"], seed=cfg["seed"], c=cfg.get("c", "3"),
+        workers=cfg.get("workers", 1))
 
 
 #: kind -> (runner, required keys, optional keys); every kind also takes
@@ -215,11 +221,29 @@ _KINDS = {
     "counterexample": (_run_counterexample, ("N",), ("c", "workers")),
 }
 _COMMON_KEYS = ("kind", "seed", "out_dir")
+#: keys that hold a count, and the exact rationals (barriers) of any kind
+_COUNT_KEYS = ("N", "n", "workers", "limit", "n_max", "dump_paths")
+_RATIONAL_KEYS = ("a", "b", "c")
+
+
+def _count(key: str, value) -> int:
+    """A count key's value as an int, by the rule seeds follow:
+    ConfigurationError unless it is a nonnegative integer (anything
+    operator.index takes, except bool), so 2.9 or true cannot run as 2 or
+    1."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0 or isinstance(value, bool):
+        raise ConfigurationError(
+            f"{key} must be a nonnegative integer, got {value!r}")
+    return count
 
 
 def _dump_paths(cfg: dict, out_dir: FsPath, draws: _Draws) -> None:
-    k = int(cfg.get("dump_paths", 0))
-    if k <= 0:
+    k = cfg.get("dump_paths", 0)
+    if not k:
         return
     for i, path in enumerate(draws.first(k)):
         name = "paths.csv" if i == 0 else f"paths_{i:03d}.csv"
@@ -264,6 +288,14 @@ def run_config(cfg: dict) -> int:
     # checked for every kind, so that one that builds no sampler cannot
     # record a seed no sampler would take
     cfg["seed"] = _checked_seed(cfg.get("seed", 0))
+    for key in _COUNT_KEYS:
+        if key in cfg:
+            cfg[key] = _count(key, cfg[key])
+    for key in _RATIONAL_KEYS:
+        # as_rational takes a bool as the int it is
+        if isinstance(cfg.get(key), bool):
+            raise ConfigurationError(
+                f"{key} must be an exact rational, got {cfg[key]!r}")
     draws = _Draws(cfg)
     report = run(cfg, draws)
     out_dir = FsPath(cfg.get("out_dir", "out"))

@@ -554,7 +554,8 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
             "behind the bound does not hold, result is informational")
     return TestReport(
         name="bound_check",
-        params={"a": a, "b": b, "rule": repr(rule), "bound_cap": bound_cap},
+        params={"law": repr(sampler), "a": a, "b": b, "rule": repr(rule),
+                "bound_cap": bound_cap},
         seed=sampler.seed,
         sample_size=n_draws,
         statistics=[
@@ -647,7 +648,7 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
             "abs_below", se=se, count=count))
     return TestReport(
         name="martingale_step_test",
-        params={"a": a, "b": b, "n_steps": n_steps},
+        params={"law": repr(sampler), "a": a, "b": b, "n_steps": n_steps},
         seed=sampler.seed,
         sample_size=n_draws,
         statistics=stats,
@@ -926,8 +927,8 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
                 break
     return TestReport(
         name="exit_alignment_test",
-        params={"a": a, "b": b, "n": n, "min_per_word": min_per_word,
-                "words": len(words)},
+        params={"law": repr(sampler), "a": a, "b": b, "n": n,
+                "min_per_word": min_per_word, "words": len(words)},
         seed=sampler.seed,
         sample_size=draws,
         statistics=[

@@ -211,13 +211,14 @@ class TestDeterminism:
 
 def report_digest(out_dir):
     """sha256 of report.json without its generated_at line, and for a
-    ladder report without its params.law line: the ladder recorded no law
-    when the digests below were pinned."""
+    ladder or bound report without its params.law line: neither recorded
+    a law when the digests below were pinned."""
     lines = (out_dir / "report.json").read_text().splitlines(keepends=True)
-    ladder = '  "name": "ladder",\n' in lines
+    no_law = {'  "name": "ladder",\n', '  "name": "bound_check",\n'}
+    law_added = not no_law.isdisjoint(lines)
     kept = [line for line in lines
             if not line.startswith('  "generated_at": ')
-            and not (ladder and line.startswith('    "law": '))]
+            and not (law_added and line.startswith('    "law": '))]
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
@@ -333,6 +334,11 @@ class TestReportDigests:
             assert run_in(tmp_path, monkeypatch, REPORTS[name][0]) == 0
             assert read_report(tmp_path / "out")["params"].get("law") == law
 
+    def test_bound_records_its_law(self, tmp_path, monkeypatch):
+        assert run_in(tmp_path, monkeypatch, REPORTS["bound"][0]) == 0
+        assert read_report(tmp_path / "out")["params"]["law"] == \
+            "BrownianMotion(dt=0.02, horizon=2.0, seed=8)"
+
     def test_counterexample_config_gives_the_subcommand_report(
             self, tmp_path, monkeypatch):
         cfg = {"kind": "counterexample", "N": 1500}
@@ -381,6 +387,38 @@ class TestConfigKeys:
                             out_dir=str(tmp_path / "out"))
         assert main(["run", path]) == 1
         assert "expected int, str or Fraction, got float" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind in ("bound", "ladder", "signs")
+        for key in ("a", "b")] + [("counterexample", "c")])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_barrier_exit_one(self, kind, key, value, tmp_path, capsys):
+        # a JSON true used to run as the barrier 1, recorded as "1"
+        path = write_config(tmp_path, **{**KINDS[kind], key: value},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert f"{key} must be an exact rational, got {value!r}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("ladder", "N", 2.9),  # used to run 2 draws
+        ("ladder", "N", True),  # used to run 1 draw
+        ("signs", "n", True),
+        ("suite", "workers", True),
+        ("lemmas", "limit", 25.0),
+        ("lemmas", "n_max", -1),
+        ("ladder", "dump_paths", True),
+    ], ids=["N-float", "N-bool", "n-bool", "workers-bool", "limit-float",
+            "n_max-negative", "dump_paths-bool"])
+    def test_count_not_an_integer_exit_one(self, kind, key, value, tmp_path,
+                                           capsys):
+        path = write_config(tmp_path, **{**KINDS[kind], key: value},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert f"{key} must be a nonnegative integer, got {value!r}" in \
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
