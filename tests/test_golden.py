@@ -122,6 +122,13 @@ GOLDEN = {
     "advance_formula_check": (
         lambda: advance_formula_check(6),
         "e9b3bb58c280acd27ea0d998b622a15399300e50a57bc7b6136086b573993ec9"),
+    # the exhaustive benchmark workload's sizes
+    "non_dyadic_sweep_60": (
+        lambda: non_dyadic_sweep(60),
+        "be4bb7570918596fe2e1207d7320ed593f51169922db017ed3306c28e8c0a7fa"),
+    "advance_formula_check_12": (
+        lambda: advance_formula_check(12),
+        "e4ae5849fc87a2e80199a399971381ae8f577eb78a3550376d0f42fc6f439c37"),
 }
 
 
