@@ -49,7 +49,8 @@ config that lacks a required key or holds any other key is rejected):
 The counts (N, n, limit, n_max, workers, dump_paths) must be nonnegative
 integers, as the seed must: a float or true/false is rejected, not
 truncated.  a, b and c take an integer or a string, never a float or
-true/false.
+true/false.  alpha and bound_cap take a number or a string that float()
+reads, never true/false.
 """
 
 from __future__ import annotations
@@ -124,14 +125,14 @@ def _run_invariance(cfg: dict, draws: _Draws) -> TestReport:
         sampler, parse_rule(cfg["rule"]),
         [parse_functional(s) for s in specs] if specs
         else verify.default_functionals(sampler.horizon),
-        cfg["N"], alpha=float(cfg.get("alpha", verify.DEFAULT_ALPHA)),
+        cfg["N"], alpha=cfg.get("alpha", verify.DEFAULT_ALPHA),
         workers=cfg.get("workers", 1))
 
 
 def _run_bound(cfg: dict, draws: _Draws) -> TestReport:
     return verify.bound_check(
         draws.law, as_rational(cfg["a"]), as_rational(cfg["b"]),
-        parse_rule(cfg["rule"]), float(cfg["bound_cap"]), cfg["N"],
+        parse_rule(cfg["rule"]), cfg["bound_cap"], cfg["N"],
         workers=cfg.get("workers", 1))
 
 
@@ -221,8 +222,10 @@ _KINDS = {
     "counterexample": (_run_counterexample, ("N",), ("c", "workers")),
 }
 _COMMON_KEYS = ("kind", "seed", "out_dir")
-#: keys that hold a count, and the exact rationals (barriers) of any kind
+#: keys that hold a count, a float, and the exact rationals (barriers) of
+#: any kind
 _COUNT_KEYS = ("N", "n", "workers", "limit", "n_max", "dump_paths")
+_FLOAT_KEYS = ("alpha", "bound_cap")
 _RATIONAL_KEYS = ("a", "b", "c")
 
 
@@ -239,6 +242,17 @@ def _count(key: str, value) -> int:
         raise ConfigurationError(
             f"{key} must be a nonnegative integer, got {value!r}")
     return count
+
+
+def _real(key: str, value) -> float:
+    """A float key's value as a float: ConfigurationError unless float()
+    takes it and it is not a bool, so true cannot run as 1.0."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{key} must be a real number, got {value!r}")
 
 
 def _dump_paths(cfg: dict, out_dir: FsPath, draws: _Draws) -> None:
@@ -291,6 +305,9 @@ def run_config(cfg: dict) -> int:
     for key in _COUNT_KEYS:
         if key in cfg:
             cfg[key] = _count(key, cfg[key])
+    for key in _FLOAT_KEYS:
+        if key in cfg:
+            cfg[key] = _real(key, cfg[key])
     for key in _RATIONAL_KEYS:
         # as_rational takes a bool as the int it is
         if isinstance(cfg.get(key), bool):

@@ -26,6 +26,7 @@ coincides with ladder step n on the event that the observed word equals e.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -35,6 +36,8 @@ from .stopping import LadderTrace, StoppingRule
 
 _CHARS = {1: "+", -1: "-", 0: "0"}
 _VALUES = {"+": 1, "-": -1, "0": 0}
+_SIGNS = frozenset((-1, 0, 1))
+_DIGIT_SIGNS = {"0": 1, "1": -1}
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,27 @@ class SignWord:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        entries = tuple(self.entries)
+        try:
+            valid = _SIGNS.issuperset(entries) and (
+                0 not in entries or not any(entries[entries.index(0):]))
+        except TypeError:  # an unhashable entry, named by the loop below
+            valid = False
+        if not valid:
+            self._reject(entries)
+        object.__setattr__(self, "entries", entries)
+
+    def _reject(self, entries: tuple) -> None:
+        """Raise RuleError naming the first entry that breaks a rule, as
+        the entries are read left to right."""
         seen_zero = False
-        for e in self.entries:
+        for e in entries:
             if e not in (-1, 0, 1):
                 raise RuleError(f"sign entries must be in -1, 0, 1; got {e!r}")
             if seen_zero and e != 0:
                 raise RuleError(
                     f"entry after a 0 must be 0: {self.entries}")
             seen_zero = seen_zero or e == 0
-        object.__setattr__(self, "entries", tuple(self.entries))
 
     @classmethod
     def from_string(cls, s: str) -> "SignWord":
@@ -79,22 +94,16 @@ class SignWord:
 
 def first_down_index(e: SignWord) -> Optional[int]:
     """1-based index of the first -1, or None."""
-    for i, x in enumerate(e.entries):
-        if x == -1:
-            return i + 1
-    return None
+    return e.entries.index(-1) + 1 if -1 in e.entries else None
 
 
 def first_zero_index(e: SignWord) -> Optional[int]:
     """1-based index of the first 0, or None."""
-    for i, x in enumerate(e.entries):
-        if x == 0:
-            return i + 1
-    return None
+    return e.entries.index(0) + 1 if 0 in e.entries else None
 
 
 def negate_word(e: SignWord) -> SignWord:
-    return SignWord(tuple(-x for x in e.entries))
+    return SignWord(tuple(map(operator.neg, e.entries)))
 
 
 def reflect_word(e: SignWord) -> SignWord:
@@ -107,7 +116,7 @@ def reflect_word(e: SignWord) -> SignWord:
     m = first_down_index(e)
     if m is None:
         return e
-    return SignWord(e.entries[:m] + tuple(-x for x in e.entries[m:]))
+    return SignWord(e.entries[:m] + tuple(map(operator.neg, e.entries[m:])))
 
 
 def advance_word(e: SignWord) -> SignWord:
@@ -143,7 +152,9 @@ def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
     """
     if not 0 <= steps < 2 ** n:
         raise RuleError(f"steps must be in [0, 2**{n}), got {steps}")
-    head = tuple(1 if (steps >> i) & 1 == 0 else -1 for i in range(n))
+    # the digits of steps past a marker bit at 2**n, read from the right:
+    # exactly n of them, least significant first
+    head = tuple(map(_DIGIT_SIGNS.__getitem__, bin(steps | 1 << n)[:2:-1]))
     return SignWord(head + suffix)
 
 

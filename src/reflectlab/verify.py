@@ -946,12 +946,31 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
 
 def check_non_dyadic_triple(a, b, c) -> bool:
     """For rationals 0 < a < b < c, whether at least one of a/(a+b), b/(b+c),
-    a/(a+c) is non-dyadic (exhaustive sweeps show this always holds)."""
+    a/(a+c) is non-dyadic (exhaustive sweeps show this always holds).
+
+    The check runs on integers: over a common denominator a, b, c are
+    integers x < y < z with the same ratios, and x/(x+y) in lowest terms has
+    the denominator (x+y)/gcd(x, y), so it is dyadic exactly when that is a
+    power of two."""
     a, b, c = as_rational(a), as_rational(b), as_rational(c)
-    if not 0 < a < b < c:
+    m = math.lcm(a.denominator, b.denominator, c.denominator)
+    x, y, z = (q.numerator * (m // q.denominator) for q in (a, b, c))
+    if not 0 < x < y < z:
         raise RuleError(f"need 0 < a < b < c, got {a}, {b}, {c}")
-    return (not is_dyadic(a / (a + b)) or not is_dyadic(b / (b + c))
-            or not is_dyadic(a / (a + c)))
+    return _non_dyadic_ints(x, y, z)
+
+
+def _non_dyadic_ints(x: int, y: int, z: int) -> bool:
+    """check_non_dyadic_triple on integers 0 < x < y < z, its ratios tried
+    in the same order."""
+    d = (x + y) // math.gcd(x, y)
+    if d & (d - 1):
+        return True
+    d = (y + z) // math.gcd(y, z)
+    if d & (d - 1):
+        return True
+    d = (x + z) // math.gcd(x, z)
+    return d & (d - 1) != 0
 
 
 def non_dyadic_sweep(limit: int) -> TestReport:
@@ -964,7 +983,7 @@ def non_dyadic_sweep(limit: int) -> TestReport:
         for b in range(2, c):
             for a in range(1, b):
                 checked += 1
-                if not check_non_dyadic_triple(a, b, c):
+                if not _non_dyadic_ints(a, b, c):
                     failures += 1
                     if first_failure is None:
                         first_failure = (a, b, c)

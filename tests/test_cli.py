@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from reflectlab.cli import _KINDS, main, parse_functional
+from reflectlab.cli import _KINDS, _real, main, parse_functional
 from reflectlab.errors import ConfigurationError, RuleError
 from reflectlab.verify import HittingTime, RunningMax, ValueAtTime
 
@@ -421,6 +421,22 @@ class TestConfigKeys:
         assert f"{key} must be a nonnegative integer, got {value!r}" in \
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key", [
+        ("invariance", "alpha"),  # used to run at alpha 1.0
+        ("bound", "bound_cap"),  # used to run with the cap 1.0
+    ])
+    def test_bool_float_key_exit_one(self, kind, key, tmp_path, capsys):
+        path = write_config(tmp_path, **{**KINDS[kind], key: True},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert f"{key} must be a real number, got True" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [1, 0.2, "0.01", "1e-3"])
+    def test_float_key_takes_what_float_reads(self, value):
+        assert _real("alpha", value) == float(value)
 
     def test_misspelled_alpha_exit_one(self, tmp_path, capsys):
         # it used to run at the default alpha, 0.001, and record that

@@ -47,6 +47,22 @@ class TestSignWord:
         with pytest.raises(RuleError):
             SignWord((1, 2))
 
+    @pytest.mark.parametrize("entries, message", [
+        # the 1 after the 0 is read before the 5
+        ((0, 1, 5), "entry after a 0 must be 0: (0, 1, 5)"),
+        ((2,), "sign entries must be in -1, 0, 1; got 2"),
+        ((1, 0, -1), "entry after a 0 must be 0: (1, 0, -1)"),
+        # unhashable: a RuleError, not a TypeError
+        (([1],), "sign entries must be in -1, 0, 1; got [1]"),
+    ])
+    def test_rejection_names_the_first_bad_entry(self, entries, message):
+        with pytest.raises(RuleError) as info:
+            SignWord(entries)
+        assert str(info.value) == message
+
+    def test_entries_equal_to_signs_accepted(self):
+        assert SignWord((1.0, True, 0)).to_string() == "++0"
+
     def test_string_round_trip(self):
         w = W(1, -1, 0)
         assert w.to_string() == "+-0"

@@ -63,6 +63,22 @@ from reflectlab.verify import (
 )
 
 
+_POSITIVE_RATIONALS = st.fractions(min_value=Fraction(1, 10 ** 4),
+                                   max_value=10 ** 6, max_denominator=10 ** 4)
+
+
+def _non_dyadic_fractions(a, b, c):
+    return (not is_dyadic(a / (a + b)) or not is_dyadic(b / (b + c))
+            or not is_dyadic(a / (a + c)))
+
+
+def _written(q, form):
+    """q as an int (when it is whole), a "p/q" string or a Fraction."""
+    if form == "int" and q.denominator == 1:
+        return q.numerator
+    return f"{q.numerator}/{q.denominator}" if form == "str" else q
+
+
 class TestNonDyadicTriple:
     def test_simple_true(self):
         assert check_non_dyadic_triple(1, 2, 3)  # 1/3 is not dyadic
@@ -85,6 +101,50 @@ class TestNonDyadicTriple:
         assert rep.verdict == "pass"
         count = rep.statistics[0].detail["checked"]
         assert count == 40 * 39 * 38 // 6
+
+    @given(st.lists(_POSITIVE_RATIONALS, min_size=3, max_size=3,
+                    unique=True),
+           st.tuples(*[st.sampled_from(("int", "str", "Fraction"))] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_triple_matches_fraction_formula(self, values, forms):
+        a, b, c = (_written(q, form)
+                   for q, form in zip(sorted(values), forms))
+        assert check_non_dyadic_triple(a, b, c) == _non_dyadic_fractions(
+            *sorted(values))
+
+    @given(st.tuples(*[st.integers(1, 64)] * 3))
+    def test_integer_core_matches_fraction_formula(self, triple):
+        # unordered and repeated entries reach triples whose three ratios
+        # are all dyadic, so both answers are checked
+        assert verify._non_dyadic_ints(*triple) == _non_dyadic_fractions(
+            *map(Fraction, triple))
+
+    @pytest.mark.parametrize("triple, message", [
+        ((1, 2, 3.0), "expected int, str or Fraction, got float"),
+        ((0.5, 1, 2), "expected int, str or Fraction, got float"),
+        (("1/2", "1/3", 1), "need 0 < a < b < c, got 1/2, 1/3, 1"),
+        ((Fraction(2, 6), "1/3", 1), "need 0 < a < b < c, got 1/3, 1/3, 1"),
+        ((0, 1, 2), "need 0 < a < b < c, got 0, 1, 2"),
+        (("-1/2", 1, 2), "need 0 < a < b < c, got -1/2, 1, 2"),
+    ])
+    def test_rejections(self, triple, message):
+        with pytest.raises(RuleError) as info:
+            check_non_dyadic_triple(*triple)
+        assert str(info.value) == message
+
+    def test_sweep_matches_fraction_loop(self):
+        checked, failures, first_failure = 0, 0, None
+        for c in range(3, 26):
+            for b in range(2, c):
+                for a in range(1, b):
+                    checked += 1
+                    if not _non_dyadic_fractions(*map(Fraction, (a, b, c))):
+                        failures += 1
+                        first_failure = first_failure or (a, b, c)
+        stat = non_dyadic_sweep(25).statistics[0]
+        assert (stat.detail["checked"], stat.value,
+                stat.detail["first_failure"]) == (
+                    checked, failures, first_failure)
 
 
 class TestAdvanceFormulaCheck:
