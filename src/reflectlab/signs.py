@@ -22,6 +22,14 @@ least significant first.  ``word_after_steps`` is that closed form, and
 ``exit_alignment_power`` inverts it: for a word e it returns the number of
 advance steps (negative means rewind) after which the two-sided exit time
 coincides with ladder step n on the event that the observed word equals e.
+
+Every ``SignWord`` is validated when it is built, the word maps' results
+included, so the exhaustive suites build hundreds of thousands of them.
+The two rules are checked in whole-tuple passes (set membership, then no
+nonzero entry after the first 0); only a word that breaks one is read entry
+by entry, to name the first bad entry.  The maps build their tuples the same
+way: ``map(operator.neg, ...)``, ``tuple.index`` and, in
+``word_after_steps``, the binary digits of ``steps`` as a string.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ class SignWord:
         object.__setattr__(self, "entries", entries)
 
     def _reject(self, entries: tuple) -> None:
-        """Raise RuleError naming the first entry that breaks a rule, as
-        the entries are read left to right."""
+        """Raise RuleError naming the first entry, left to right, that
+        breaks a rule.  An unhashable entry equal to a sign breaks none."""
         seen_zero = False
         for e in entries:
             if e not in (-1, 0, 1):
@@ -152,9 +160,10 @@ def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
     """
     if not 0 <= steps < 2 ** n:
         raise RuleError(f"steps must be in [0, 2**{n}), got {steps}")
-    # the digits of steps past a marker bit at 2**n, read from the right:
-    # exactly n of them, least significant first
-    head = tuple(map(_DIGIT_SIGNS.__getitem__, bin(steps | 1 << n)[:2:-1]))
+    # the binary digits of steps, least significant first, padded to n;
+    # [:n] drops the one digit of steps = 0 when n is 0
+    digits = f"{steps:b}"[::-1].ljust(n, "0")[:n]
+    head = tuple(map(_DIGIT_SIGNS.__getitem__, digits))
     return SignWord(head + suffix)
 
 
