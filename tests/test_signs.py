@@ -63,6 +63,10 @@ class TestSignWord:
     def test_entries_equal_to_signs_accepted(self):
         assert SignWord((1.0, True, 0)).to_string() == "++0"
 
+    def test_entries_read_once(self):
+        # a generator used to be used up by the check, leaving the word empty
+        assert SignWord(x for x in (1, -1)) == W(1, -1)
+
     def test_string_round_trip(self):
         w = W(1, -1, 0)
         assert w.to_string() == "+-0"
