@@ -138,8 +138,17 @@ def rewind_word(e: SignWord) -> SignWord:
     return negate_word(reflect_word(e))
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise RuleError(f"word length n must be nonnegative, got {n}")
+
+
 def all_words(n: int) -> Iterator[SignWord]:
-    """All zero-absorbing words of length n (there are 2**(n+1) - 1)."""
+    """All zero-absorbing words of length n (there are 2**(n+1) - 1).
+
+    A negative n raises here, not at the first word."""
+    _check_length(n)
+
     def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
             yield prefix
@@ -147,8 +156,7 @@ def all_words(n: int) -> Iterator[SignWord]:
         for x in (1, -1):
             yield from rec(prefix + (x,))
         yield prefix + (0,) * (n - len(prefix))
-    for entries in rec(()):
-        yield SignWord(entries)
+    return map(SignWord, rec(()))
 
 
 def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
@@ -156,8 +164,9 @@ def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
     times: entry i is (-1)**a_i over the base-2 digits a_0..a_{n-1} of
     ``steps`` (least significant first), followed by the untouched suffix.
 
-    Requires 0 <= steps < 2**n.
+    Requires n >= 0 and 0 <= steps < 2**n.
     """
+    _check_length(n)
     if not 0 <= steps < 2 ** n:
         raise RuleError(f"steps must be in [0, 2**{n}), got {steps}")
     # the binary digits of steps, least significant first, padded to n;

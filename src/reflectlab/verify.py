@@ -19,14 +19,19 @@ Conventions
 
 Block draws
 -----------
-``invariance_test`` runs the draw loop over blocks of draws, each returning
-an array indexed by arm, functional and draw.  On a law with a shared grid
-(``BrownianMotion``, ``DriftedBM``, ``OconeTimeChange``) a block holds about
-``_BLOCK_INCREMENTS`` increments: the sampler fills one increment matrix, one
-row per draw from that draw's own Generator, and one ``cumsum(axis=1)`` gives
-every row's ``Path.values`` bit for bit, which a functional with a ``rows``
-form reads off its columns; that is the sampled arm.  The reflected arm takes
-one of two routes.  When the rule pivots every draw at one knot of the grid
+Every Monte Carlo suite runs over index ranges: ``_run_draws`` cuts a run
+into consecutive ranges of draws, spreads them over the workers in shards,
+and yields one block per range in index order.  A suite without a block form
+takes ranges of one draw and the generic block, the list of its per-draw rows
+(``_each_draw``).  ``invariance_test`` takes ranges of ``_block_size`` draws,
+each block an array indexed by arm, functional and draw, and joins the blocks
+in one ``concatenate``.  On a law with a shared grid (``BrownianMotion``,
+``DriftedBM``, ``OconeTimeChange``) a block holds about ``_BLOCK_INCREMENTS``
+increments: the sampler fills one increment matrix, one row per draw from
+that draw's own Generator, and one ``cumsum(axis=1)`` gives every row's
+``Path.values`` bit for bit, which a functional with a ``rows`` form reads
+off its columns; that is the sampled arm.  The reflected arm takes one of two
+routes.  When the rule pivots every draw at one knot of the grid
 (``_grid_pivot``: a fixed time on a knot, or at least the horizon), it is the
 same matrix with the columns from that knot on negated, summed the same way;
 negation is exact, so no draw is built as a path.  Under any other rule each
@@ -46,6 +51,7 @@ from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -220,37 +226,61 @@ def _csv_num(x) -> str:
 # parallel sharding
 # ---------------------------------------------------------------------------
 
-def _run_draws(fn: Callable, args: tuple, n: int, workers: int) -> Iterator:
-    """Yield ``fn(args, i)`` for i in range(n), in index order, computed on
-    contiguous index ranges spread over the workers.
+def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
+               size: int) -> Iterator:
+    """Yield ``fn(args, indices)`` for the consecutive ranges of at most
+    ``size`` indices that cover range(n), in index order, computed in shards
+    of contiguous ranges spread over the workers.
 
-    Every caller reduces the rows in the order they come, so each statistic
-    is bit-identical at any worker count.  An empty run is rejected when its
-    rows are first asked for: its reductions would report a pass with
+    Every suite runs over these ranges: one with a block form computes a
+    range at once, the others go through ``_each_draw``.  Every caller
+    reduces the blocks in the order they come, so each statistic is
+    bit-identical at any worker count.  An empty run is rejected when its
+    blocks are first asked for: its reductions would report a pass with
     nothing checked.  A consumer may stop reading early; when it does, or
-    when a draw raises, the shards that have not started are cancelled
+    when a block raises, the shards that have not started are cancelled
     rather than run on the way out of the pool.
     """
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
-    if min(n, workers) <= 1:
-        yield from (fn(args, i) for i in range(n))
+    if workers <= 1 or n <= size:
+        yield from (fn(args, indices) for indices in _ranges(range(n), size))
         return
-    # shards are reduced as they arrive, so a run holds the rows of a few
-    # shards at a time, whatever its size
-    size = min(1000, -(-n // workers))
+    # a shard is a run of ranges, cut in the worker; shards are reduced as
+    # they arrive, so a run holds the blocks of a few shards at a time,
+    # whatever its size
+    shard = size * min(1000, -(-n // (size * workers)))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         try:
-            shards = deque(ex.submit(_draws, fn, args, s, min(s + size, n))
-                           for s in range(0, n, size))
+            shards = deque(ex.submit(_draws, fn, args, indices, size)
+                           for indices in _ranges(range(n), shard))
             while shards:
                 yield from shards.popleft().result()
         finally:
             ex.shutdown(cancel_futures=True)
 
 
-def _draws(fn: Callable, args: tuple, start: int, stop: int) -> list:
-    return [fn(args, i) for i in range(start, stop)]
+def _ranges(indices: range, size: int) -> Iterator[range]:
+    """The consecutive ranges of at most size indices that cover indices."""
+    return (indices[s:s + size] for s in range(0, len(indices), size))
+
+
+def _draws(fn: Callable, args: tuple, indices: range, size: int) -> list:
+    """One shard: the blocks of the ranges of at most size that cover
+    indices."""
+    return [fn(args, r) for r in _ranges(indices, size)]
+
+
+def _each_draw(fn: Callable, args: tuple, n: int, workers: int) -> Iterator:
+    """Yield ``fn(args, i)`` for i in range(n), in index order: the blocks
+    of ``_run_draws`` at one draw each, read back row by row."""
+    for rows in _run_draws(partial(_per_draw, fn), args, n, workers, 1):
+        yield from rows
+
+
+def _per_draw(fn: Callable, args: tuple, indices: range) -> list:
+    """The generic block: the row ``fn(args, i)`` of each draw of indices."""
+    return [fn(args, i) for i in indices]
 
 
 def _reseeded(sampler, seed: Optional[int]):
@@ -394,32 +424,38 @@ def _grid_pivot(rule, knots: np.ndarray) -> Optional[int]:
     return i if knots[i] == rule.r else None
 
 
-def _invariance_block(args, b):
-    """The functionals of the draws of block b and of their reflections, as
+def _invariance_block(args, indices: range):
+    """The functionals of the draws of indices and of their reflections, as
     an array indexed by arm, functional and draw."""
-    sampler, rule, functionals, n, size = args
-    indices = range(b * size, min(n, (b + 1) * size))
+    sampler, rule, functionals = args
     out = np.empty((2, len(functionals), len(indices)))
-    if not isinstance(sampler, _GridLaw):
-        for r, i in enumerate(indices):
-            p = sampler.sample(i)
-            for arm, q in enumerate((p, reflect_at_rule(p, rule))):
-                out[arm, :, r] = [f.apply(q) for f in functionals]
-        return out
-    knots, inc = sampler._rows(indices)
-    _read_rows(out[0], functionals, knots, inc)
-    col = _grid_pivot(rule, knots)
-    if col is None:
-        inc.setflags(write=False)
-        for r, row in enumerate(inc):
-            q = reflect_at_rule(_fast_path(knots, row, {}), rule)
-            out[1, :, r] = [f.apply(q) for f in functionals]
+    if isinstance(sampler, _GridLaw):
+        knots, inc = sampler._rows(indices)
+        # arm 0 is read in full here, before the pivot route below negates
+        # inc under the paths it may have built
+        _read_rows(out[0], functionals, knots, inc)
+        col = _grid_pivot(rule, knots)
+        if col is not None:
+            # every row reflects at knot col: the block's own matrix,
+            # negated from that column on, is the reflected arm
+            np.negative(inc[:, col:], out=inc[:, col:])
+            _read_rows(out[1], functionals, knots, inc)
+            return out
+        paths = _row_paths(knots, inc)
     else:
-        # every row reflects at knot col: the block's own matrix, negated
-        # from that column on, is the reflected arm
-        np.negative(inc[:, col:], out=inc[:, col:])
-        _read_rows(out[1], functionals, knots, inc)
+        paths = [sampler.sample(i) for i in indices]
+        out[0] = [[f.apply(p) for p in paths] for f in functionals]
+    reflected = [reflect_at_rule(p, rule) for p in paths]
+    out[1] = [[f.apply(q) for q in reflected] for f in functionals]
     return out
+
+
+def _row_paths(knots: np.ndarray, inc: np.ndarray) -> list:
+    """The unanchored paths on knots whose increments are the rows of inc,
+    each on a read-only view of its row (inc itself stays writable)."""
+    rows = inc.view()
+    rows.setflags(write=False)
+    return [_fast_path(knots, row, {}) for row in rows]
 
 
 def _read_rows(out: np.ndarray, functionals: Sequence, knots: np.ndarray,
@@ -439,10 +475,7 @@ def _read_rows(out: np.ndarray, functionals: Sequence, knots: np.ndarray,
             out[j] = f.rows(knots, values)
             continue
         if paths is None:
-            paths = []
-            for row in inc:  # a read-only view of a row of inc
-                row.setflags(write=False)
-                paths.append(_fast_path(knots, row, {}))
+            paths = _row_paths(knots, inc)
         out[j] = [f.apply(p) for p in paths]
 
 
@@ -484,16 +517,15 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     if n_draws < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
     names = [f.name for f in functionals]
-    if len(set(names)) != len(names):
-        raise ConfigurationError(f"functional names collide: {names}")
+    if not names or len(set(names)) != len(names):
+        # with none the test would pass on nothing checked; two of one name
+        # would give two statistics and two summary rows of one name
+        raise ConfigurationError(
+            f"need one or more functionals of distinct names, got {names}")
     sampler = _reseeded(sampler, seed)
-    size = _block_size(sampler)
-    values = np.empty((2, len(functionals), n_draws))  # arm, functional, draw
-    for b, block in enumerate(_run_draws(
-            _invariance_block,
-            (sampler, rule, list(functionals), n_draws, size),
-            -(-n_draws // size), workers)):
-        values[..., b * size:(b + 1) * size] = block
+    values = np.concatenate(list(_run_draws(  # arm, functional, draw
+        _invariance_block, (sampler, rule, list(functionals)), n_draws,
+        workers, _block_size(sampler))), axis=-1)
     stats = _ks_statistics(functionals, *values, alpha)
     return TestReport(
         name="invariance",
@@ -541,7 +573,7 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
     xs, sup = [], 0.0
-    for x, running in _run_draws(
+    for x, running in _each_draw(
             _bound_draw, (sampler, rule, float(bound_cap)), n_draws, workers):
         xs.append(x)
         sup = max(sup, running)
@@ -627,7 +659,7 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
     sampler = _reseeded(sampler, seed)
     moments = {}  # (n, word prefix) -> [sum, sum of squares, count]
     anti_failures = 0
-    for entries, increments, failures in _run_draws(
+    for entries, increments, failures in _each_draw(
             _martingale_draw, (sampler, a, b, n_steps), n_draws, workers):
         anti_failures += failures
         for n, f in enumerate(increments):
@@ -790,9 +822,8 @@ def stability_suite(n_paths: int, seed: Optional[int] = None, sampler=None,
     if sampler is None:
         sampler = BrownianMotion(dt=1e-3, horizon=10.0)
     sampler = _reseeded(sampler, seed)
-    fails = Counter()
-    worst = 0.0
-    for draw_fails, deviation in _run_draws(_stability_draw, (sampler,),
+    fails, worst = Counter(), 0.0
+    for draw_fails, deviation in _each_draw(_stability_draw, (sampler,),
                                             n_paths, workers):
         fails.update(draw_fails)
         worst = max(worst, deviation)
@@ -862,7 +893,7 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
     fails, words = Counter(), Counter()
-    for word, draw_fails in _run_draws(
+    for word, draw_fails in _each_draw(
             _sign_draw, (sampler, TwoSidedHit(a, b), n), n_draws, workers):
         words[word] += 1
         fails.update(draw_fails)
@@ -913,7 +944,7 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     short = len(words)  # words below quota
     failures = 0
     # one worker: a pool would draw past the draw that fills the last quota
-    for draws, (w, tr) in enumerate(_run_draws(
+    for draws, (w, tr) in enumerate(_each_draw(
             _alignment_draw, (sampler, a, b, n), n_draws_max, 1), 1):
         if counts[w] >= min_per_word:
             continue
@@ -975,10 +1006,12 @@ def _non_dyadic_ints(x: int, y: int, z: int) -> bool:
 
 def non_dyadic_sweep(limit: int) -> TestReport:
     """check_non_dyadic_triple over all integer triples 0 < a < b < c <= limit
-    (the exhaustive enumeration is itself the oracle)."""
-    checked = 0
-    failures = 0
-    first_failure = None
+    (the exhaustive enumeration is itself the oracle).  A limit below 3
+    holds no triple and is rejected: nothing checked would read as a
+    pass."""
+    if limit < 3:
+        raise ConfigurationError(f"limit must be at least 3, got {limit}")
+    checked, failures, first_failure = 0, 0, None
     for c in range(3, limit + 1):
         for b in range(2, c):
             for a in range(1, b):
@@ -1034,7 +1067,7 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     unit_time_failures = 0
     xs = np.empty(n_draws)
     arms = np.empty((3, len(functionals), n_draws))  # arm, functional, draw
-    for i, (missed, xs[i], arms[..., i]) in enumerate(_run_draws(
+    for i, (missed, xs[i], arms[..., i]) in enumerate(_each_draw(
             _counterexample_draw, (sampler, exit_unit, exit_wide, functionals),
             n_draws, workers)):
         unit_time_failures += missed
@@ -1065,11 +1098,11 @@ def advance_formula_check(n_max: int) -> TestReport:
     iteration, for every prefix length n <= n_max, every step count below
     2**n, and suffixes headed by +1 and by -1; plus the shifted variant
     starting from (plus^(n-1), -1, suffix) with signed exponents, and
-    bijectivity of the advance map on each word space."""
-    mismatches = 0
-    shifted_mismatches = 0
-    non_bijective = 0
-    checked = 0
+    bijectivity of the advance map on each word space.  A negative n_max
+    checks nothing and is rejected."""
+    if n_max < 0:
+        raise ConfigurationError(f"n_max must be at least 0, got {n_max}")
+    mismatches = shifted_mismatches = non_bijective = checked = 0
     for n in range(n_max + 1):
         for suffix in ((1,), (-1,)):
             w = SignWord((1,) * n + suffix)
@@ -1079,8 +1112,7 @@ def advance_formula_check(n_max: int) -> TestReport:
                     mismatches += 1
                 w = advance_word(w)
             if n >= 1:
-                base = SignWord((1,) * (n - 1) + (-1,) + suffix)
-                w = base
+                w = base = SignWord((1,) * (n - 1) + (-1,) + suffix)
                 for e in range(2 ** (n - 1)):
                     checked += 1
                     if word_after_steps(n, 2 ** (n - 1) + e, suffix) != w:

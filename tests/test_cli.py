@@ -422,6 +422,16 @@ class TestConfigKeys:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("limit", [0, 2])
+    def test_lemmas_with_no_triple_exit_one(self, limit, tmp_path, capsys):
+        # a sweep of no triple used to report a pass and exit 0
+        path = write_config(tmp_path, **{**KINDS["lemmas"], "limit": limit},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert f"limit must be at least 3, got {limit}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind, key", [
         ("invariance", "alpha"),  # used to run at alpha 1.0
         ("bound", "bound_cap"),  # used to run with the cap 1.0

@@ -76,6 +76,16 @@ class TestSignWord:
         for n in range(6):
             assert len(list(all_words(n))) == 2 ** (n + 1) - 1
 
+    @pytest.mark.parametrize("make", [
+        lambda n: all_words(n),  # raised RecursionError at the first word
+        lambda n: word_after_steps(n, 0),  # returned the empty word
+    ], ids=["all_words", "word_after_steps"])
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_length_rejected(self, make, n):
+        message = f"word length n must be nonnegative, got {n}"
+        with pytest.raises(RuleError, match=message):
+            make(n)
+
 
 class TestIndexes:
     def test_mixed_word(self):

@@ -33,6 +33,7 @@ from reflectlab import (
     bound_check,
     check_non_dyadic_triple,
     counterexample_demo,
+    default_functionals,
     exit_alignment_test,
     invariance_test,
     is_dyadic,
@@ -96,6 +97,13 @@ class TestNonDyadicTriple:
         with pytest.raises(RuleError):
             check_non_dyadic_triple(0, 1, 2)
 
+    @pytest.mark.parametrize("limit", [-1, 0, 2])
+    def test_sweep_with_no_triple_rejected(self, limit):
+        # it reported a pass with nothing checked
+        with pytest.raises(ConfigurationError,
+                           match=f"limit must be at least 3, got {limit}"):
+            non_dyadic_sweep(limit)
+
     def test_sweep_small(self):
         rep = non_dyadic_sweep(40)
         assert rep.verdict == "pass"
@@ -152,6 +160,17 @@ class TestAdvanceFormulaCheck:
         rep = advance_formula_check(8)
         assert rep.verdict == "pass"
         assert all(s.value == 0 for s in rep.statistics)
+
+    def test_smallest_run_checks_words(self):
+        rep = advance_formula_check(0)
+        assert rep.verdict == "pass" and rep.sample_size == 2
+
+    @pytest.mark.parametrize("n_max", [-1, -3])
+    def test_negative_n_max_rejected(self, n_max):
+        # it reported a pass with nothing checked
+        with pytest.raises(ConfigurationError,
+                           match=f"n_max must be at least 0, got {n_max}"):
+            advance_formula_check(n_max)
 
 
 class TestKsSanity:
@@ -228,6 +247,15 @@ class TestInvarianceTest:
             invariance_test(sampler, FixedTime(0.0), [ValueAtTime(2.5)],
                             1000, workers=workers)
 
+    @pytest.mark.parametrize("law", [BrownianMotion(dt=0.1, horizon=1.0),
+                                     DyadicCounterexample(horizon=5.0)])
+    def test_no_functional_rejected(self, law):
+        # it passed with nothing checked
+        with pytest.raises(ConfigurationError,
+                           match=r"need one or more functionals of distinct "
+                                 r"names, got \[\]"):
+            invariance_test(law, FixedTime(0.0), [], 1000)
+
     def test_colliding_functional_names_rejected(self):
         # both print as value_at_1 under :g, which would give two statistics
         # and two summary rows of one name
@@ -236,14 +264,6 @@ class TestInvarianceTest:
         with pytest.raises(ConfigurationError):
             invariance_test(BrownianMotion(dt=0.05, horizon=2.0, seed=46),
                             FixedTime(0.0), functionals, 1000)
-
-    def test_worker_count_invariance(self):
-        sampler = BrownianMotion(dt=0.05, horizon=2.0, seed=45)
-        kw = dict(functionals=[ValueAtTime(1.0), RunningMax()], n_draws=1500)
-        r1 = invariance_test(sampler, FixedTime(0.0), workers=1, **kw)
-        r2 = invariance_test(sampler, FixedTime(0.0), workers=2, **kw)
-        assert [s.value for s in r1.statistics] == \
-            [s.value for s in r2.statistics]
 
     def test_fraction_levels_have_float_names(self):
         # format(Fraction, "g") raised TypeError, so the name check failed
@@ -337,10 +357,9 @@ class TestInvarianceBlocks:
     def test_block_is_apply_bit_for_bit(self, law, rule, seed, size, b,
                                         short):
         sampler = dataclasses.replace(law, seed=seed)
-        n = max(b * size + 1, (b + 1) * size - short)  # may cut the block
-        block = _invariance_block(
-            (sampler, rule, _BLOCK_FUNCTIONALS, n, size), b)
-        indices = range(b * size, min(n, (b + 1) * size))
+        # a block that starts past 0 and may be cut short
+        indices = range(b * size, max(b * size + 1, (b + 1) * size - short))
+        block = _invariance_block((sampler, rule, _BLOCK_FUNCTIONALS), indices)
         expected = _block_reference(sampler, rule, _BLOCK_FUNCTIONALS,
                                     indices)
         assert block.shape == expected.shape
@@ -381,7 +400,7 @@ class TestInvarianceBlocks:
         monkeypatch.setattr(verify, "reflect_at_rule", refuse)
         if rows_only:
             monkeypatch.setattr(verify, "_fast_path", refuse)
-        block = _invariance_block((sampler, rule, functionals, 9, 9), 0)
+        block = _invariance_block((sampler, rule, functionals), range(9))
         assert block.tobytes() == expected.tobytes()
 
     def test_anchored_reflection_goes_through_apply(self, monkeypatch):
@@ -400,7 +419,7 @@ class TestInvarianceBlocks:
         functionals = [RunningMax(), HittingTime(1)]
         expected = _block_reference(sampler, rule, functionals, range(3))
         monkeypatch.setattr(RunningMax, "apply", spy)
-        block = _invariance_block((sampler, rule, functionals, 3, 3), 0)
+        block = _invariance_block((sampler, rule, functionals), range(3))
         # the sampled rows are read off the matrix, the reflected ones not
         assert [p.anchors for p in applied] == [{2: Fraction(1)}] * 3
         assert block.tobytes() == expected.tobytes()
@@ -612,6 +631,19 @@ class TestSignIdentitySuite:
         assert all(s.value == 0 for s in stats.values())
 
 
+class TestExitAlignment:
+    def test_negative_word_length_rejected(self, monkeypatch):
+        # all_words(-1) recursed until RecursionError
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(RuleError,
+                           match="word length n must be nonnegative, got -1"):
+            exit_alignment_test(BrownianMotion(dt=0.05, horizon=1.0), 1, 2,
+                                -1, 1, 10)
+
+
 class TestCounterexampleDemo:
     def test_moderate_run(self):
         rep = counterexample_demo(2000, seed=65)
@@ -633,6 +665,11 @@ class TestCounterexampleDemo:
 
 
 _SHARDED = {
+    # blocks of 819 draws: two blocks a shard on two workers, the last one
+    # 543 draws long
+    "invariance_test": lambda workers: invariance_test(
+        BrownianMotion(dt=0.05, horizon=2.0), FixedTime(0.0),
+        default_functionals(2.0), 3000, seed=45, workers=workers),
     "stability_suite": lambda workers: stability_suite(
         20, seed=71, sampler=BrownianMotion(dt=0.01, horizon=4.0),
         workers=workers),
@@ -656,12 +693,17 @@ _SHARDED = {
 }
 
 
-def _marking_draw(directory, i):
-    """Leave a marker for the shard that starts at draw i, then fail at
-    draw 0 and sleep at the start of every other shard."""
-    if i % 1000 == 0:
-        (pathlib.Path(directory) / str(i)).touch()
-        if i == 0:
+def _indices(args, indices):
+    return indices
+
+
+def _marking_block(directory, indices):
+    """Leave a marker for the shard that starts at the block of indices,
+    then fail at the block of draw 0 and sleep at the start of every other
+    shard (shards of 1000 blocks of 10 draws)."""
+    if indices.start % 10_000 == 0:
+        (pathlib.Path(directory) / str(indices.start)).touch()
+        if indices.start == 0:
             raise ZeroDivisionError("draw 0")
         time.sleep(0.2)
 
@@ -672,20 +714,35 @@ class TestSharding:
         run = _SHARDED[name]
         assert run(1).to_json() == run(2).to_json()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, size", [(1, 1), (1, 7), (5, 7), (2500, 7),
+                                         (2500, 1), (20_003, 10)])
+    def test_ranges_cover_the_run_in_order(self, workers, n, size):
+        # on two workers (2500, 1) and (20_003, 10) are three shards of at
+        # most 1000 ranges; the last shard of (20_003, 10) is one range of 3
+        ranges = list(_run_draws(_indices, None, n, workers, size))
+        assert all(isinstance(r, range) and r.step == 1 for r in ranges)
+        assert all(1 <= len(r) <= size for r in ranges)
+        assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+        assert ranges[-1].stop == n
+        assert len(ranges) == -(-n // size)
+
     def test_rows_in_index_order_across_shards(self):
         # 2500 draws on two workers make three shards of at most 1000;
-        # getitem(range(n), i) is the row of draw i
+        # the row of draw i is i
         n = 2500
-        rows = list(_run_draws(operator.getitem, range(n), n, workers=2))
+        rows = list(verify._each_draw(operator.getitem, range(n), n,
+                                      workers=2))
         assert rows == list(range(n))
 
     def test_stopping_cancels_shards_not_started(self, tmp_path):
-        # draw 0 raises; the 19 other shards of 1000 draws wait 0.2 s at
-        # their first draw, so without cancellation all 20 would run.  The
-        # pool starts the shards it has queued ahead (5 or 6 in all)
+        # the block of draw 0 raises; the 19 other shards of 1000 blocks
+        # wait 0.2 s at their first block, so without cancellation all 20
+        # would run.  The pool starts the shards it has queued ahead (5 or
+        # 6 in all)
         with pytest.raises(ZeroDivisionError):
-            for _ in _run_draws(_marking_draw, str(tmp_path), 20_000,
-                                workers=2):
+            for _ in _run_draws(_marking_block, str(tmp_path), 200_000,
+                                workers=2, size=10):
                 pass
         started = len(list(tmp_path.iterdir()))
         assert 1 <= started < 10
