@@ -23,59 +23,51 @@ least significant first.  ``word_after_steps`` is that closed form, and
 advance steps (negative means rewind) after which the two-sided exit time
 coincides with ladder step n on the event that the observed word equals e.
 
-Every ``SignWord`` is validated when it is built, the word maps' results
-included, so the exhaustive suites build hundreds of thousands of them.
-The two rules are checked in whole-tuple passes (set membership, then no
-nonzero entry after the first 0); only a word that breaks one is read entry
-by entry, to name the first bad entry.  The maps build their tuples the same
-way: ``map(operator.neg, ...)``, ``tuple.index`` and, in
-``word_after_steps``, the binary digits of ``steps`` as a string.
+A ``SignWord`` is held packed, as its length n, its number d of nonzero
+entries and a mask m with bit i set when entry i + 1 is -1, so each word map
+is a bit operation.  Words are validated only where they enter: the tuple
+constructor (behind ``from_string``) and ``word_after_steps``'s suffix.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import RuleError
 from .path import Path, negate, reflect_at_rule
 from .stopping import LadderTrace, StoppingRule
 
-_CHARS = {1: "+", -1: "-", 0: "0"}
 _VALUES = {"+": 1, "-": -1, "0": 0}
-_SIGNS = frozenset((-1, 0, 1))
-_DIGIT_SIGNS = {"0": 1, "1": -1}
+_DIGIT_CHARS = str.maketrans("01", "+-")
+_new = object.__new__
 
 
-@dataclass(frozen=True)
 class SignWord:
-    """Word over {-1, 0, +1} with zeros absorbing."""
+    """Word over {-1, 0, +1} with zeros absorbing, held as (n, d, m)."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("_n", "_d", "_m")
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        try:
-            valid = _SIGNS.issuperset(entries) and (
-                0 not in entries or not any(entries[entries.index(0):]))
-        except TypeError:  # an unhashable entry, named by the loop below
-            valid = False
-        if not valid:
+    def __init__(self, entries):
+        entries = tuple(entries)
+        n = len(entries)
+        d = n - entries.count(0)
+        # valid when the n - d zeros come last and the rest are +1 or -1
+        if entries.count(1) + entries.count(-1) != d or any(entries[d:]):
             self._reject(entries)
-        object.__setattr__(self, "entries", entries)
+        m = 0
+        for e in reversed(entries[:d]):
+            m = m << 1 | (e == -1)
+        self._n, self._d, self._m = n, d, m
 
-    def _reject(self, entries: tuple) -> None:
+    @staticmethod
+    def _reject(entries: tuple) -> None:
         """Raise RuleError naming the first entry, left to right, that
-        breaks a rule.  An unhashable entry equal to a sign breaks none."""
-        seen_zero = False
-        for e in entries:
+        breaks a rule.  An entry equal to a sign (1.0, True) breaks none."""
+        for i, e in enumerate(entries):
             if e not in (-1, 0, 1):
                 raise RuleError(f"sign entries must be in -1, 0, 1; got {e!r}")
-            if seen_zero and e != 0:
-                raise RuleError(
-                    f"entry after a 0 must be 0: {self.entries}")
-            seen_zero = seen_zero or e == 0
+            if e != 0 and 0 in entries[:i]:
+                raise RuleError(f"entry after a 0 must be 0: {entries}")
 
     @classmethod
     def from_string(cls, s: str) -> "SignWord":
@@ -84,11 +76,24 @@ class SignWord:
         except KeyError as exc:
             raise RuleError(f"bad sign character in {s!r}") from exc
 
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(map(_VALUES.__getitem__, self.to_string()))
+
     def to_string(self) -> str:
-        return "".join(_CHARS[e] for e in self.entries)
+        # the d low bits of m, least significant first (the 1 above is cut)
+        digits = format(self._m | 1 << self._d, "b")[:0:-1]
+        return digits.translate(_DIGIT_CHARS) + "0" * (self._n - self._d)
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is self.__class__ and self._m == other._m
+                and self._d == other._d and self._n == other._n)
+
+    def __hash__(self) -> int:
+        return hash((self._n, self._d, self._m))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
@@ -100,18 +105,25 @@ class SignWord:
         return f"SignWord({self.to_string()!r})"
 
 
+def _packed(n: int, d: int, m: int) -> SignWord:
+    """The word (n, d, m), unchecked: for the maps' results."""
+    w = _new(SignWord)
+    w._n, w._d, w._m = n, d, m
+    return w
+
+
 def first_down_index(e: SignWord) -> Optional[int]:
     """1-based index of the first -1, or None."""
-    return e.entries.index(-1) + 1 if -1 in e.entries else None
+    return (e._m & -e._m).bit_length() or None
 
 
 def first_zero_index(e: SignWord) -> Optional[int]:
     """1-based index of the first 0, or None."""
-    return e.entries.index(0) + 1 if 0 in e.entries else None
+    return e._d + 1 if e._d < e._n else None
 
 
 def negate_word(e: SignWord) -> SignWord:
-    return SignWord(tuple(map(operator.neg, e.entries)))
+    return _packed(e._n, e._d, e._m ^ ((1 << e._d) - 1))
 
 
 def reflect_word(e: SignWord) -> SignWord:
@@ -119,12 +131,11 @@ def reflect_word(e: SignWord) -> SignWord:
 
     This is the action on sign words of reflecting the path at the two-sided
     exit time.  Without a -1 the word is unchanged (the exit never happens, so
-    the reflection is the identity).  It is an involution.
+    the reflection is the identity).  It is an involution.  On the mask it
+    flips the bits above the lowest set bit, below bit d.
     """
-    m = first_down_index(e)
-    if m is None:
-        return e
-    return SignWord(e.entries[:m] + tuple(map(operator.neg, e.entries[m:])))
+    low = e._m & -e._m  # the first -1's bit, 0 when there is none
+    return _packed(e._n, e._d, e._m ^ ((1 << e._d) - 1 & -(low << 1)))
 
 
 def advance_word(e: SignWord) -> SignWord:
@@ -144,19 +155,18 @@ def _check_length(n: int) -> None:
 
 
 def all_words(n: int) -> Iterator[SignWord]:
-    """All zero-absorbing words of length n (there are 2**(n+1) - 1).
+    """All zero-absorbing words of length n (there are 2**(n+1) - 1), in
+    lexicographic order with + before - before 0.
 
     A negative n raises here, not at the first word."""
     _check_length(n)
 
-    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for x in (1, -1):
-            yield from rec(prefix + (x,))
-        yield prefix + (0,) * (n - len(prefix))
-    return map(SignWord, rec(()))
+    def rec(k: int, m: int) -> Iterator[SignWord]:
+        if k < n:
+            yield from rec(k + 1, m)
+            yield from rec(k + 1, m | 1 << k)
+        yield _packed(n, k, m)
+    return rec(0, 0)
 
 
 def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
@@ -167,20 +177,17 @@ def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
     Requires n >= 0 and 0 <= steps < 2**n.
     """
     _check_length(n)
-    if not 0 <= steps < 2 ** n:
+    if not 0 <= steps < 1 << n:
         raise RuleError(f"steps must be in [0, 2**{n}), got {steps}")
-    # the binary digits of steps, least significant first, padded to n;
-    # [:n] drops the one digit of steps = 0 when n is 0
-    digits = f"{steps:b}"[::-1].ljust(n, "0")[:n]
-    head = tuple(map(_DIGIT_SIGNS.__getitem__, digits))
-    return SignWord(head + suffix)
+    tail = SignWord(suffix)
+    return _packed(n + tail._n, n + tail._d, steps | tail._m << n)
 
 
 def exit_alignment_power(e: SignWord) -> int:
     """Number of advance steps aligning the two-sided exit with ladder step n.
 
     For a word e of length n with d nonzero entries and digits a_i defined by
-    e_{i+1} = (-1)**a_i:
+    e_{i+1} = (-1)**a_i (so that sum a_i 2**i is the mask m):
 
     * d == n: 2**(n-1) - sum a_i 2**i  (aligns the exit with tau_n);
     * d < n:  -(a_0 + ... + a_{d-1} 2**(d-1))  (aligns on "never exits", so
@@ -188,16 +195,9 @@ def exit_alignment_power(e: SignWord) -> int:
 
     Negative values mean rewinding (applying the inverse path map).
     """
-    n = len(e)
-    d = first_zero_index(e)
-    d = n if d is None else d - 1
-    digits = [0 if x == 1 else 1 for x in e.entries[:d]]
-    low = sum(a << i for i, a in enumerate(digits))
-    if d == n:
-        if n == 0:
-            return 0
-        return (1 << (n - 1)) - low
-    return -low
+    if e._d < e._n:
+        return -e._m
+    return (1 << (e._n - 1)) - e._m if e._n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +212,8 @@ def trace_sign_word(tr: LadderTrace) -> SignWord:
     tracked as exact rationals, so the comparison never touches rounded path
     values.
     """
-    entries = tuple(d * tr.ladder.step_direction(k + 1)
+    return SignWord(d * tr.ladder.step_direction(k + 1)
                     for k, d in enumerate(tr.directions))
-    return SignWord(entries)
 
 
 def advance_path(p: Path, rule: StoppingRule) -> Path:

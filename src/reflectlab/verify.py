@@ -653,7 +653,12 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
       (the martingale property restricted to the prefix events);
     * the exact antisymmetry of the increment under the reflection pivoted at
       the n-th ladder time holds on every draw, as exact rationals.
+
+    A negative n_steps checks no increment and is rejected.
     """
+    if n_steps < 0:
+        raise ConfigurationError(
+            f"n_steps must be at least 0, got {n_steps}")
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
@@ -919,7 +924,7 @@ def _alignment_draw(args, i):
     """The sign word of draw i and its ladder trace."""
     sampler, a, b, n = args
     tr = ladder_trace(a, b, sampler.sample(i), n)
-    return trace_sign_word(tr).entries, tr
+    return trace_sign_word(tr), tr
 
 
 def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
@@ -939,8 +944,8 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     sampler = _reseeded(sampler, seed)
     rule = TwoSidedHit(a, b)
     words = list(all_words(n))
-    powers = {w.entries: exit_alignment_power(w) for w in words}
-    counts = {w.entries: 0 for w in words}
+    powers = {w: exit_alignment_power(w) for w in words}
+    counts = dict.fromkeys(words, 0)
     short = len(words)  # words below quota
     failures = 0
     # one worker: a pool would draw past the draw that fills the last quota
@@ -1126,7 +1131,7 @@ def advance_formula_check(n_max: int) -> TestReport:
                         shifted_mismatches += 1
     for n in range(min(n_max, 12) + 1):
         words = list(all_words(n))
-        image = {advance_word(w).entries for w in words}
+        image = {advance_word(w) for w in words}
         if len(image) != len(words):
             non_bijective += 1
     stats = [

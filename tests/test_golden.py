@@ -14,6 +14,7 @@ import pytest
 from reflectlab import (
     BrownianMotion,
     DriftedBM,
+    DyadicCounterexample,
     FirstPassage,
     FixedTime,
     MinOf,
@@ -113,6 +114,14 @@ GOLDEN = {
             [ValueAtTime(0.37), RunningMax(), HittingTime(0.5),
              ValueAtRuleTime(TwoSidedHit(1, 1), "exit11")], 1000, seed=16),
         "941e3a0b615f5ff8f9f0f0e8244b12476fd84349116f795269b4fb0917c546a5"),
+    # the paper's counterexample refutes the bound: a/(a+b) = 1/2 is
+    # dyadic, and the stopped mean 3.324 fails its threshold 2.49, so the
+    # non-dyadic hypothesis cannot be dropped
+    "bound_check_counterexample": (
+        lambda: bound_check(
+            DyadicCounterexample(horizon=11, seed=53), 1, 1, TwoSidedHit(2, 9),
+            bound_cap=9, n_draws=2000),
+        "f77ff40e255e44ebf490730bbd896571e99ae10697f6bd174d0d79e557f174b8"),
     "counterexample_demo": (
         lambda: counterexample_demo(1000, seed=13),
         "81b87f271ac65c90e09089a7dae74fb0238b7d4876a68564661c17d95cc7e584"),

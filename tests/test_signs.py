@@ -1,5 +1,6 @@
 """Sign words, the odometer maps and their path conjugations."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,8 @@ class TestSignWord:
         ((1, 0, -1), "entry after a 0 must be 0: (1, 0, -1)"),
         # unhashable: a RuleError, not a TypeError
         (([1],), "sign entries must be in -1, 0, 1; got [1]"),
+        # the tuple read from an iterator, not the iterator
+        ((x for x in (1, 0, 1)), "entry after a 0 must be 0: (1, 0, 1)"),
     ])
     def test_rejection_names_the_first_bad_entry(self, entries, message):
         with pytest.raises(RuleError) as info:
@@ -85,6 +88,84 @@ class TestSignWord:
         message = f"word length n must be nonnegative, got {n}"
         with pytest.raises(RuleError, match=message):
             make(n)
+
+
+def _ref_words(n, prefix=()):
+    """The zero-absorbing entry tuples of length n, in all_words order."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for x in (1, -1):
+        yield from _ref_words(n, prefix + (x,))
+    yield prefix + (0,) * (n - len(prefix))
+
+
+def _ref_first(t, x):
+    return t.index(x) + 1 if x in t else None
+
+
+def _ref_negate(t):
+    return tuple(-x for x in t)
+
+
+def _ref_reflect(t):
+    k = _ref_first(t, -1)
+    return t if k is None else t[:k] + _ref_negate(t[k:])
+
+
+def _ref_after_steps(n, steps, suffix):
+    return tuple(-1 if steps >> i & 1 else 1 for i in range(n)) + suffix
+
+
+def _ref_power(t):
+    n = len(t)
+    d = n if 0 not in t else t.index(0)
+    low = sum(1 << i for i in range(d) if t[i] == -1)
+    return (1 << (n - 1)) - low if d == n and n else -low
+
+
+class TestTupleOracle:
+    """Every word map against its definition on entry tuples, over all
+    words of length at most 10."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_maps_match_tuple_definitions(self, n):
+        refs = list(_ref_words(n))
+        words = list(all_words(n))
+        assert [w.entries for w in words] == refs
+        for w, t in zip(words, refs):
+            assert len(w) == n
+            assert tuple(w) == t
+            assert tuple(w[i] for i in range(n)) == t
+            s = "".join({1: "+", -1: "-", 0: "0"}[x] for x in t)
+            assert w.to_string() == s
+            assert SignWord.from_string(s) == w
+            assert w == SignWord(t) and hash(w) == hash(SignWord(t))
+            assert pickle.loads(pickle.dumps(w)) == w
+            assert negate_word(w).entries == _ref_negate(t)
+            assert reflect_word(w).entries == _ref_reflect(t)
+            assert advance_word(w).entries == _ref_reflect(_ref_negate(t))
+            assert rewind_word(w).entries == _ref_negate(_ref_reflect(t))
+            assert first_down_index(w) == _ref_first(t, -1)
+            assert first_zero_index(w) == _ref_first(t, 0)
+            assert exit_alignment_power(w) == _ref_power(t)
+            # every split of w into a head of nonzero entries and a suffix
+            for k in range(n + 1):
+                if 0 in t[:k]:
+                    break
+                steps = sum(1 << i for i in range(k) if t[i] == -1)
+                got = word_after_steps(k, steps, t[k:])
+                assert got.entries == _ref_after_steps(k, steps, t[k:]) == t
+                assert got == w and hash(got) == hash(w)
+        # equal words built by different maps hash equal
+        for w in words:
+            back = rewind_word(advance_word(w))
+            assert back == w and hash(back) == hash(w)
+
+    def test_words_of_different_lengths_differ(self):
+        words = [w for n in range(11) for w in all_words(n)]
+        assert len(set(words)) == len(words) == sum(
+            2 ** (n + 1) - 1 for n in range(11))
 
 
 class TestIndexes:

@@ -761,6 +761,17 @@ class TestSharding:
         with pytest.raises(ConfigurationError):
             run(BrownianMotion(dt=0.05, horizon=1.0, seed=76))
 
+    def test_negative_martingale_steps_rejected(self, monkeypatch):
+        # it traced each draw to step 0 and passed with no increment checked
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(ConfigurationError,
+                           match="n_steps must be at least 0, got -1"):
+            martingale_step_test(BrownianMotion(dt=0.05, horizon=1.0), 1, 2,
+                                 -1, 5, seed=1)
+
 
 class TestReports:
     def test_recheck_and_json(self):
