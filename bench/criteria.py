@@ -1,13 +1,15 @@
 """Wall time, peak memory and report digests of the nine acceptance criteria.
 
-    python3 bench/criteria.py --label NAME [CRITERION ...] [--repeat K]
+    python3 bench/criteria.py --label NAME [CRITERION[:K] ...] [--repeat K]
                               [--src DIR [--src-label NAME]]
 
 Each criterion runs exactly as ``tests/test_acceptance.py`` runs it (its
 ``CRITERIA`` table: same config, seed and worker count), in a fresh
 interpreter of its own with the ``src`` of the checkout that holds this
 script on the path.  The criterion numbers pick which to run (by default
-all nine), and ``--repeat K`` runs each of them K times.  With ``--src DIR``
+all nine).  ``N:K`` runs criterion N K times, and a bare ``N`` runs it
+``--repeat K`` times (once by default), so one record can hold five runs of
+a short criterion beside one of a long one.  With ``--src DIR``
 (say, the parent commit's ``src``) each criterion also runs K times on that
 library, the two libraries taking turns run by run, so that both see the
 same phases of the host's speed.
@@ -35,6 +37,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Limit on one criterion's interpreter; the slowest budget is 300 s.
@@ -94,13 +97,22 @@ def summarize(number: int, runs: list[dict]) -> dict:
     return row
 
 
+def criterion_spec(text: str) -> tuple[int, Optional[int]]:
+    """``N`` or ``N:K``: criterion N, run K times (None: ``--repeat``)."""
+    number, _, repeat = text.partition(":")
+    return int(number), int(repeat) if repeat else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("numbers", nargs="*", type=int, metavar="CRITERION",
-                    help="criteria to run, 1 to 9 (default: all nine)")
+    ap.add_argument("specs", nargs="*", type=criterion_spec,
+                    metavar="CRITERION[:K]",
+                    help="criteria to run, 1 to 9 (default: all nine), "
+                         "each K times if given, else --repeat times")
     ap.add_argument("--label", help="record name: BENCH_criteria_<label>.json")
     ap.add_argument("--repeat", type=int, default=1,
-                    help="runs of each criterion on each library")
+                    help="runs on each library of each criterion given "
+                         "without :K")
     ap.add_argument("--src", type=Path,
                     help="directory holding a reflectlab package to run "
                          "against this checkout's, run for run")
@@ -122,10 +134,14 @@ def main(argv=None) -> int:
         return 0
     if not args.label:
         ap.error("--label is required")
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
-    if not all(1 <= n <= 9 for n in args.numbers):
+    repeats = {n: args.repeat if k is None else k
+               for n, k in args.specs or [(n, None) for n in range(1, 10)]}
+    if len(repeats) < len(args.specs):
+        ap.error("a criterion is given twice")
+    if not all(1 <= n <= 9 for n in repeats):
         ap.error("criteria are numbered 1 to 9")
+    if not all(k >= 1 for k in repeats.values()):
+        ap.error("every criterion must run at least once")
 
     own = str((ROOT / "src").resolve())
     libraries = {"own": own}
@@ -138,9 +154,9 @@ def main(argv=None) -> int:
               "ref_nominal_ns": bench.REF_NOMINAL_NS, "criteria": {}}
     if args.src is not None:
         record["against"] = {"label": args.src_label, "criteria": {}}
-    for number in sorted(set(args.numbers or range(1, 10))):
+    for number, repeat in sorted(repeats.items()):
         runs = {name: [] for name in libraries}
-        for r in range(args.repeat):
+        for r in range(repeat):
             # take turns, each library first in every other round
             order = list(libraries) if r % 2 else list(libraries)[::-1]
             for name in order:

@@ -39,8 +39,9 @@ config that lacks a required key or holds any other key is rejected):
     functionals list of functional specs (see parse_functional)
     limit       sweep bound for the non-dyadic triple check
     n_max       maximal word length for the advance-formula check
-    workers     parallel workers (default 1; draws are sharded by index,
-                so results do not depend on the worker count)
+    workers     computing processes, the calling one included (default 1;
+                draws are sharded by index, so results do not depend on
+                the worker count)
     paths_csv   list of path files (as written by dump_paths) to load for
                 the ladder table (alongside or instead of sampled draws)
     out_dir     output directory (default "out")

@@ -20,8 +20,11 @@ Conventions
 Block draws
 -----------
 Every Monte Carlo suite runs over index ranges: ``_run_draws`` cuts a run
-into consecutive ranges of draws, spreads them over the workers in shards,
-and yields one block per range in index order.  A suite without a block form
+into consecutive ranges of draws, spreads them in shards over ``workers``
+computing processes, and yields one block per range in index order.  The
+calling process is one of the workers: it computes every ``workers``-th shard
+itself while a pool of at most ``workers - 1`` processes computes the rest,
+so a run on one worker starts no pool.  A suite without a block form
 takes ranges of one draw and the generic block, the list of its per-draw rows
 (``_each_draw``).  ``invariance_test`` takes ranges of ``_block_size`` draws,
 each block an array indexed by arm, functional and draw, and joins the blocks
@@ -47,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -230,7 +233,8 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
                size: int) -> Iterator:
     """Yield ``fn(args, indices)`` for the consecutive ranges of at most
     ``size`` indices that cover range(n), in index order, computed in shards
-    of contiguous ranges spread over the workers.
+    of contiguous ranges spread over ``workers`` computing processes, the
+    calling process included.
 
     Every suite runs over these ranges: one with a block form computes a
     range at once, the others go through ``_each_draw``.  Every caller
@@ -246,16 +250,23 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
     if workers <= 1 or n <= size:
         yield from (fn(args, indices) for indices in _ranges(range(n), size))
         return
-    # a shard is a run of ranges, cut in the worker; shards are reduced as
-    # they arrive, so a run holds the blocks of a few shards at a time,
-    # whatever its size
+    # a shard is a run of ranges; shards are reduced in index order as they
+    # arrive, so a run holds the blocks of a few shards at a time, whatever
+    # its size.  Shard j goes to the pool unless j % workers == 0, in which
+    # case the caller computes it block by block; the pool gets no process
+    # that would have no shard to run
     shard = size * min(1000, -(-n // (size * workers)))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    shards = list(_ranges(range(n), shard))
+    pooled = [j for j in range(len(shards)) if j % workers]
+    with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as ex:
         try:
-            shards = deque(ex.submit(_draws, fn, args, indices, size)
-                           for indices in _ranges(range(n), shard))
-            while shards:
-                yield from shards.popleft().result()
+            futures = {j: ex.submit(_draws, fn, args, shards[j], size)
+                       for j in pooled}
+            for j, indices in enumerate(shards):
+                if j in futures:
+                    yield from futures.pop(j).result()
+                else:
+                    yield from (fn(args, r) for r in _ranges(indices, size))
         finally:
             ex.shutdown(cancel_futures=True)
 

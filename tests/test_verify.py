@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import operator
+import os
 import pathlib
 import time
 import warnings
@@ -697,6 +699,18 @@ def _indices(args, indices):
     return indices
 
 
+def _pid_block(args, indices):
+    return os.getpid()
+
+
+def _failing_block(args, indices):
+    """The block of draw 1000, the first of shard 1 (shards of 1000 blocks
+    of one draw), raises."""
+    if indices.start == 1000:
+        raise ValueError("draw 1000")
+    return indices.start
+
+
 def _marking_block(directory, indices):
     """Leave a marker for the shard that starts at the block of indices,
     then fail at the block of draw 0 and sleep at the start of every other
@@ -735,11 +749,41 @@ class TestSharding:
                                       workers=2))
         assert rows == list(range(n))
 
+    def test_caller_computes_every_workers_th_shard(self):
+        # 5000 draws on two workers are five shards of 1000: the caller
+        # computes shards 0, 2 and 4, one pooled process shards 1 and 3
+        pids = list(_run_draws(_pid_block, None, 5000, 2, 1))
+        shards = [set(pids[s:s + 1000]) for s in range(0, 5000, 1000)]
+        assert shards[0] == shards[2] == shards[4] == {os.getpid()}
+        assert len(shards[1] | shards[3]) == 1
+        assert shards[1] == shards[3] != {os.getpid()}
+
+    def test_no_idle_processes(self):
+        # 300 draws in blocks of 163 on four workers are two shards: the
+        # caller computes one and a pool of one process the other
+        pids = []
+        for pid in _run_draws(_pid_block, None, 300, 4, 163):
+            if not pids:
+                children = len(multiprocessing.active_children())
+            pids.append(pid)
+        assert children == 1
+        assert len(set(pids)) == 2
+
+    def test_caller_shard_yielded_before_a_pooled_error(self):
+        # shard 1 raises in the pool; every block of the caller's shard 0
+        # comes first, then the error
+        blocks = []
+        with pytest.raises(ValueError, match="draw 1000"):
+            for block in _run_draws(_failing_block, None, 3000, 2, 1):
+                blocks.append(block)
+        assert blocks == list(range(1000))
+
     def test_stopping_cancels_shards_not_started(self, tmp_path):
-        # the block of draw 0 raises; the 19 other shards of 1000 blocks
-        # wait 0.2 s at their first block, so without cancellation all 20
-        # would run.  The pool starts the shards it has queued ahead (5 or
-        # 6 in all)
+        # the block of draw 0 raises in the caller, which computes shard 0,
+        # before the pooled process has started anything; the 19 other
+        # shards of 1000 blocks wait 0.2 s at their first block, so without
+        # cancellation all 20 would run.  The pool starts only the shards it
+        # has queued ahead
         with pytest.raises(ZeroDivisionError):
             for _ in _run_draws(_marking_block, str(tmp_path), 200_000,
                                 workers=2, size=10):
