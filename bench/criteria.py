@@ -1,15 +1,15 @@
 """Wall time, peak memory and report digests of the nine acceptance criteria.
 
-    python3 bench/criteria.py --label NAME [CRITERION[:K] ...] [--repeat K]
+    python3 bench/criteria.py --label NAME [CRITERION[:K] ...]
                               [--src DIR [--src-label NAME]]
 
 Each criterion runs exactly as ``tests/test_acceptance.py`` runs it (its
 ``CRITERIA`` table: same config, seed and worker count), in a fresh
 interpreter of its own with the ``src`` of the checkout that holds this
 script on the path.  The criterion numbers pick which to run (by default
-all nine).  ``N:K`` runs criterion N K times, and a bare ``N`` runs it
-``--repeat K`` times (once by default), so one record can hold five runs of
-a short criterion beside one of a long one.  With ``--src DIR``
+all nine).  ``N:K`` runs criterion N K times and a bare ``N`` runs it once,
+so one record can hold five runs of a short criterion beside one of a long
+one.  With ``--src DIR``
 (say, the parent commit's ``src``) each criterion also runs K times on that
 library, the two libraries taking turns run by run, so that both see the
 same phases of the host's speed.
@@ -37,7 +37,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Limit on one criterion's interpreter; the slowest budget is 300 s.
@@ -97,10 +96,10 @@ def summarize(number: int, runs: list[dict]) -> dict:
     return row
 
 
-def criterion_spec(text: str) -> tuple[int, Optional[int]]:
-    """``N`` or ``N:K``: criterion N, run K times (None: ``--repeat``)."""
+def criterion_spec(text: str) -> tuple[int, int]:
+    """``N`` or ``N:K``: criterion N, run once or K times."""
     number, _, repeat = text.partition(":")
-    return int(number), int(repeat) if repeat else None
+    return int(number), int(repeat) if repeat else 1
 
 
 def main(argv=None) -> int:
@@ -108,11 +107,8 @@ def main(argv=None) -> int:
     ap.add_argument("specs", nargs="*", type=criterion_spec,
                     metavar="CRITERION[:K]",
                     help="criteria to run, 1 to 9 (default: all nine), "
-                         "each K times if given, else --repeat times")
+                         "each K times if given, else once")
     ap.add_argument("--label", help="record name: BENCH_criteria_<label>.json")
-    ap.add_argument("--repeat", type=int, default=1,
-                    help="runs on each library of each criterion given "
-                         "without :K")
     ap.add_argument("--src", type=Path,
                     help="directory holding a reflectlab package to run "
                          "against this checkout's, run for run")
@@ -134,8 +130,7 @@ def main(argv=None) -> int:
         return 0
     if not args.label:
         ap.error("--label is required")
-    repeats = {n: args.repeat if k is None else k
-               for n, k in args.specs or [(n, None) for n in range(1, 10)]}
+    repeats = dict(args.specs or [(n, 1) for n in range(1, 10)])
     if len(repeats) < len(args.specs):
         ap.error("a criterion is given twice")
     if not all(1 <= n <= 9 for n in repeats):

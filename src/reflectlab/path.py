@@ -156,8 +156,8 @@ def _fast_path(knots: np.ndarray, increments: np.ndarray,
 
 
 def _interpolate(tl: float, tr: float, vl: float, vr: float, t: float) -> float:
-    # single interpolation formula used everywhere, so equal inputs give
-    # bit-equal outputs across the code base
+    # single interpolation formula used everywhere (level crossing times too,
+    # times and values swapped), so equal inputs give bit-equal outputs
     return vl + (t - tl) * ((vr - vl) / (tr - tl))
 
 

@@ -82,6 +82,7 @@ from .path import (
     NOT_OBSERVED,
     Path,
     _KnotInsertion,
+    _interpolate,
     insert_knot,
     is_observed,
     reflect_at_time,
@@ -181,19 +182,13 @@ def _locate_exit(p: Path, k: int, lo: float, hi: float,
             if ui == target:
                 return float(knots[j]), j, side, False
             tl = t0 if start + i == 1 else float(knots[j - 1])
-            return (_crossing(tl, float(knots[j]), u_prev, ui, target),
+            return (_interpolate(u_prev, ui, tl, float(knots[j]), target),
                     j, side, True)
         offset = float(u[-1])
         start = stop
     if anchor is None:
         return None
     return float(knots[anchor[0]]), anchor[0], anchor[1], False
-
-
-def _crossing(tl, tr, u_prev, u, target):
-    """Time at which the segment from sum u_prev at tl to sum u at tr meets
-    target; elementwise on arrays, with the bits of the scalar form."""
-    return tl + (target - u_prev) * ((tr - tl) / (u - u_prev))
 
 
 def _exit_rows(knots: np.ndarray, values: np.ndarray, lo: float,
@@ -217,8 +212,8 @@ def _exit_rows(knots: np.ndarray, values: np.ndarray, lo: float,
     t[rows] = knots[j]
     inside = (u != target) & (j > 0)
     rows, j = rows[inside], j[inside]
-    t[rows] = _crossing(knots[j - 1], knots[j], values[rows, j - 1],
-                        u[inside], target[inside])
+    t[rows] = _interpolate(values[rows, j - 1], u[inside], knots[j - 1],
+                           knots[j], target[inside])
     return t
 
 
@@ -245,6 +240,16 @@ class LevelLadder:
     def step_direction(self, k: int) -> int:
         """Sign of c_k - c_{k-1} (1-based k)."""
         return 1 if self.levels[k] > self.levels[k - 1] else -1
+
+    def violations(self) -> int:
+        """How many steps k = 1 .. n break an invariant of the recursion."""
+        a, b = self.a, self.b
+        return sum(not (-a < c < b
+                        and not is_dyadic((c + a) / (b + a))
+                        and step == min(x + a, b - x)  # distance to {-a, b}
+                        and 2 * x == c + d)  # x is the midpoint of c and d_k
+                   for x, c, d, step in zip(self.levels, self.levels[1:],
+                                            self.exits, self.steps))
 
 
 @lru_cache(maxsize=256)
@@ -276,11 +281,9 @@ def ladder_levels(a: LevelLike, b: LevelLike, n: int) -> LevelLadder:
         c.append(nxt)
         exits.append(exit_)
         steps.append(abs(nxt - x))
-        assert -a < nxt < b
-        assert not is_dyadic((nxt + a) / (b + a))
-        assert steps[-1] == min(x + a, b - x)      # distance to {-a, b}
-        assert 2 * x == nxt + exit_                # x is the midpoint
-    return LevelLadder(a, b, tuple(c), tuple(exits), tuple(steps))
+    ladder = LevelLadder(a, b, tuple(c), tuple(exits), tuple(steps))
+    assert ladder.violations() == 0
+    return ladder
 
 
 @dataclass(frozen=True)

@@ -432,6 +432,15 @@ class TestConfigKeys:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bound_zero_barrier_exit_one(self, tmp_path, capsys):
+        # it drew every path, then raised ZeroDivisionError as a traceback
+        path = write_config(tmp_path, **{**KINDS["bound"], "a": "0"},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "error: a, b and bound_cap must be positive" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("kind, key", [
         ("invariance", "alpha"),  # used to run at alpha 1.0
         ("bound", "bound_cap"),  # used to run with the cap 1.0

@@ -462,6 +462,21 @@ class TestBoundCheck:
             bound_check(BrownianMotion(dt=0.05, horizon=2.0, seed=55),
                         1, 1, FixedTime(2.0), bound_cap=0.01, n_draws=100)
 
+    @pytest.mark.parametrize("a, b, bound_cap", [
+        (0, 0, 1.0), (-1, 2, 1.0), (1, 0, 1.0), (1, 2, 0.0), (1, 2, -1.0),
+        (1, 2, math.nan)])
+    def test_bad_input_rejected_before_any_draw(self, a, b, bound_cap,
+                                                monkeypatch):
+        # a = b = 0 used to draw every path and then divide by zero, a = -1
+        # ran against a bound of 1 and a NaN cap turned the cap off
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            bound_check(BrownianMotion(dt=0.05, horizon=1.0, seed=56), a, b,
+                        FixedTime(1.0), bound_cap=bound_cap, n_draws=100)
+
 
 class TestMartingaleStepTest:
     def test_small_run_passes(self):
@@ -711,6 +726,22 @@ def _failing_block(args, indices):
     return indices.start
 
 
+def _failing_last_block(args, indices):
+    """The block of draw 9000, the first of shard 9 (shards of 1000 blocks
+    of one draw), raises."""
+    if indices.start == 9000:
+        raise ValueError("draw 9000")
+    return indices.start
+
+
+def _slow_pool_block(caller, indices):
+    """The pid of the process that computes the block; any process but the
+    caller waits 0.3 s at the first block of each shard of 1000."""
+    if indices.start % 1000 == 0 and os.getpid() != caller:
+        time.sleep(0.3)
+    return os.getpid()
+
+
 def _marking_block(directory, indices):
     """Leave a marker for the shard that starts at the block of indices,
     then fail at the block of draw 0 and sleep at the start of every other
@@ -749,14 +780,32 @@ class TestSharding:
                                       workers=2))
         assert rows == list(range(n))
 
-    def test_caller_computes_every_workers_th_shard(self):
+    def test_caller_computes_a_prefix_and_the_pool_the_rest(self):
         # 5000 draws on two workers are five shards of 1000: the caller
-        # computes shards 0, 2 and 4, one pooled process shards 1 and 3
+        # takes them from the first on, the pool from the last back
         pids = list(_run_draws(_pid_block, None, 5000, 2, 1))
         shards = [set(pids[s:s + 1000]) for s in range(0, 5000, 1000)]
-        assert shards[0] == shards[2] == shards[4] == {os.getpid()}
-        assert len(shards[1] | shards[3]) == 1
-        assert shards[1] == shards[3] != {os.getpid()}
+        assert all(len(pid) == 1 for pid in shards)
+        owners = [pid.pop() for pid in shards]
+        k = owners.count(os.getpid())
+        assert 1 <= k < 5 and owners[:k] == [os.getpid()] * k
+        assert len(set(owners[k:])) == 1
+
+    def test_caller_computes_the_shards_a_slow_pool_has_not_started(self):
+        # 10,000 draws on two workers are ten shards of 1000; the pool
+        # waits 0.3 s at each, so it starts few of them before the caller,
+        # which does not wait, has computed the rest
+        pids = list(_run_draws(_slow_pool_block, os.getpid(), 10_000, 2, 1))
+        assert sum(pid == os.getpid() for pid in pids[::1000]) > 5
+
+    def test_last_shard_error_after_every_earlier_block(self):
+        # the pool computes shard 9 first and it raises; every block of
+        # shards 0 to 8 comes out first, then the error
+        blocks = []
+        with pytest.raises(ValueError, match="draw 9000"):
+            for block in _run_draws(_failing_last_block, None, 10_000, 2, 1):
+                blocks.append(block)
+        assert blocks == list(range(9000))
 
     def test_no_idle_processes(self):
         # 300 draws in blocks of 163 on four workers are two shards: the
