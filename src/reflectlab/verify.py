@@ -22,9 +22,9 @@ Block draws
 Every Monte Carlo suite runs over index ranges: ``_run_draws`` cuts a run
 into consecutive ranges of draws, spreads them in shards over ``workers``
 computing processes, and yields one block per range in index order.  The
-calling process is one of the workers: the caller takes shards from the first
-on, a pool of at most ``workers - 1`` processes from the last back, so a run
-on one worker starts no pool.  A suite without a block form
+calling process is one of the workers: it computes every ``workers``-th shard
+itself while a pool of at most ``workers - 1`` processes computes the rest,
+so a run on one worker starts no pool.  A suite without a block form
 takes ranges of one draw and the generic block, the list of its per-draw rows
 (``_each_draw``).  ``invariance_test`` takes ranges of ``_block_size`` draws,
 each block an array indexed by arm, functional and draw, and joins the blocks
@@ -234,40 +234,39 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
     """Yield ``fn(args, indices)`` for the consecutive ranges of at most
     ``size`` indices that cover range(n), in index order, computed in shards
     of contiguous ranges spread over ``workers`` computing processes, the
-    calling process included: the caller takes shards from the first on,
-    the pool from the last back.
+    calling process included.
 
-    Every caller reduces the blocks in the order they come, so each
-    statistic is bit-identical at any worker count.  An empty run is
-    rejected when its blocks are first asked for: its reductions would
-    report a pass with nothing checked.  A consumer may stop reading early;
-    when it does, or when a block raises, no shard starts after that.
+    Every suite runs over these ranges: one with a block form computes a
+    range at once, the others go through ``_each_draw``.  Every caller
+    reduces the blocks in the order they come, so each statistic is
+    bit-identical at any worker count.  An empty run is rejected when its
+    blocks are first asked for: its reductions would report a pass with
+    nothing checked.  A consumer may stop reading early; when it does, or
+    when a block raises, the shards that have not started are cancelled
+    rather than run on the way out of the pool.
     """
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
     if workers <= 1 or n <= size:
         yield from (fn(args, indices) for indices in _ranges(range(n), size))
         return
-    # the caller takes shards from the first on, the pool from the last back;
-    # a free process gets the next, as a queued shard could idle the caller
+    # a shard is a run of ranges; shards are reduced in index order as they
+    # arrive, so a run holds the blocks of a few shards at a time, whatever
+    # its size.  Shard j goes to the pool unless j % workers == 0, in which
+    # case the caller computes it block by block; the pool gets no process
+    # that would have no shard to run
     shard = size * min(1000, -(-n // (size * workers)))
     shards = list(_ranges(range(n), shard))
-    procs = min(workers, len(shards)) - 1
-    with ProcessPoolExecutor(procs) as ex:
+    pooled = [j for j in range(len(shards)) if j % workers]
+    with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as ex:
         try:
-            j, back, pooled, busy = 0, len(shards), [], []
-            while j < back:  # the pool has shards back .. len(shards) - 1
-                for r in _ranges(shards[j], size):
-                    busy = [f for f in busy if not f.done()]
-                    while len(busy) < procs and j + 1 < back:
-                        back -= 1
-                        pooled.append(ex.submit(_draws, fn, args,
-                                                shards[back], size))
-                        busy.append(pooled[-1])
-                    yield fn(args, r)
-                j += 1
-            while pooled:
-                yield from pooled.pop().result()
+            futures = {j: ex.submit(_draws, fn, args, shards[j], size)
+                       for j in pooled}
+            for j, indices in enumerate(shards):
+                if j in futures:
+                    yield from futures.pop(j).result()
+                else:
+                    yield from (fn(args, r) for r in _ranges(indices, size))
         finally:
             ex.shutdown(cancel_futures=True)
 

@@ -734,14 +734,6 @@ def _failing_last_block(args, indices):
     return indices.start
 
 
-def _slow_pool_block(caller, indices):
-    """The pid of the process that computes the block; any process but the
-    caller waits 0.3 s at the first block of each shard of 1000."""
-    if indices.start % 1000 == 0 and os.getpid() != caller:
-        time.sleep(0.3)
-    return os.getpid()
-
-
 def _marking_block(directory, indices):
     """Leave a marker for the shard that starts at the block of indices,
     then fail at the block of draw 0 and sleep at the start of every other
@@ -780,27 +772,19 @@ class TestSharding:
                                       workers=2))
         assert rows == list(range(n))
 
-    def test_caller_computes_a_prefix_and_the_pool_the_rest(self):
+    def test_caller_computes_every_workers_th_shard(self):
         # 5000 draws on two workers are five shards of 1000: the caller
-        # takes them from the first on, the pool from the last back
+        # computes shards 0, 2 and 4, one pooled process shards 1 and 3
         pids = list(_run_draws(_pid_block, None, 5000, 2, 1))
         shards = [set(pids[s:s + 1000]) for s in range(0, 5000, 1000)]
-        assert all(len(pid) == 1 for pid in shards)
-        owners = [pid.pop() for pid in shards]
-        k = owners.count(os.getpid())
-        assert 1 <= k < 5 and owners[:k] == [os.getpid()] * k
-        assert len(set(owners[k:])) == 1
-
-    def test_caller_computes_the_shards_a_slow_pool_has_not_started(self):
-        # 10,000 draws on two workers are ten shards of 1000; the pool
-        # waits 0.3 s at each, so it starts few of them before the caller,
-        # which does not wait, has computed the rest
-        pids = list(_run_draws(_slow_pool_block, os.getpid(), 10_000, 2, 1))
-        assert sum(pid == os.getpid() for pid in pids[::1000]) > 5
+        assert shards[0] == shards[2] == shards[4] == {os.getpid()}
+        assert len(shards[1] | shards[3]) == 1
+        assert shards[1] == shards[3] != {os.getpid()}
 
     def test_last_shard_error_after_every_earlier_block(self):
-        # the pool computes shard 9 first and it raises; every block of
-        # shards 0 to 8 comes out first, then the error
+        # on two workers shard 9 of ten goes to the pool, after shards 1,
+        # 3, 5 and 7, and raises; every block of shards 0 to 8 comes out
+        # first, then the error
         blocks = []
         with pytest.raises(ValueError, match="draw 9000"):
             for block in _run_draws(_failing_last_block, None, 10_000, 2, 1):
