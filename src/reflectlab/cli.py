@@ -26,32 +26,30 @@ config that lacks a required key or holds any other key is rejected):
 
     kind        invariance | bound | ladder | signs | suite | lemmas
                 | counterexample
-    law         law spec string, e.g. "bm(dt=1e-3,T=10)" (the default
-                where it is optional); it alone sets the grid
+    law         law spec, e.g. "bm(dt=1e-3,T=10)"; it alone sets the grid
     rule        rule spec string, e.g. "Tpm(1,2)"
     a, b        exact rationals as strings "p/q"
-    c           the counterexample's upper barrier, a rational (default 3)
+    c           the counterexample's upper barrier, a rational
     n           ladder depth / word length
     N           number of draws
     seed        base seed (64-bit int)
     alpha       significance level for invariance tests
     bound_cap   uniform bound that stopped paths must respect
-    functionals list of functional specs (see parse_functional)
+    functionals functional specs (see parse_functional); [] for the defaults
     limit       sweep bound for the non-dyadic triple check
     n_max       maximal word length for the advance-formula check
-    workers     computing processes, the calling one included (default 1;
-                draws are sharded by index, so results do not depend on
-                the worker count)
+    workers     computing processes, the calling one included; results do
+                not depend on it (draws are sharded by index)
     paths_csv   list of path files (as written by dump_paths) to load for
                 the ladder table (alongside or instead of sampled draws)
-    out_dir     output directory (default "out")
+    out_dir     output directory
     dump_paths  dump the first k sampled paths as path files
 
-The counts (N, n, limit, n_max, workers, dump_paths) must be nonnegative
-integers, as the seed must: a float or true/false is rejected, not
-truncated.  a, b and c take an integer or a string, never a float or
-true/false.  alpha and bound_cap take a number or a string that float()
-reads, never true/false.
+``_KEYS`` gives each key its check and, where a kind may leave the key
+out, its default; every key of a config is checked before anything is
+parsed, drawn or written.  A count is a nonnegative integer, a rational an
+integer or a string, a real a number or a string that float() reads, and
+none of them true/false, so that none is rounded or read as 1 or 0.
 """
 
 from __future__ import annotations
@@ -64,13 +62,14 @@ import json
 import operator
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path as FsPath
 
 from . import verify
-from .errors import ConfigurationError, ReflectlabError
+from .errors import ConfigurationError, ReflectlabError, RuleError
 from .path import dump_csv, load_csv
 from .rational import as_rational
-from .samplers import _checked_seed, parse_law
+from .samplers import parse_law
 from .stopping import format_time, ladder_levels, ladder_trace, parse_rule
 from .verify import (
     HittingTime,
@@ -81,13 +80,10 @@ from .verify import (
     ValueAtTime,
 )
 
-DEFAULT_LAW = "bm(dt=1e-3,T=10)"
-
 
 class _Draws:
-    """A run's law, the config's "law" or else DEFAULT_LAW, built at its
-    first use, and the draws 0, 1, ... of it made so far, so that the run
-    samples each index once."""
+    """A run's law, built at its first use, and the draws 0, 1, ... of it
+    made so far, so that the run samples each index once."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -95,8 +91,7 @@ class _Draws:
 
     @functools.cached_property
     def law(self):
-        return parse_law(self.cfg.get("law", DEFAULT_LAW),
-                         seed=self.cfg["seed"])
+        return parse_law(self.cfg["law"], seed=self.cfg["seed"])
 
     def first(self, n: int) -> list:
         """Draws 0 .. n - 1."""
@@ -121,24 +116,22 @@ def parse_functional(spec: str):
 
 
 def _run_invariance(cfg: dict, draws: _Draws) -> TestReport:
-    sampler, specs = draws.law, cfg.get("functionals")
+    sampler, specs = draws.law, cfg["functionals"]
     return verify.invariance_test(
         sampler, parse_rule(cfg["rule"]),
         [parse_functional(s) for s in specs] if specs
         else verify.default_functionals(sampler.horizon),
-        cfg["N"], alpha=cfg.get("alpha", verify.DEFAULT_ALPHA),
-        workers=cfg.get("workers", 1))
+        cfg["N"], alpha=cfg["alpha"], workers=cfg["workers"])
 
 
 def _run_bound(cfg: dict, draws: _Draws) -> TestReport:
     return verify.bound_check(
-        draws.law, as_rational(cfg["a"]), as_rational(cfg["b"]),
-        parse_rule(cfg["rule"]), cfg["bound_cap"], cfg["N"],
-        workers=cfg.get("workers", 1))
+        draws.law, cfg["a"], cfg["b"], parse_rule(cfg["rule"]),
+        cfg["bound_cap"], cfg["N"], workers=cfg["workers"])
 
 
 def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
-    a, b, n = as_rational(cfg["a"]), as_rational(cfg["b"]), cfg["n"]
+    a, b, n = cfg["a"], cfg["b"], cfg["n"]
     ladder = ladder_levels(a, b, n)
     print("levels:", ", ".join(str(c) for c in ladder.levels))
     print("steps:", ", ".join(str(s) for s in ladder.steps))
@@ -146,11 +139,10 @@ def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
               "levels": [str(c) for c in ladder.levels],
               "steps": [str(s) for s in ladder.steps]}
     table, sources = [], []
-    n_paths = cfg.get("N", 0)
-    if n_paths:
+    if cfg["N"]:
         params["law"] = repr(draws.law)
-        sources = [(str(i), p) for i, p in enumerate(draws.first(n_paths))]
-    for fname in cfg.get("paths_csv", []):
+        sources = [(str(i), p) for i, p in enumerate(draws.first(cfg["N"]))]
+    for fname in cfg["paths_csv"]:
         with open(fname) as fp:
             sources.append((fname, load_csv(fp)))
     if sources:
@@ -171,19 +163,17 @@ def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
 
 def _run_signs(cfg: dict, draws: _Draws) -> TestReport:
     return verify.sign_identity_test(
-        draws.law, as_rational(cfg["a"]), as_rational(cfg["b"]),
-        cfg["n"], cfg["N"], workers=cfg.get("workers", 1))
+        draws.law, cfg["a"], cfg["b"], cfg["n"], cfg["N"],
+        workers=cfg["workers"])
 
 
 def _run_suite(cfg: dict, draws: _Draws) -> TestReport:
     return verify.stability_suite(cfg["N"], seed=cfg["seed"],
-                                  sampler=draws.law,
-                                  workers=cfg.get("workers", 1))
+                                  sampler=draws.law, workers=cfg["workers"])
 
 
 def _run_lemmas(cfg: dict, _draws) -> TestReport:
-    limit = cfg.get("limit", 200)
-    n_max = cfg.get("n_max", 12)
+    limit, n_max = cfg["limit"], cfg["n_max"]
     sweep = verify.non_dyadic_sweep(limit)
     formula = verify.advance_formula_check(n_max)
     return TestReport(
@@ -193,9 +183,8 @@ def _run_lemmas(cfg: dict, _draws) -> TestReport:
 
 
 def _run_counterexample(cfg: dict, _draws) -> TestReport:
-    return verify.counterexample_demo(
-        cfg["N"], seed=cfg["seed"], c=cfg.get("c", "3"),
-        workers=cfg.get("workers", 1))
+    return verify.counterexample_demo(cfg["N"], seed=cfg["seed"], c=cfg["c"],
+                                      workers=cfg["workers"])
 
 
 #: kind -> (runner, required keys, optional keys); every kind also takes
@@ -215,18 +204,12 @@ _KINDS = {
     "counterexample": (_run_counterexample, ("N",), ("c", "workers")),
 }
 _COMMON_KEYS = ("kind", "seed", "out_dir")
-#: keys that hold a count, a float, and the exact rationals (barriers) of
-#: any kind
-_COUNT_KEYS = ("N", "n", "workers", "limit", "n_max", "dump_paths")
-_FLOAT_KEYS = ("alpha", "bound_cap")
-_RATIONAL_KEYS = ("a", "b", "c")
 
 
 def _count(key: str, value) -> int:
-    """A count key's value as an int, by the rule seeds follow:
-    ConfigurationError unless it is a nonnegative integer (anything
-    operator.index takes, except bool), so 2.9 or true cannot run as 2 or
-    1."""
+    """A count key's value as an int: ConfigurationError unless it is a
+    nonnegative integer (anything operator.index takes, except bool), so
+    2.9 or true cannot run as 2 or 1."""
     try:
         count = operator.index(value)
     except TypeError:
@@ -248,11 +231,54 @@ def _real(key: str, value) -> float:
     raise ConfigurationError(f"{key} must be a real number, got {value!r}")
 
 
+def _rational(key: str, value) -> Fraction:
+    try:
+        return as_rational(value)
+    except RuleError as exc:
+        raise ConfigurationError(
+            f"{key} must be an exact rational, got {value!r}: {exc}") from None
+
+
+def _string(key: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigurationError(f"{key} must be a string, got {value!r}")
+
+
+def _strings(key: str, value) -> list:
+    if isinstance(value, list) and all(isinstance(s, str) for s in value):
+        return value
+    raise ConfigurationError(
+        f"{key} must be a list of strings, got {value!r}")
+
+
+#: key -> (check, default): check(key, value) returns what the runners
+#: read or raises ConfigurationError; a key left out reads as its default
+#: (None where every kind that takes the key requires it).
+_KEYS = {
+    "kind": (_string, None),
+    "law": (_string, "bm(dt=1e-3,T=10)"),
+    "rule": (_string, None),
+    "a": (_rational, None),
+    "b": (_rational, None),
+    "c": (_rational, Fraction(3)),
+    "n": (_count, None),
+    "N": (_count, 0),
+    "seed": (_count, 0),
+    "alpha": (_real, verify.DEFAULT_ALPHA),
+    "bound_cap": (_real, None),
+    "functionals": (_strings, ()),
+    "limit": (_count, 200),
+    "n_max": (_count, 12),
+    "workers": (_count, 1),
+    "paths_csv": (_strings, ()),
+    "out_dir": (_string, "out"),
+    "dump_paths": (_count, 0),
+}
+
+
 def _dump_paths(cfg: dict, out_dir: FsPath, draws: _Draws) -> None:
-    k = cfg.get("dump_paths", 0)
-    if not k:
-        return
-    for i, path in enumerate(draws.first(k)):
+    for i, path in enumerate(draws.first(cfg["dump_paths"])):
         name = "paths.csv" if i == 0 else f"paths_{i:03d}.csv"
         with open(out_dir / name, "w", newline="") as fp:
             dump_csv(path, fp)
@@ -277,7 +303,10 @@ def write_outputs(report: TestReport, out_dir: FsPath) -> None:
 
 
 def run_config(cfg: dict) -> int:
-    kind = cfg.get("kind")
+    # every value first, the kind's too: a list there cannot be looked up
+    checked = {key: check(key, cfg[key]) if key in cfg else default
+               for key, (check, default) in _KEYS.items()}
+    kind = checked["kind"]
     if kind not in _KINDS:
         raise ConfigurationError(
             f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
@@ -292,25 +321,11 @@ def run_config(cfg: dict) -> int:
         raise ConfigurationError(
             f"config for kind {kind!r} has unknown keys {unknown}; it "
             f"takes {sorted(known)}")
-    # checked for every kind, so that one that builds no sampler cannot
-    # record a seed no sampler would take
-    cfg["seed"] = _checked_seed(cfg.get("seed", 0))
-    for key in _COUNT_KEYS:
-        if key in cfg:
-            cfg[key] = _count(key, cfg[key])
-    for key in _FLOAT_KEYS:
-        if key in cfg:
-            cfg[key] = _real(key, cfg[key])
-    for key in _RATIONAL_KEYS:
-        # as_rational takes a bool as the int it is
-        if isinstance(cfg.get(key), bool):
-            raise ConfigurationError(
-                f"{key} must be an exact rational, got {cfg[key]!r}")
-    draws = _Draws(cfg)
-    report = run(cfg, draws)
-    out_dir = FsPath(cfg.get("out_dir", "out"))
+    draws = _Draws(checked)
+    report = run(checked, draws)
+    out_dir = FsPath(checked["out_dir"])
     write_outputs(report, out_dir)
-    _dump_paths(cfg, out_dir, draws)
+    _dump_paths(checked, out_dir, draws)
     print(f"{report.name}: {report.verdict} "
           f"({len(report.statistics)} statistics) -> {out_dir}/report.json")
     return 0 if report.verdict == "pass" else 2
@@ -320,9 +335,8 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     env_seed = os.environ.get("REFLECTLAB_SEED")
     if env_seed is not None:
         cfg["seed"] = int(env_seed)
-    for key in ("seed", "N", "workers", "out_dir"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key in _KEYS and val is not None:
             cfg[key] = val
     return cfg
 
@@ -351,13 +365,13 @@ def main(argv=None) -> int:
     common(p_ladder)
 
     p_lemmas = sub.add_parser("lemmas", help="exhaustive deterministic suites")
-    p_lemmas.add_argument("--limit", type=int, default=200)
-    p_lemmas.add_argument("--n-max", dest="n_max", type=int, default=12)
+    p_lemmas.add_argument("--limit", type=int, default=None)
+    p_lemmas.add_argument("--n-max", dest="n_max", type=int, default=None)
     common(p_lemmas)
 
     p_demo = sub.add_parser("demo-counterexample",
                             help="dyadic-ratio counterexample experiment")
-    p_demo.add_argument("--c", default="3")
+    p_demo.add_argument("--c", default=None)
     common(p_demo)
 
     args = parser.parse_args(argv)
@@ -369,13 +383,13 @@ def main(argv=None) -> int:
                 raise ConfigurationError(
                     f"{args.config} does not hold a JSON object")
         elif args.command == "ladder":
-            cfg = {"kind": "ladder", "a": args.a, "b": args.b, "n": args.n}
+            cfg = {"kind": "ladder"}
             if args.law:
-                cfg.update(law=args.law, N=3)
+                cfg["N"] = 3
         elif args.command == "lemmas":
-            cfg = {"kind": "lemmas", "limit": args.limit, "n_max": args.n_max}
+            cfg = {"kind": "lemmas"}
         else:
-            cfg = {"kind": "counterexample", "N": 100_000, "c": args.c}
+            cfg = {"kind": "counterexample", "N": 100_000}
         return run_config(_apply_overrides(cfg, args))
     except (ReflectlabError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

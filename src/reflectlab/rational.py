@@ -18,10 +18,11 @@ def as_rational(x) -> Fraction:
 
     Floats are rejected: a float argument usually means a value that was
     already rounded, which silently breaks exactness guarantees downstream.
+    So are bools, so that true cannot stand for the level 1.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

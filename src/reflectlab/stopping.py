@@ -252,7 +252,8 @@ class LevelLadder:
                                             self.exits, self.steps))
 
 
-@lru_cache(maxsize=256)
+# typed: an equal bool or float must miss the cache and reach as_rational
+@lru_cache(maxsize=256, typed=True)
 def ladder_levels(a: LevelLike, b: LevelLike, n: int) -> LevelLadder:
     """Compute the exact level sequence c_0..c_n for barriers -a and b.
 
@@ -317,7 +318,7 @@ class LadderTrace:
         return self.anchor_values[self.last_finite(n)]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed, as ladder_levels is
 def _ladder_grid(a: LevelLike, b: LevelLike, n: int
                  ) -> tuple[LevelLadder, int, tuple[int, ...],
                             tuple[float, ...]]:

@@ -527,6 +527,8 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     """
     if n_draws < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
+    if not 0 < alpha < 1:  # NaN included
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     names = [f.name for f in functionals]
     if not names or len(set(names)) != len(names):
         # with none the test would pass on nothing checked; two of one name

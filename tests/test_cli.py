@@ -7,9 +7,21 @@ import re
 
 import pytest
 
-from reflectlab.cli import _KINDS, _real, main, parse_functional
+from reflectlab.cli import (
+    _COMMON_KEYS,
+    _KEYS,
+    _KINDS,
+    _real,
+    main,
+    parse_functional,
+)
 from reflectlab.errors import ConfigurationError, RuleError
-from reflectlab.verify import HittingTime, RunningMax, ValueAtTime
+from reflectlab.verify import (
+    HittingTime,
+    RunningMax,
+    ValueAtTime,
+    default_functionals,
+)
 
 
 def write_config(tmp_path, **cfg):
@@ -456,6 +468,62 @@ class TestConfigKeys:
     @pytest.mark.parametrize("value", [1, 0.2, "0.01", "1e-3"])
     def test_float_key_takes_what_float_reads(self, value):
         assert _real("alpha", value) == float(value)
+
+    @pytest.mark.parametrize("key, kind, value", [
+        ("kind", "suite", ["suite"]),  # used to end in a traceback
+        ("law", "suite", None),  # a traceback
+        ("rule", "invariance", 5),  # a traceback
+        ("a", "ladder", None),
+        ("b", "signs", [2]),
+        ("c", "counterexample", None),
+        ("n", "signs", "3"),
+        ("N", "suite", "30"),
+        ("seed", "lemmas", None),
+        ("alpha", "invariance", [0.1]),
+        ("bound_cap", "bound", None),
+        ("functionals", "invariance", [1]),  # a traceback
+        ("functionals", "invariance", None),  # used to run the defaults
+        ("limit", "lemmas", "25"),
+        ("n_max", "lemmas", None),
+        ("workers", "suite", "1"),
+        # opened a file named after its first character
+        ("paths_csv", "ladder", "line.csv"),
+        ("out_dir", "ladder", 5),  # a traceback after the whole run
+        ("dump_paths", "ladder", "1"),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_wrong_json_type_exit_one(self, key, kind, value, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, **{**KINDS[kind], key: value})
+        assert main(["run", "config.json"]) == 1
+        assert f"error: {key} must be " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_every_key_has_a_check(self):
+        taken = set(_COMMON_KEYS).union(
+            *(required + optional for _, required, optional
+              in _KINDS.values()))
+        assert set(_KEYS) == taken
+
+    @pytest.mark.parametrize("alpha", [-1, "nan"])
+    def test_alpha_outside_unit_interval_exit_one(self, alpha, tmp_path,
+                                                  capsys):
+        # -1 used to pass every statistic, "nan" to fail every one
+        path = write_config(tmp_path, **{**KINDS["invariance"],
+                                         "alpha": alpha},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "error: alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_functionals_mean_the_defaults(self, tmp_path):
+        path = write_config(tmp_path, kind="invariance", law="bm(dt=0.1,T=1)",
+                            rule="fixed(0)", N=1000, functionals=[],
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 0
+        names = [s["name"] for s in
+                 read_report(tmp_path / "out")["statistics"]]
+        assert names == [f.name for f in default_functionals(1.0)]
 
     def test_misspelled_alpha_exit_one(self, tmp_path, capsys):
         # it used to run at the default alpha, 0.001, and record that

@@ -67,6 +67,18 @@ class TestLadderLevels:
         with pytest.raises(RuleError):
             ladder_levels(-1, 2, 2)
 
+    @pytest.mark.parametrize("a", [True, 1.0])
+    def test_equal_level_of_another_type_misses_the_cache(self, a):
+        # after the int call, true and 1.0 used to get its cached ladder
+        # and trace, though as_rational rejects both
+        p = BrownianMotion(dt=0.01, horizon=1.0, seed=1).sample(0)
+        ladder_levels(1, 2, 2)
+        ladder_trace(1, 2, p, 2)
+        with pytest.raises(RuleError):
+            ladder_levels(a, 2, 2)
+        with pytest.raises(RuleError):
+            ladder_trace(a, 2, p, 2)
+
     @pytest.mark.parametrize("a, b", [
         (F(1, 3 * 2 ** 1100), F(2, 3 * 2 ** 1100)),
         (10 ** 400, 2 * 10 ** 400),

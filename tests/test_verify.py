@@ -40,6 +40,7 @@ from reflectlab import (
     invariance_test,
     is_dyadic,
     is_observed,
+    ladder_levels,
     ladder_trace,
     martingale_step_test,
     max_deviation,
@@ -228,6 +229,19 @@ class TestInvarianceTest:
         with pytest.raises(ConfigurationError):
             invariance_test(BrownianMotion(seed=1), FixedTime(0.0),
                             [ValueAtTime(1.0)], 100)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.0, math.nan])
+    def test_bad_alpha_rejected_before_any_draw(self, alpha, monkeypatch):
+        # alpha -1 used to pass every statistic, NaN to fail every one
+        def no_draws(self, indices):
+            raise AssertionError(f"drew {indices}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        monkeypatch.setattr(BrownianMotion, "_rows", no_draws)
+        with pytest.raises(ConfigurationError, match=r"alpha must lie in"):
+            invariance_test(BrownianMotion(dt=0.05, horizon=1.0, seed=58),
+                            FixedTime(0.0), [ValueAtTime(1.0)], 1000,
+                            alpha=alpha)
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_non_finite_hitting_level_rejected_at_construction(self, level):
@@ -476,6 +490,24 @@ class TestBoundCheck:
         with pytest.raises(ConfigurationError, match="must be positive"):
             bound_check(BrownianMotion(dt=0.05, horizon=1.0, seed=56), a, b,
                         FixedTime(1.0), bound_cap=bound_cap, n_draws=100)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FirstPassage(True),
+        lambda: TwoSidedHit(True, 2),
+        lambda: ladder_levels(True, 2, 2),
+        lambda: bound_check(BrownianMotion(dt=0.05, horizon=1.0, seed=57),
+                            True, 1, FixedTime(1.0), bound_cap=1.0,
+                            n_draws=100),
+    ], ids=["FirstPassage", "TwoSidedHit", "ladder_levels", "bound_check"])
+    def test_bool_level_rejected(self, build, monkeypatch):
+        # true used to stand for the level 1: FirstPassage(True) ran at 1,
+        # TwoSidedHit(True, 2) at (-1, 2)
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(RuleError, match="got bool"):
+            build()
 
 
 class TestMartingaleStepTest:
