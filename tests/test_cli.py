@@ -453,6 +453,15 @@ class TestConfigKeys:
             capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_bound_infinite_cap_exit_one(self, tmp_path, capsys):
+        # it ran with the cap turned off and passed with |path| above a + b
+        path = write_config(tmp_path, **{**KINDS["bound"], "bound_cap": "inf"},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "error: a, b and bound_cap must be positive and bound_cap " \
+            "finite, got 1, 1 and inf" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("kind, key", [
         ("invariance", "alpha"),  # used to run at alpha 1.0
         ("bound", "bound_cap"),  # used to run with the cap 1.0

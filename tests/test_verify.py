@@ -7,6 +7,9 @@ import multiprocessing
 import operator
 import os
 import pathlib
+import platform
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -478,11 +481,12 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("a, b, bound_cap", [
         (0, 0, 1.0), (-1, 2, 1.0), (1, 0, 1.0), (1, 2, 0.0), (1, 2, -1.0),
-        (1, 2, math.nan)])
+        (1, 2, math.nan), (1, 2, math.inf)])
     def test_bad_input_rejected_before_any_draw(self, a, b, bound_cap,
                                                 monkeypatch):
         # a = b = 0 used to draw every path and then divide by zero, a = -1
-        # ran against a bound of 1 and a NaN cap turned the cap off
+        # ran against a bound of 1, and a NaN or infinite cap turned the cap
+        # off
         def no_draws(self, index):
             raise AssertionError(f"drew path {index}")
 
@@ -903,3 +907,53 @@ class TestReports:
         assert Statistic.judged("x", -2.0, 1.0, "abs_below").verdict == "fail"
         assert Statistic.judged("x", 0.01, 0.001, "above").verdict == "pass"
         assert Statistic.judged("x", 0.0001, 0.001, "above").verdict == "fail"
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this reflectlab; its
+    stdout."""
+    src = str(pathlib.Path(verify.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+class TestImport:
+    def test_scipy_loads_on_the_first_ks_only(self):
+        out = _fresh_python(
+            "import sys\n"
+            "import reflectlab, reflectlab.cli\n"
+            "from reflectlab import BrownianMotion, FixedTime, "
+            "default_functionals, invariance_test, non_dyadic_sweep\n"
+            "non_dyadic_sweep(10)\n"
+            "print('scipy' in sys.modules)\n"
+            "invariance_test(BrownianMotion(dt=0.1, horizon=1.0), "
+            "FixedTime(0.5), default_functionals(1.0), 1000, seed=1)\n"
+            "print('scipy' in sys.modules)\n")
+        assert out.split() == ["False", "True"]
+
+    def test_ks_2samp_is_scipys(self):
+        assert verify.ks_2samp is ks_2samp
+        with pytest.raises(AttributeError, match="no attribute 'ks_2'"):
+            verify.ks_2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are glibc's")
+    def test_ladder_draws_do_not_fault_their_arrays_in_again(self):
+        # without fixed allocation thresholds each 160 KB array of a draw was
+        # mapped and unmapped again, about 80-130 minor faults per draw
+        out = _fresh_python(
+            "import resource, sys\n"
+            "from reflectlab import BrownianMotion, martingale_step_test\n"
+            "def run(n, seed):\n"
+            "    martingale_step_test(BrownianMotion(dt=1e-4, horizon=2.0),"
+            " 1, 2, 4, n, seed=seed)\n"
+            "run(5, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run(50, 2)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print('scipy' in sys.modules, (after - before) / 50)\n")
+        loaded, per_draw = out.split()
+        assert loaded == "False"
+        assert float(per_draw) < 20
