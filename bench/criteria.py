@@ -16,14 +16,13 @@ same phases of the host's speed.
 
 The record, ``BENCH_criteria_<NAME>.json`` in the checkout root, holds the
 environment and, per criterion and library, the median and quartiles of its
-wall time and of that time scaled to the host's full speed by the reference
-kernel of ``perfbench/bench.py`` (``REF_NOMINAL_NS`` over the mean of the
-reference times measured right before and right after each run), as the
-benchmark scales its times; every run's times in run order; the largest
-peak RSS of the interpreter plus its largest pool worker; and the verdict
-and the sha256 of ``to_json()`` of each report, which every repeat must
-reproduce.  A changed digest is a changed statistic.  The ``--src``
-library's rows go under ``against``.
+wall time and every run's wall time in run order; the largest peak RSS of
+the interpreter plus its largest pool worker; and the verdict and the sha256
+of ``to_json()`` of each report, which every repeat must reproduce.  A
+changed digest is a changed statistic.  The ``--src`` library's rows go
+under ``against``.  Wall times are not scaled: a reference kernel timed
+only around a run misses the host's speed phases during it, so alternating
+runs of the two libraries are the comparison.
 """
 
 from __future__ import annotations
@@ -49,14 +48,10 @@ def run_criterion(number: int) -> dict:
     import bench
     from test_acceptance import CRITERIA
 
-    bench.reference_ns()  # its first call pays one-time costs
-    before = bench.reference_ns()
     t0 = time.perf_counter_ns()
     reports = CRITERIA[number]()
     ns = time.perf_counter_ns() - t0
-    after = bench.reference_ns()
     return {"wall_s": ns / 1e9,
-            "scaled_s": ns * 2 * bench.REF_NOMINAL_NS / (before + after) / 1e9,
             "peak_rss_mb": bench.peak_rss_mb(),
             "verdicts": [r.verdict for r in reports],
             "sha256": [hashlib.sha256(r.to_json().encode()).hexdigest()
@@ -74,8 +69,8 @@ def run_child(number: int, src: str) -> dict:
 
 def summarize(number: int, runs: list[dict]) -> dict:
     """One criterion's runs on one library: median, quartiles and every
-    run of the wall and scaled times, the largest peak RSS, and the
-    verdicts and digests, which every run must repeat."""
+    run of the wall time, the largest peak RSS, and the verdicts and
+    digests, which every run must repeat."""
     first = runs[0]
     for run in runs[1:]:
         if (run["verdicts"], run["sha256"]) != (first["verdicts"],
@@ -86,13 +81,12 @@ def summarize(number: int, runs: list[dict]) -> dict:
     row = {"verdicts": first["verdicts"], "sha256": first["sha256"],
            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
            "repeat": len(runs)}
-    for key in ("wall_s", "scaled_s"):
-        times = [r[key] for r in runs]
-        row[key] = statistics.median(times)
-        row[f"{key}_quartiles"] = (
-            statistics.quantiles(times, n=4, method="inclusive")[::2]
-            if len(times) > 1 else [times[0], times[0]])
-        row[f"{key}_runs"] = times
+    times = [r["wall_s"] for r in runs]
+    row["wall_s"] = statistics.median(times)
+    row["wall_s_quartiles"] = (
+        statistics.quantiles(times, n=4, method="inclusive")[::2]
+        if len(times) > 1 else [times[0], times[0]])
+    row["wall_s_runs"] = times
     return row
 
 
@@ -146,7 +140,7 @@ def main(argv=None) -> int:
     import bench
 
     record = {"label": args.label, "environment": bench.environment(),
-              "ref_nominal_ns": bench.REF_NOMINAL_NS, "criteria": {}}
+              "criteria": {}}
     if args.src is not None:
         record["against"] = {"label": args.src_label, "criteria": {}}
     for number, repeat in sorted(repeats.items()):
@@ -158,8 +152,7 @@ def main(argv=None) -> int:
                 row = run_child(number, libraries[name])
                 runs[name].append(row)
                 print(f"criterion {number} [{name}] run {r + 1}: "
-                      f"{row['wall_s']:.1f} s (scaled {row['scaled_s']:.1f} "
-                      f"s), {row['peak_rss_mb']:.0f} MB, "
+                      f"{row['wall_s']:.1f} s, {row['peak_rss_mb']:.0f} MB, "
                       f"{', '.join(row['verdicts'])}", flush=True)
         record["criteria"][str(number)] = summarize(number, runs["own"])
         if args.src is not None:

@@ -62,7 +62,7 @@ an increasing sequence of stopping times.  The evaluator tracks the realized
 values w(tau_n) as exact rationals (the anchor of step n plus or minus the
 step magnitude), so sign extraction and hitting-time identities are decided by
 exact comparisons rather than float ones.  Every level and every realized
-value lies on the grid (1/lcm(den a, den b))Z, so inside a trace they are
+value lies on the grid (1/lcm(den a, den b))Z, so a trace holds them as
 integers over that denominator.
 """
 
@@ -72,7 +72,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -293,8 +293,9 @@ class LadderTrace:
 
     times:          tau_0 .. tau_n (inf once not observed, then inf onwards).
     directions:     relative hit directions, +1 up, -1 down, 0 not observed.
-    anchor_values:  exact values w(tau_k) for the observed steps
-                    (length = number of finite times).
+    den:            the common denominator of the ladder's levels.
+    scaled_values:  exact values w(tau_k) times den, integers, for the
+                    observed steps (length = number of finite times).
     path:           annotated copy of the input with every finite tau_k a knot
                     pinned to its exact value.
     """
@@ -302,12 +303,18 @@ class LadderTrace:
     ladder: LevelLadder
     times: tuple[float, ...]
     directions: tuple[int, ...]
-    anchor_values: tuple[Fraction, ...]
+    den: int
+    scaled_values: tuple[int, ...]
     path: Path
+
+    @cached_property
+    def anchor_values(self) -> tuple[Fraction, ...]:
+        """Exact values w(tau_k) for the observed steps."""
+        return tuple(Fraction(x, self.den) for x in self.scaled_values)
 
     @property
     def finite_count(self) -> int:
-        return len(self.anchor_values)
+        return len(self.scaled_values)
 
     def last_finite(self, n: int) -> int:
         """max{k <= n : tau_k observed} (the index the skeleton freezes at)."""
@@ -350,19 +357,28 @@ def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace
     not inserted yet scans from the next knot of p after the crossing's
     split increment.  The knots are inserted in one copy at the end.
     Inside the trace the exact values are integers over the ladder's
-    common denominator; an anchor of p off that grid can never end a
-    window and is skipped.
+    common denominator, and the trace keeps them so (``scaled_values``);
+    an anchor of p off that grid can never end a window and is skipped.
     """
-    ladder, den, steps, steps_f = _ladder_grid(a, b, n_max)
+    return _trace(_ladder_grid(a, b, n_max), p, (0.0,), (), (0,), 0)
+
+
+def _trace(ladder_grid: tuple, p: Path, times: tuple, directions: tuple,
+           scaled: tuple, k: int) -> LadderTrace:
+    """The ladder loop: the trace of p to the last step of ladder_grid (a
+    ``_ladder_grid``), from a start state in which tau_0 .. tau_m, m =
+    len(directions), are observed, with their times, directions and exact
+    values times den given, and tau_m is knot k of p.  From knot 0 that
+    state is (0.0,), (), (0,) and k = 0."""
+    ladder, den, steps, steps_f = ladder_grid
     grid = sorted((j, x.numerator * (den // x.denominator))
                   for j, x in p.anchors.items() if den % x.denominator == 0)
     knots = _KnotInsertion(p)
-    times = [0.0]
-    directions = []
-    values = [Fraction(0)]
-    base = 0  # the exact value at the window start, times den
-    k, lead = 0, None
-    for step, step_f in zip(steps, steps_f):
+    times, directions, scaled = list(times), list(directions), list(scaled)
+    base = scaled[-1]  # the exact value at the window start, times den
+    lead = None
+    m = len(directions)
+    for step, step_f in zip(steps[m:], steps_f[m:]):
         hit = None
         if times[-1] != NOT_OBSERVED:  # absorbed: later steps stay unobserved
             first = k if lead is None else k - 1
@@ -384,9 +400,28 @@ def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace
         k, lead = knots.resume(index)
         times.append(t)
         directions.append(side)
-        values.append(exact)
-    return LadderTrace(ladder, tuple(times), tuple(directions),
-                       tuple(values), knots.path())
+        scaled.append(base)
+    return LadderTrace(ladder, tuple(times), tuple(directions), den,
+                       tuple(scaled), knots.path())
+
+
+def _reflected_trace(tr: LadderTrace, n: int) -> LadderTrace:
+    """``ladder_trace`` to step n + 1 of tr.path reflected at tau_n, an
+    observed ladder time of tr, bit for bit, resumed at tau_n.
+
+    Up to tau_n the reflected path has tr.path's knots, increments and
+    anchors, and the windows of steps 1 .. n end there, so its steps 1 .. n
+    are tr's: the same times, directions and exact values, each at a knot
+    already pinned to its value.  The trace starts from that state at tau_n
+    and scans step n + 1 on the reflected path's own negated increments.
+    Reflecting here, not taking a path from the caller, is what ties the
+    resumed path to tr.
+    """
+    t = tr.times[n]
+    q = reflect_at_time(tr.path, t)
+    return _trace(_ladder_grid(tr.ladder.a, tr.ladder.b, n + 1), q,
+                  tr.times[:n + 1], tr.directions[:n],
+                  tr.scaled_values[:n + 1], q.knot_index(t))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -101,6 +102,7 @@ from .stopping import (
     TimeCompare,
     TwoSidedHit,
     _exit_rows,
+    _reflected_trace,
     ladder_trace,
 )
 
@@ -242,8 +244,10 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
     blocks are first asked for: its reductions would report a pass with
     nothing checked.  A consumer may stop reading early; when it does, or
     when a block raises, the shards that have not started are cancelled
-    rather than run on the way out of the pool.
+    rather than run on the way out of the pool.  A count that is a bool or
+    not an integer is rejected there too (``_checked_count``).
     """
+    n = _checked_count("a draw count", n)
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
     if workers <= 1 or n <= size:
@@ -268,6 +272,20 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
                     yield from (fn(args, r) for r in _ranges(indices, size))
         finally:
             ex.shutdown(cancel_futures=True)
+
+
+def _checked_count(what: str, value) -> int:
+    """value as an int: ConfigurationError unless operator.index takes it
+    and it is not a bool, the rule the CLI applies to its counts, so 2.5
+    cannot end in a TypeError and True cannot run as 1.  NumPy integers
+    pass."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return count
 
 
 def _ranges(indices: range, size: int) -> Iterator[range]:
@@ -637,24 +655,31 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
 # discrete martingale checks along the ladder
 # ---------------------------------------------------------------------------
 
-def _skeleton_step(tr: LadderTrace, n: int) -> Fraction:
-    """Y_{n+1} - Y_n of the trace to step n + 1, read off tr, a trace of
-    the same path to that step or further: a trace to a smaller n_max is a
-    prefix of one to a larger, since no step looks past its own window."""
-    return tr.skeleton_value(n + 1) - tr.skeleton_value(n)
+def _skeleton_step(tr: LadderTrace, n: int) -> int:
+    """Y_{n+1} - Y_n of the trace to step n + 1, times the ladder's den (an
+    integer), read off tr, a trace of the same path to that step or
+    further: a trace to a smaller n_max is a prefix of one to a larger,
+    since no step looks past its own window."""
+    scaled = tr.scaled_values
+    return scaled[tr.last_finite(n + 1)] - scaled[tr.last_finite(n)]
 
 
 def _martingale_draw(args, i):
     """The sign word of draw i, its skeleton increments Y_{n+1} - Y_n for
     n <= n_steps as floats, and how many fail the exact antisymmetry.
 
-    The antisymmetry at n re-traces, from knot 0 and to step n + 1, the
-    annotated path reflected at tau_n, or the annotated path itself when
-    tau_n is unobserved.  The self-traces of all such n are one trace of
-    one path read at different steps, so the annotated path is traced once,
-    to n_steps + 1, when the first unobserved tau_n comes up, and each such
-    n reads its step from that trace (``_skeleton_step``).  Each reflected
-    path is still traced on its own.
+    The antisymmetry at n traces, to step n + 1, the annotated path
+    reflected at tau_n, or the annotated path itself when tau_n is
+    unobserved.  A reflected path is traced from tau_n on, from the state
+    of the first trace there (``_reflected_trace``): its steps 1 .. n are
+    the first trace's by construction, and step n + 1 is scanned on its own
+    negated increments.  The self-traces of all unobserved tau_n are one
+    trace of one path read at different steps, so the annotated path is
+    traced once, from knot 0 to n_steps + 1, when the first unobserved
+    tau_n comes up, and each such n reads its step from that trace
+    (``_skeleton_step``).  The skeleton stays in integers over the ladder's
+    den: the comparison is exact, and ``dy / den`` is the correctly rounded
+    float of the rational, as ``float(Fraction(dy, den))`` is.
     """
     sampler, a, b, n_steps = args
     tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
@@ -663,10 +688,9 @@ def _martingale_draw(args, i):
     self_trace = None
     for n in range(n_steps + 1):
         dy = _skeleton_step(tr, n)
-        increments.append(float(dy))
-        t_n = tr.times[n]
-        if is_observed(t_n):
-            tr_q = ladder_trace(a, b, reflect_at_time(tr.path, t_n), n + 1)
+        increments.append(dy / tr.den)
+        if is_observed(tr.times[n]):
+            tr_q = _reflected_trace(tr, n)
         else:
             if self_trace is None:
                 self_trace = ladder_trace(a, b, tr.path, n_steps + 1)
@@ -690,7 +714,7 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
 
     A negative n_steps checks no increment and is rejected.
     """
-    if n_steps < 0:
+    if _checked_count("n_steps", n_steps) < 0:
         raise ConfigurationError(
             f"n_steps must be at least 0, got {n_steps}")
     a = as_rational(a)
@@ -1089,7 +1113,8 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     (-1, 1), whose barrier ratio 1/2 is dyadic); and the paired invariance
     tests at those two reflections pass.
     """
-    if n_draws < 1000:
+    # checked before the arrays are sized, not first in _run_draws
+    if _checked_count("a draw count", n_draws) < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
     c = as_rational(c)
     if c <= 1:

@@ -37,7 +37,7 @@ from reflectlab import (
 )
 from reflectlab.errors import MixturePartitionError
 from reflectlab.samplers import BrownianMotion, OconeTimeChange
-from reflectlab.stopping import _locate_exit
+from reflectlab.stopping import _locate_exit, _reflected_trace
 
 F = Fraction
 
@@ -307,6 +307,81 @@ class TestMartingaleTrack:
                 tr_q = ladder_trace(1, 2, q, n + 1)
                 assert (tr_q.skeleton_value(n + 1)
                         - tr_q.skeleton_value(n)) == -dy
+
+
+def _assert_same_trace(tr, other):
+    """Every output bit of two ladder traces is equal."""
+    assert [float(t).hex() for t in tr.times] == \
+        [float(t).hex() for t in other.times]
+    assert tr.directions == other.directions
+    assert (tr.den, tr.scaled_values) == (other.den, other.scaled_values)
+    assert tr.anchor_values == other.anchor_values
+    assert tr.ladder == other.ladder
+    assert tr.path.knots.tobytes() == other.path.knots.tobytes()
+    assert tr.path.increments.tobytes() == other.path.increments.tobytes()
+    assert sorted(tr.path.anchors.items()) == \
+        sorted(other.path.anchors.items())
+
+
+class TestReflectedTrace:
+    """``_reflected_trace`` resumes at tau_n; a full trace of the same
+    reflected path starts from knot 0."""
+
+    LAWS = {
+        "bm": lambda seed: BrownianMotion(dt=1e-3, horizon=4.0, seed=seed),
+        "ocone": lambda seed: OconeTimeChange("random_rate", dt=1e-3,
+                                              horizon=4.0, seed=seed),
+    }
+    # the barriers of the martingale_step_test goldens
+    BARRIERS = [(F(1), F(2)), (F(1, 3), F(1, 2)), (F(2), F(3))]
+
+    @given(st.sampled_from(sorted(LAWS)), st.sampled_from(BARRIERS),
+           st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 40),
+           st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_resumed_trace_is_the_full_retrace(self, law, barriers, seed, i,
+                                               n_steps):
+        a, b = barriers
+        tr = ladder_trace(a, b, self.LAWS[law](seed).sample(i), n_steps + 1)
+        for n, t in enumerate(tr.times[:n_steps + 1]):
+            if is_observed(t):
+                _assert_same_trace(
+                    _reflected_trace(tr, n),
+                    ladder_trace(a, b, reflect_at_time(tr.path, t), n + 1))
+
+    def test_resumes_on_anchored_and_raw_draws(self):
+        # parents traced on pinned paths, whose anchors the reflection
+        # remaps, and on raw draws; every observed tau_n, 0 included
+        sampler = BrownianMotion(dt=1e-3, horizon=4.0, seed=61)
+        resumed = 0
+        for i in range(10):
+            p = sampler.sample(i)
+            for q in (p, negate(p), FirstPassage(F(1, 2)).observe(p)[1],
+                      TwoSidedHit(1, 2).observe(p)[1]):
+                tr = ladder_trace(1, 2, q, 6)
+                for n, t in enumerate(tr.times):
+                    if is_observed(t):
+                        _assert_same_trace(
+                            _reflected_trace(tr, n),
+                            ladder_trace(1, 2, reflect_at_time(tr.path, t),
+                                         n + 1))
+                        resumed += n > 0
+        assert resumed >= 100
+
+    def test_crossings_in_one_segment(self):
+        # every step of the parent is a knot it inserted in segment (0, 1)
+        tr = ladder_trace(1, 2, Path(np.array([0.0, 1.0, 2.0]),
+                                     np.array([10.0, -3.0])), 6)
+        for n, t in enumerate(tr.times):
+            _assert_same_trace(
+                _reflected_trace(tr, n),
+                ladder_trace(1, 2, reflect_at_time(tr.path, t), n + 1))
+
+    def test_scaled_values_are_the_anchor_values_times_den(self):
+        tr = ladder_trace(F(1, 3), F(1, 2), line_to(-1.0, 1.0), 4)
+        assert tr.den == 6
+        assert tr.anchor_values == tuple(F(x, 6) for x in tr.scaled_values)
+        assert tr.skeleton_value(4) == F(tr.scaled_values[-1], 6)
 
 
 class TestPrefixDeterminism:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -53,9 +53,11 @@ from reflectlab import (
     reflect_at_time,
     sign_identity_test,
     stability_suite,
+    trace_sign_word,
 )
 from reflectlab import verify
 from reflectlab.samplers import _GridLaw
+from reflectlab.stopping import _reflected_trace
 from reflectlab.verify import (
     HittingTime,
     RunningMax,
@@ -560,7 +562,7 @@ class TestMartingaleStepTest:
                 for m in (n, n + 1):
                     assert whole.skeleton_value(m) == fresh.skeleton_value(m)
                 step = fresh.skeleton_value(n + 1) - fresh.skeleton_value(n)
-                assert _skeleton_step(whole, n) == step
+                assert Fraction(_skeleton_step(whole, n), whole.den) == step
                 unobserved += not is_observed(tr.times[n])
                 moved += step != 0
         assert unobserved >= 20 and moved >= 20
@@ -569,18 +571,25 @@ class TestMartingaleStepTest:
     @pytest.mark.parametrize("a, b, n_steps, horizon", LADDERS)
     def test_draw_traces_its_path_once(self, monkeypatch, law, a, b,
                                        n_steps, horizon):
-        # each draw gives what fresh traces of every step give, and traces
-        # the annotated path itself at most once
-        calls = []
+        # each draw gives what fresh traces of every step give, traces the
+        # annotated path itself at most once, and resumes the trace of each
+        # reflection at an observed tau_n
+        calls, resumed = [], []
 
         def counting(a, b, p, n_max):
             calls.append((p, ladder_trace(a, b, p, n_max)))
             return calls[-1][1]
 
+        def counting_resumed(tr, n):
+            resumed.append(n)
+            return _reflected_trace(tr, n)
+
         monkeypatch.setattr(verify, "ladder_trace", counting)
+        monkeypatch.setattr(verify, "_reflected_trace", counting_resumed)
         sampler = self._law(law, horizon)
         for i in range(20):
             calls.clear()
+            resumed.clear()
             entries, increments, failures = _martingale_draw(
                 (sampler, a, b, n_steps), i)
             tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
@@ -595,11 +604,76 @@ class TestMartingaleStepTest:
                 assert fresh.skeleton_value(n + 1) \
                     - fresh.skeleton_value(n) == -dy
             assert increments == tuple(expected) and failures == 0
-            observed = sum(map(is_observed, tr.times[:n_steps + 1]))
-            retraced = observed < n_steps + 1
-            assert len(calls) == 1 + observed + retraced
+            observed = [n for n in range(n_steps + 1)
+                        if is_observed(tr.times[n])]
+            retraced = len(observed) < n_steps + 1
+            assert resumed == observed
+            assert len(calls) == 1 + retraced
             annotated = calls[0][1].path
             assert sum(p is annotated for p, _ in calls[1:]) == retraced
+
+
+def _fraction_route_draw(args, i):
+    """``_martingale_draw`` on the Fraction route: every reflected path
+    traced from knot 0, and the skeleton steps as Fractions."""
+    sampler, a, b, n_steps = args
+    tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
+    increments = []
+    anti_failures = 0
+    self_trace = None
+    for n in range(n_steps + 1):
+        dy = tr.skeleton_value(n + 1) - tr.skeleton_value(n)
+        increments.append(float(dy))
+        t_n = tr.times[n]
+        if is_observed(t_n):
+            tr_q = ladder_trace(a, b, reflect_at_time(tr.path, t_n), n + 1)
+        else:
+            if self_trace is None:
+                self_trace = ladder_trace(a, b, tr.path, n_steps + 1)
+            tr_q = self_trace
+        if tr_q.skeleton_value(n + 1) - tr_q.skeleton_value(n) != -dy:
+            anti_failures += 1
+    return trace_sign_word(tr).entries, tuple(increments), anti_failures
+
+
+class TestMartingaleDrawOracle:
+    LAWS = {
+        "bm": lambda seed: BrownianMotion(dt=1e-3, horizon=4.0, seed=seed),
+        "ocone": lambda seed: OconeTimeChange("random_rate", dt=1e-3,
+                                              horizon=4.0, seed=seed),
+    }
+    # the barriers of the martingale_step_test goldens
+    BARRIERS = [(Fraction(1), Fraction(2)), (Fraction(1, 3), Fraction(1, 2)),
+                (Fraction(2), Fraction(3))]
+
+    @given(st.sampled_from(sorted(LAWS)), st.sampled_from(BARRIERS),
+           st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 40),
+           st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_fraction_route(self, law, barriers, seed, i,
+                                           n_steps):
+        args = (self.LAWS[law](seed), *barriers, n_steps)
+        entries, increments, failures = _martingale_draw(args, i)
+        old_entries, old_increments, old_failures = \
+            _fraction_route_draw(args, i)
+        assert entries == old_entries and failures == old_failures == 0
+        assert [x.hex() for x in increments] == \
+            [x.hex() for x in old_increments]
+
+    @given(st.integers(-2 ** 1100, 2 ** 1100), st.integers(1, 2 ** 80))
+    @example(2 ** 1000 + 1, 3)
+    @example(-(10 ** 300) * 7 + 1, 10 ** 9)
+    @example(5, 6)
+    @example(0, 6)
+    def test_scaled_step_float_is_the_fraction_float(self, dy, den):
+        # the float increment of a draw, dy / den, is float(Fraction(dy, den))
+        try:
+            expected = float(Fraction(dy, den)).hex()
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                dy / den
+        else:
+            assert (dy / den).hex() == expected
 
 
 class TestStabilitySuite:
@@ -873,6 +947,48 @@ class TestSharding:
         # at zero draws every count is zero, which would read as a pass
         with pytest.raises(ConfigurationError):
             run(BrownianMotion(dt=0.05, horizon=1.0, seed=76))
+
+    @pytest.mark.parametrize("count", [True, 2.5, 1000.5])
+    @pytest.mark.parametrize("run", [
+        lambda s, n: stability_suite(n, sampler=s),
+        lambda s, n: sign_identity_test(s, 1, 2, 2, n),
+        lambda s, n: martingale_step_test(s, 1, 2, 2, n),
+        lambda s, n: bound_check(s, 1, 2, FixedTime(1.0), 99.0, n),
+        lambda s, n: exit_alignment_test(s, 1, 2, 2, 5, n),
+        lambda s, n: invariance_test(s, FixedTime(0.5),
+                                     default_functionals(1.0), n),
+        lambda s, n: counterexample_demo(n, seed=76),
+    ], ids=["stability", "signs", "martingale", "bound", "alignment",
+            "invariance", "counterexample"])
+    def test_count_not_an_integer_rejected(self, monkeypatch, run, count):
+        # True ran one draw and recorded "sample_size": true; 2.5 ended in a
+        # TypeError from range
+        def no_draws(*args):
+            raise AssertionError("drew a path")
+
+        monkeypatch.setattr(BrownianMotion, "_rows", no_draws)
+        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
+        with pytest.raises(ConfigurationError):
+            run(BrownianMotion(dt=0.05, horizon=1.0, seed=76), count)
+
+    @pytest.mark.parametrize("n_steps", [True, 2.5])
+    def test_martingale_steps_not_an_integer_rejected(self, n_steps):
+        with pytest.raises(ConfigurationError,
+                           match=f"n_steps must be an integer, got "
+                                 f"{n_steps!r}"):
+            martingale_step_test(BrownianMotion(dt=0.05, horizon=1.0), 1, 2,
+                                 n_steps, 5, seed=1)
+
+    def test_numpy_integer_counts_run(self):
+        def values(rep):
+            return [(s.name, s.value, s.threshold) for s in rep.statistics]
+
+        law = BrownianMotion(dt=0.05, horizon=1.0)
+        assert values(martingale_step_test(
+            law, 1, 2, np.int64(2), np.int64(30), seed=1)) == \
+            values(martingale_step_test(law, 1, 2, 2, 30, seed=1))
+        assert values(stability_suite(np.int32(3), seed=2, sampler=law)) \
+            == values(stability_suite(3, seed=2, sampler=law))
 
     def test_negative_martingale_steps_rejected(self, monkeypatch):
         # it traced each draw to step 0 and passed with no increment checked
