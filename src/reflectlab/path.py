@@ -19,9 +19,10 @@ truth: dropping every anchor changes results only at ulp scale.
 
 A path never changes after construction, so it caches what is derived from
 it alone, in its ``__dict__``: its prefix-sum ``values``, built on first use,
-and the level passages that :mod:`reflectlab.stopping` has pinned on it
-(time and annotated copy, at most a few per path).  Both return the bits a
-new computation would; an equal path built anew starts with neither.
+and the level scans that :mod:`reflectlab.stopping` has made on it (time,
+and the located exit or the annotated copy, at most a few per path).  Both
+return the bits a new computation would; an equal path built anew starts
+with neither.
 """
 
 from __future__ import annotations
@@ -293,24 +294,28 @@ class _KnotInsertion:
             if anchors == p.anchors:
                 return p
             return _fast_path(p.knots, p.increments, anchors)
-        segments = [s[0] for s in self.splits]
-        knots = np.insert(p.knots, [i + 1 for i in segments],
-                          [s[1] for s in self.splits])
-        inc = np.empty(knots.size - 1, dtype=np.float64)
-        src = dst = 0  # next original increment to copy, next slot
-        for i, _, left, right in self.splits:
+        knots = np.empty(p.knots.size + len(self.splits))
+        inc = np.empty(knots.size - 1)
+        # slot dst of both arrays takes original knot src and the increment
+        # that leaves it
+        src = dst = 0
+        for i, t, left, right in self.splits:
             if i < src:  # a second knot in a segment splits the last right
                 dst -= 1
             else:
+                knots[dst:dst + i + 1 - src] = p.knots[src:i + 1]
                 inc[dst:dst + i - src] = p.increments[src:i]
                 dst += i - src
                 src = i + 1
+            knots[dst + 1] = t
             inc[dst] = left
             inc[dst + 1] = right
             dst += 2
+        knots[dst:] = p.knots[src:]
         inc[dst:] = p.increments[src:]
         knots.setflags(write=False)
         inc.setflags(write=False)
+        segments = [s[0] for s in self.splits]
         anchors = {j + bisect_left(segments, j): a
                    for j, a in p.anchors.items()}
         anchors.update(self.pins)

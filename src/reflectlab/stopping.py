@@ -27,11 +27,12 @@ The kernel only locates the exit (time, knot or segment, side) and leaves the
 path alone.  Pinning it, a knot inserted at the exact target or an anchor
 written on an existing knot, is paid only where an annotated path is wanted:
 by ``observe`` and by the pivot of ``ComposeReflect``.  ``evaluate`` returns
-the same float as ``observe`` and never annotates.  A pinned level passage
-(``FirstPassage``, ``TwoSidedHit``) is memoized on the path it scanned, so
-every later ``observe``, ``evaluate``, reflection or pivot of the same rule
-on the same path object reads it instead of scanning and copying again;
-``evaluate`` only reads that memo (see ``_passage``).  A ladder trace locates
+the same float as ``observe`` and never annotates.  Every level scan
+(``FirstPassage``, ``TwoSidedHit``), pinned or not, is memoized on the path
+it scanned, so every later ``observe``, ``evaluate``, reflection or pivot of
+the same rule on the same path object reads it instead of scanning again:
+``evaluate`` keeps the located exit, and a later ``observe`` pins from it,
+so each copy is made at most once (see ``_passage``).  A ladder trace locates
 all of its steps on the input path: a window that starts at a crossing not
 inserted yet scans from the next knot, with the crossing's split increment
 as the first summand (the kernel's ``lead``), which is the sum the inserted
@@ -451,7 +452,7 @@ class StoppingRule:
         raise NotImplementedError
 
 
-#: Pinned passages kept on one path; a full memo drops its oldest entry.
+#: Level scans kept on one path; a full memo drops its oldest entry.
 _MEMO_SIZE = 8
 
 
@@ -463,51 +464,55 @@ def _passage(p: Path, bounds: tuple[Bound, Bound],
     decides the hit there, overriding a float crossing in the segment that
     ends at it.
 
-    A pinned result is memoized on p, in its ``__dict__`` beside the
-    ``values`` cache, and serves every later call with the same bounds
-    object, pinned or not: paths and rules are immutable and the scan is
-    deterministic, so the memo returns the bits a new scan would.  A call
-    without pin only looks the memo up.  The key is ``id(bounds)``; the
-    entry holds bounds, so that id is not reused while the entry lives, and
-    a path unpickled elsewhere misses.  When the pinned path is p itself,
-    the entry holds None instead, so a path never refers to itself.  A
+    Every scan, pinned or not, is memoized on p, in its ``__dict__`` beside
+    the ``values`` cache, and serves every later call with the same bounds
+    object: paths and rules are immutable and the scan is deterministic, so
+    the memo returns the bits a new scan would.  An entry holds bounds, the
+    time and what is known past it: the located exit (a call without pin
+    stores it, with no copy of p), or the pinned path.  A pinned call that
+    finds an exit pins from it without scanning and replaces the entry in
+    place.  The key is ``id(bounds)``; the entry holds bounds, so that id is
+    not reused while the entry lives, and a path unpickled elsewhere
+    misses.  When the pinned path is p itself (and when the exit is not
+    observed), the entry holds None, so a path never refers to itself.  A
     memo keeps at most ``_MEMO_SIZE`` entries, so however many rules ask
     about a long-lived path, its memo holds at most that many pinned
     copies.
     """
-    memo = p.__dict__.get("_passages")
-    if memo is not None:
-        entry = memo.get(id(bounds))
-        if entry is not None and entry[0] is bounds:
-            return entry[1], p if entry[2] is None or not pin else entry[2]
-    (lo_f, lo_q), (hi_f, hi_q) = bounds
-    anchor = None
-    if p.anchors and (lo_q is not None or hi_q is not None):
-        for j, x in p.anchors.items():
-            if j > 0 and (anchor is None or j < anchor[0]) \
-                    and x in (lo_q, hi_q):
-                anchor = j, 1 if x == hi_q else -1
-    hit = _locate_exit(p, 0, lo_f, hi_f, anchor)
-    if hit is None:
-        t, pinned = NOT_OBSERVED, p
-    else:
-        t, j, side, inside = hit
-        if not pin:
+    memo = p.__dict__.setdefault("_passages", {})
+    entry = memo.get(id(bounds))
+    if entry is not None and entry[0] is bounds:
+        t, found = entry[1], entry[2]
+        if not pin or found is None:
             return t, p
-        target_f, target_q = bounds[side == 1]
-        knots = _KnotInsertion(p)
-        if inside:
-            knots.insert(t, target_f if target_q is None else float(target_q),
-                         target_q)
-        else:
-            knots.pin(j, target_q)
-        pinned = knots.path()
-    if pin:
-        if memo is None:
-            memo = p.__dict__["_passages"] = {}
-        elif len(memo) >= _MEMO_SIZE:
+        if not isinstance(found, tuple):
+            return t, found
+        hit = found  # located by a call without pin, not pinned yet
+    else:
+        (lo_f, lo_q), (hi_f, hi_q) = bounds
+        anchor = None
+        if p.anchors and (lo_q is not None or hi_q is not None):
+            for j, x in p.anchors.items():
+                if j > 0 and (anchor is None or j < anchor[0]) \
+                        and x in (lo_q, hi_q):
+                    anchor = j, 1 if x == hi_q else -1
+        hit = _locate_exit(p, 0, lo_f, hi_f, anchor)
+        t = NOT_OBSERVED if hit is None else hit[0]
+        if len(memo) >= _MEMO_SIZE and id(bounds) not in memo:
             del memo[next(iter(memo))]
-        memo[id(bounds)] = bounds, t, None if pinned is p else pinned
+    if hit is None or not pin:
+        memo[id(bounds)] = bounds, t, hit
+        return t, p
+    _, j, side, inside = hit
+    target_f, target_q = bounds[side == 1]
+    knots = _KnotInsertion(p)
+    if inside:
+        knots.insert(t, target_f if target_q is None else float(target_q),
+                     target_q)
+    else:
+        knots.pin(j, target_q)
+    pinned = knots.path()
+    memo[id(bounds)] = bounds, t, None if pinned is p else pinned
     return t, pinned
 
 

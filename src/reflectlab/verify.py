@@ -173,7 +173,7 @@ class TestReport:
             "name": self.name,
             "params": _jsonable(self.params),
             "seed": self.seed,
-            "sample_size": self.sample_size,
+            "sample_size": _jsonable(self.sample_size),
             "verdict": self.verdict,
             "notes": list(self.notes),
             "statistics": [
@@ -214,7 +214,9 @@ def _jsonable(x):
         if x == -math.inf:
             return "-inf"
         return x
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
         return _jsonable(float(x))
     if x is None or isinstance(x, (bool, int, str)):
         return x
@@ -774,17 +776,57 @@ _MIX = Mixture(((_HIT_UP, TimeCompare(_HIT_UP, _FIXED_MID, "le")),
 _MIX_MIN = MinOf(_HIT_UP, _FIXED_MID)
 
 
+def _splice(big: np.ndarray, small: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """``np.interp(big, small, values)`` for knots big that hold every knot
+    of small, with ``np.interp`` run only at the knots small lacks.
+
+    At a shared knot ``np.interp`` returns the value there, so the result
+    is values with the new knots' interpolants spliced in: the same routine
+    at the same points, so the same bits.  The new knots are found by
+    comparing aligned slices: past m new knots, big[i] is small[i - m]
+    until the next new knot.  A knot of small missing from big raises
+    ValueError.
+    """
+    if big.size < small.size:
+        raise ValueError(f"{small.size} knots cannot lie in {big.size}")
+    new = []
+    start = 0  # big[start:] is aligned with small[start - len(new):]
+    while start < small.size + len(new):
+        differ = big[start:small.size + len(new)] \
+            != small[start - len(new):]
+        i = int(differ.argmax())
+        if not differ[i]:
+            break
+        if len(new) == big.size - small.size:
+            raise ValueError(f"knot {float(small[start - len(new) + i])!r} "
+                             f"is missing from the larger grid")
+        new.append(start + i)
+        start += i + 1
+    new += range(small.size + len(new), big.size)  # past small's last knot
+    if not new:
+        return values
+    out = np.empty(big.size)
+    src = 0  # next value to copy
+    for m, i in enumerate(new):
+        out[src + m:i] = values[src:i - m]
+        src = i - m
+    out[src + len(new):] = values[src:]
+    out[new] = np.interp(big[new], small, values)
+    return out
+
+
 def _deviation(p1: Path, p2: Path) -> float:
     """Sup-norm distance of two paths, normalized by their largest absolute
     value (at least 1).  The caller guarantees that p1's knots contain
-    p2's, so p1's grid is the union of both: p2 is interpolated there once,
-    or not at all when both hold the same knot array (``np.interp`` returns
-    the knot value at a knot)."""
-    scale = max(1.0, float(np.max(np.abs(p1.values))),
-                float(np.max(np.abs(p2.values))))
-    v2 = p2.values if p1.knots is p2.knots else np.interp(
-        p1.knots, p2.knots, p2.values)
-    return float(np.max(np.abs(p1.values - v2))) / scale
+    p2's, so p1's grid is the union of both: p2's values there are its own
+    at its knots, interpolated only at the knots p1 adds (``_splice``)."""
+    v1, v2 = p1.values, p2.values
+    scale = float(max(1.0, v1.max(), -v1.min(), v2.max(), -v2.min()))
+    if p1.knots is not p2.knots:
+        v2 = _splice(p1.knots, p2.knots, v2)
+    x = v1 - v2
+    return float(max(x.max(), -x.min())) / scale
 
 
 def _stability_draw(args, i):

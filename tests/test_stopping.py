@@ -966,12 +966,12 @@ class TestPassageMemo:
         TimeCompare(rule, FixedTime(1.0), "le").holds(p)
         MinOf(rule, FixedTime(3.0)).evaluate(p)
         assert [s is p for s in scans] == [True]
-        # evaluate alone reads the memo and fills none
+        # evaluate fills the memo with the exit, and observe pins from it
         fresh = _fresh(p)
         assert rule.evaluate(fresh) == rule.evaluate(fresh) == t
-        assert len(scans) == 3
-        rule.observe(fresh)
-        assert len(scans) == 4
+        assert len(scans) == 2
+        assert _same_bits(rule.observe(fresh)[1], q)
+        assert len(scans) == 2
 
     @given(GRAMMAR_RULES, st.sampled_from(range(len(KERNEL_PATHS))))
     @settings(max_examples=300, deadline=None)
@@ -983,6 +983,36 @@ class TestPassageMemo:
             assert float(t).hex() == float(t0).hex()
             assert _same_bits(q, q0)
         assert rule.evaluate(p).hex() == float(t0).hex()
+
+    @given(GRAMMAR_RULES, st.sampled_from(range(len(KERNEL_PATHS))))
+    @settings(max_examples=300, deadline=None)
+    def test_pin_from_unpinned_entry_is_a_fresh_scan(self, rule, k):
+        p = KERNEL_PATHS[k]
+        t0, q0 = rule.observe(_fresh(p))
+        fresh = _fresh(p)
+        assert rule.evaluate(fresh).hex() == float(t0).hex()
+        t, q = rule.observe(fresh)  # pinned from the stored exits
+        assert float(t).hex() == float(t0).hex()
+        assert _same_bits(q, q0)
+
+    def test_pinning_an_entry_evicts_no_other(self):
+        from reflectlab.stopping import _MEMO_SIZE
+
+        p = line_to(100.0, 1.0)
+        rules = [FirstPassage(F(k, 3)) for k in range(1, _MEMO_SIZE + 1)]
+        for rule in rules:
+            rule.evaluate(p)
+        memo = p.__dict__["_passages"]
+        keys = list(memo)
+        for rule in rules:  # each pin replaces its own entry in place
+            rule.observe(p)
+            assert list(memo) == keys
+        assert all(isinstance(e[2], Path) for e in memo.values())
+        # exits and pinned copies mixed: still at most _MEMO_SIZE entries
+        for k in range(1, 41):
+            FirstPassage(F(k, 7)).evaluate(p)
+            FirstPassage(F(k, 5)).observe(p)
+            assert len(memo) <= _MEMO_SIZE
 
     def test_memo_keeps_few_pinned_copies(self):
         import weakref

@@ -694,6 +694,55 @@ class TestStabilitySuite:
             1, seed=9, sampler=BrownianMotion(dt=0.01, horizon=2.0)).to_json()
 
 
+def _bits(x):
+    return [float(v).hex() for v in x]
+
+
+class TestSplice:
+    @given(st.lists(st.floats(2.0 ** -20, 8.0), min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_splice_is_np_interp(self, steps, data):
+        small = np.concatenate([[0.0], np.cumsum(steps)])
+        values = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=small.size, max_size=small.size)))
+        # one to three new knots; a narrow grid puts two in one segment
+        cuts = data.draw(st.lists(st.tuples(
+            st.integers(0, small.size - 2),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            min_size=1, max_size=3))
+        new = {float(small[i] + f * (small[i + 1] - small[i]))
+               for i, f in cuts} - set(small.tolist())
+        big = np.sort(np.concatenate([small, sorted(new)]))
+        assert _bits(verify._splice(big, small, values)) == \
+            _bits(np.interp(big, small, values))
+
+    @pytest.mark.parametrize("big", [
+        [0.0, 0.25, 0.5, 1.0, 2.0, 3.0],  # two in one segment
+        [0.0, 0.5, 1.0, 2.0, 2.5, 3.0],  # the first and the last segment
+        [0.0, 1.0, 1.5, 2.0, 3.0, 4.0],  # one past the last knot
+        [0.0, 1.0, 2.0, 3.0],  # the same knots in another array
+    ])
+    def test_splice_cases(self, big):
+        small = np.array([0.0, 1.0, 2.0, 3.0])
+        values = np.array([0.0, -0.0, -1.5, 7.0])
+        big = np.array(big)
+        assert _bits(verify._splice(big, small, values)) == \
+            _bits(np.interp(big, small, values))
+
+    @pytest.mark.parametrize("big", [
+        [0.0, 1.0, 2.5, 3.0],  # 2 replaced
+        [0.0, 0.5, 1.0, 2.5, 3.0],  # a new knot, and 2 missing
+        [0.0, 1.0, 2.0, 2.5],  # the last knot missing
+        [0.0, 1.0, 3.0],  # fewer knots
+        [0.5, 1.0, 2.0, 3.0],  # 0 missing
+    ])
+    def test_missing_knot_raises(self, big):
+        small = np.array([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            verify._splice(np.array(big), small, np.arange(4.0))
+
+
 class _OnePath:
     """A sampler stub that draws the same path every time."""
 
@@ -720,9 +769,16 @@ class TestStabilityDraw:
             # the caller's claim: p1's knots hold p2's
             assert np.isin(p2.knots, p1.knots).all()
             d = deviation(p1, p2)
-            scale = max(1.0, np.max(np.abs(p1.values)),
-                        np.max(np.abs(p2.values)))
+            scale = max(1.0, float(np.max(np.abs(p1.values))),
+                        float(np.max(np.abs(p2.values))))
             assert d == max_deviation(p1, p2) / scale
+            # the splice is the full-grid interpolation, and the deviation
+            # the formula on it, bit for bit
+            v2 = np.interp(p1.knots, p2.knots, p2.values)
+            assert verify._splice(p1.knots, p2.knots,
+                                  p2.values).tobytes() == v2.tobytes()
+            old = float(np.max(np.abs(p1.values - v2))) / scale
+            assert d.hex() == old.hex()
             calls.append(d)
             return d
 
@@ -731,6 +787,13 @@ class TestStabilityDraw:
             fails, _ = verify._stability_draw((sampler,), i)
             assert not any(fails.values())
         assert calls
+
+    def test_deviation_needs_the_larger_grid_first(self):
+        p = BrownianMotion(dt=0.01, horizon=2.0, seed=7).sample(0)
+        p1 = FirstPassage(Fraction(1, 4)).observe(p)[1]
+        assert p1.knots.size == p.knots.size + 1
+        with pytest.raises(ValueError):
+            verify._deviation(p, p1)
 
     def test_no_cyclic_garbage(self):
         import gc
@@ -980,15 +1043,14 @@ class TestSharding:
                                  n_steps, 5, seed=1)
 
     def test_numpy_integer_counts_run(self):
-        def values(rep):
-            return [(s.name, s.value, s.threshold) for s in rep.statistics]
-
+        # the reports are those of Python ints, byte for byte: to_json used
+        # to raise on a NumPy sample_size and wrote n_steps as 2.0
         law = BrownianMotion(dt=0.05, horizon=1.0)
-        assert values(martingale_step_test(
-            law, 1, 2, np.int64(2), np.int64(30), seed=1)) == \
-            values(martingale_step_test(law, 1, 2, 2, 30, seed=1))
-        assert values(stability_suite(np.int32(3), seed=2, sampler=law)) \
-            == values(stability_suite(3, seed=2, sampler=law))
+        assert martingale_step_test(
+            law, 1, 2, np.int64(2), np.int64(30), seed=1).to_json() == \
+            martingale_step_test(law, 1, 2, 2, 30, seed=1).to_json()
+        assert stability_suite(np.int32(3), seed=2, sampler=law).to_json() \
+            == stability_suite(3, seed=2, sampler=law).to_json()
 
     def test_negative_martingale_steps_rejected(self, monkeypatch):
         # it traced each draw to step 0 and passed with no increment checked
