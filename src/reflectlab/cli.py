@@ -49,7 +49,10 @@ config that lacks a required key or holds any other key is rejected):
 out, its default; every key of a config is checked before anything is
 parsed, drawn or written.  A count is a nonnegative integer, a rational an
 integer or a string, a real a number or a string that float() reads, and
-none of them true/false, so that none is rounded or read as 1 or 0.
+none of them true/false, so that none is rounded or read as 1 or 0.  Then
+the law of every kind that takes one, the default law included, is built
+once, so that a bad law exits 1 before anything runs or is written; the
+runners read it from ``cfg["law"]``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import functools
 import json
 import operator
 import os
@@ -81,25 +83,6 @@ from .verify import (
 )
 
 
-class _Draws:
-    """A run's law, built at its first use, and the draws 0, 1, ... of it
-    made so far, so that the run samples each index once."""
-
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.paths: list = []
-
-    @functools.cached_property
-    def law(self):
-        return parse_law(self.cfg["law"], seed=self.cfg["seed"])
-
-    def first(self, n: int) -> list:
-        """Draws 0 .. n - 1."""
-        self.paths.extend(self.law.sample(i)
-                          for i in range(len(self.paths), n))
-        return self.paths[:n]
-
-
 def parse_functional(spec: str):
     """Functional specs: value_at:<t> | running_max | hitting_time:<level> |
     value_at_rule:<rule spec>."""
@@ -115,8 +98,8 @@ def parse_functional(spec: str):
     raise ConfigurationError(f"cannot parse functional {spec!r}")
 
 
-def _run_invariance(cfg: dict, draws: _Draws) -> TestReport:
-    sampler, specs = draws.law, cfg["functionals"]
+def _run_invariance(cfg: dict) -> TestReport:
+    sampler, specs = cfg["law"], cfg["functionals"]
     return verify.invariance_test(
         sampler, parse_rule(cfg["rule"]),
         [parse_functional(s) for s in specs] if specs
@@ -124,13 +107,13 @@ def _run_invariance(cfg: dict, draws: _Draws) -> TestReport:
         cfg["N"], alpha=cfg["alpha"], workers=cfg["workers"])
 
 
-def _run_bound(cfg: dict, draws: _Draws) -> TestReport:
+def _run_bound(cfg: dict) -> TestReport:
     return verify.bound_check(
-        draws.law, cfg["a"], cfg["b"], parse_rule(cfg["rule"]),
+        cfg["law"], cfg["a"], cfg["b"], parse_rule(cfg["rule"]),
         cfg["bound_cap"], cfg["N"], workers=cfg["workers"])
 
 
-def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
+def _run_ladder(cfg: dict) -> TestReport:
     a, b, n = cfg["a"], cfg["b"], cfg["n"]
     ladder = ladder_levels(a, b, n)
     print("levels:", ", ".join(str(c) for c in ladder.levels))
@@ -140,8 +123,9 @@ def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
               "steps": [str(s) for s in ladder.steps]}
     table, sources = [], []
     if cfg["N"]:
-        params["law"] = repr(draws.law)
-        sources = [(str(i), p) for i, p in enumerate(draws.first(cfg["N"]))]
+        law = cfg["law"]
+        params["law"] = repr(law)
+        sources = [(str(i), law.sample(i)) for i in range(cfg["N"])]
     for fname in cfg["paths_csv"]:
         with open(fname) as fp:
             sources.append((fname, load_csv(fp)))
@@ -161,18 +145,18 @@ def _run_ladder(cfg: dict, draws: _Draws) -> TestReport:
                                      ladder.violations(), 0.0, "abs_below")])
 
 
-def _run_signs(cfg: dict, draws: _Draws) -> TestReport:
+def _run_signs(cfg: dict) -> TestReport:
     return verify.sign_identity_test(
-        draws.law, cfg["a"], cfg["b"], cfg["n"], cfg["N"],
+        cfg["law"], cfg["a"], cfg["b"], cfg["n"], cfg["N"],
         workers=cfg["workers"])
 
 
-def _run_suite(cfg: dict, draws: _Draws) -> TestReport:
+def _run_suite(cfg: dict) -> TestReport:
     return verify.stability_suite(cfg["N"], seed=cfg["seed"],
-                                  sampler=draws.law, workers=cfg["workers"])
+                                  sampler=cfg["law"], workers=cfg["workers"])
 
 
-def _run_lemmas(cfg: dict, _draws) -> TestReport:
+def _run_lemmas(cfg: dict) -> TestReport:
     limit, n_max = cfg["limit"], cfg["n_max"]
     sweep = verify.non_dyadic_sweep(limit)
     formula = verify.advance_formula_check(n_max)
@@ -182,14 +166,15 @@ def _run_lemmas(cfg: dict, _draws) -> TestReport:
         statistics=sweep.statistics + formula.statistics)
 
 
-def _run_counterexample(cfg: dict, _draws) -> TestReport:
+def _run_counterexample(cfg: dict) -> TestReport:
     return verify.counterexample_demo(cfg["N"], seed=cfg["seed"], c=cfg["c"],
                                       workers=cfg["workers"])
 
 
 #: kind -> (runner, required keys, optional keys); every kind also takes
-#: the _COMMON_KEYS.  dump_paths draws the law, so only the kinds that
-#: have one take it.
+#: the _COMMON_KEYS.  run_config builds the law of every kind that takes
+#: one before the runner; dump_paths draws it, so only those kinds take
+#: dump_paths.
 _KINDS = {
     "invariance": (_run_invariance, ("law", "rule", "N"),
                    ("functionals", "alpha", "workers", "dump_paths")),
@@ -277,11 +262,11 @@ _KEYS = {
 }
 
 
-def _dump_paths(cfg: dict, out_dir: FsPath, draws: _Draws) -> None:
-    for i, path in enumerate(draws.first(cfg["dump_paths"])):
+def _dump_paths(cfg: dict, out_dir: FsPath) -> None:
+    for i in range(cfg["dump_paths"]):
         name = "paths.csv" if i == 0 else f"paths_{i:03d}.csv"
         with open(out_dir / name, "w", newline="") as fp:
-            dump_csv(path, fp)
+            dump_csv(cfg["law"].sample(i), fp)
 
 
 def write_outputs(report: TestReport, out_dir: FsPath) -> None:
@@ -321,11 +306,13 @@ def run_config(cfg: dict) -> int:
         raise ConfigurationError(
             f"config for kind {kind!r} has unknown keys {unknown}; it "
             f"takes {sorted(known)}")
-    draws = _Draws(checked)
-    report = run(checked, draws)
+    if "law" in known:
+        # built once, here: a bad law exits before anything is run or written
+        checked["law"] = parse_law(checked["law"], seed=checked["seed"])
+    report = run(checked)
     out_dir = FsPath(checked["out_dir"])
     write_outputs(report, out_dir)
-    _dump_paths(checked, out_dir, draws)
+    _dump_paths(checked, out_dir)
     print(f"{report.name}: {report.verdict} "
           f"({len(report.statistics)} statistics) -> {out_dir}/report.json")
     return 0 if report.verdict == "pass" else 2

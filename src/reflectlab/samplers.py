@@ -175,22 +175,18 @@ def _generators(seed: int, indices: Sequence[int], stream: int = 0):
         yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _checked_seed(seed) -> int:
-    """The seed as an int; SamplerError unless it is a nonnegative
-    integer."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0 or isinstance(seed, bool):
-        raise SamplerError(f"seed must be a nonnegative integer, got {seed!r}")
-    return value
-
-
 def _check_seed(law) -> None:
     """Validate a law's seed at construction, not at its first draw (which
-    may run in a pool worker), and store it as an int."""
-    object.__setattr__(law, "seed", _checked_seed(law.seed))
+    may run in a pool worker), and store it as an int: SamplerError unless
+    it is a nonnegative integer."""
+    try:
+        seed = operator.index(law.seed)
+    except TypeError:
+        seed = -1
+    if seed < 0 or isinstance(law.seed, bool):
+        raise SamplerError(
+            f"seed must be a nonnegative integer, got {law.seed!r}")
+    object.__setattr__(law, "seed", seed)
 
 
 @lru_cache(maxsize=16)

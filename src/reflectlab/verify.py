@@ -21,7 +21,9 @@ Block draws
 -----------
 Every Monte Carlo suite runs over index ranges: ``_run_draws`` cuts a run
 into consecutive ranges of draws, spreads them in shards over ``workers``
-computing processes, and yields one block per range in index order.  The
+computing processes, and yields one block per range in index order.  A run
+has one callable, ``block(indices)``, a module function with the suite's
+inputs bound by ``functools.partial``, so that it pickles to a pool.  The
 calling process is one of the workers: it computes every ``workers``-th shard
 itself while a pool of at most ``workers - 1`` processes computes the rest,
 so a run on one worker starts no pool.  A suite without a block form
@@ -232,15 +234,16 @@ def _csv_num(x) -> str:
 # parallel sharding
 # ---------------------------------------------------------------------------
 
-def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
+def _run_draws(block: Callable, n: int, workers: int,
                size: int) -> Iterator:
-    """Yield ``fn(args, indices)`` for the consecutive ranges of at most
+    """Yield ``block(indices)`` for the consecutive ranges of at most
     ``size`` indices that cover range(n), in index order, computed in shards
     of contiguous ranges spread over ``workers`` computing processes, the
     calling process included.
 
-    Every suite runs over these ranges: one with a block form computes a
-    range at once, the others go through ``_each_draw``.  Every caller
+    Every suite runs over these ranges with one picklable callable, its
+    inputs bound with ``functools.partial``: one with a block form computes
+    a range at once, the others go through ``_each_draw``.  Every caller
     reduces the blocks in the order they come, so each statistic is
     bit-identical at any worker count.  An empty run is rejected when its
     blocks are first asked for: its reductions would report a pass with
@@ -253,7 +256,7 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
     if workers <= 1 or n <= size:
-        yield from (fn(args, indices) for indices in _ranges(range(n), size))
+        yield from map(block, _ranges(range(n), size))
         return
     # a shard is a run of ranges; shards are reduced in index order as they
     # arrive, so a run holds the blocks of a few shards at a time, whatever
@@ -265,13 +268,13 @@ def _run_draws(fn: Callable, args: tuple, n: int, workers: int,
     pooled = [j for j in range(len(shards)) if j % workers]
     with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as ex:
         try:
-            futures = {j: ex.submit(_draws, fn, args, shards[j], size)
+            futures = {j: ex.submit(_draws, block, shards[j], size)
                        for j in pooled}
             for j, indices in enumerate(shards):
                 if j in futures:
                     yield from futures.pop(j).result()
                 else:
-                    yield from (fn(args, r) for r in _ranges(indices, size))
+                    yield from map(block, _ranges(indices, size))
         finally:
             ex.shutdown(cancel_futures=True)
 
@@ -295,22 +298,22 @@ def _ranges(indices: range, size: int) -> Iterator[range]:
     return (indices[s:s + size] for s in range(0, len(indices), size))
 
 
-def _draws(fn: Callable, args: tuple, indices: range, size: int) -> list:
+def _draws(block: Callable, indices: range, size: int) -> list:
     """One shard: the blocks of the ranges of at most size that cover
     indices."""
-    return [fn(args, r) for r in _ranges(indices, size)]
+    return list(map(block, _ranges(indices, size)))
 
 
-def _each_draw(fn: Callable, args: tuple, n: int, workers: int) -> Iterator:
-    """Yield ``fn(args, i)`` for i in range(n), in index order: the blocks
-    of ``_run_draws`` at one draw each, read back row by row."""
-    for rows in _run_draws(partial(_per_draw, fn), args, n, workers, 1):
+def _each_draw(draw: Callable, n: int, workers: int) -> Iterator:
+    """Yield ``draw(i)`` for i in range(n), in index order: the blocks of
+    ``_run_draws`` at one draw each, read back row by row."""
+    for rows in _run_draws(partial(_per_draw, draw), n, workers, 1):
         yield from rows
 
 
-def _per_draw(fn: Callable, args: tuple, indices: range) -> list:
-    """The generic block: the row ``fn(args, i)`` of each draw of indices."""
-    return [fn(args, i) for i in indices]
+def _per_draw(draw: Callable, indices: range) -> list:
+    """The generic block: the row ``draw(i)`` of each draw of indices."""
+    return list(map(draw, indices))
 
 
 def _reseeded(sampler, seed: Optional[int]):
@@ -454,10 +457,10 @@ def _grid_pivot(rule, knots: np.ndarray) -> Optional[int]:
     return i if knots[i] == rule.r else None
 
 
-def _invariance_block(args, indices: range):
+def _invariance_block(sampler, rule: StoppingRule, functionals: Sequence,
+                      indices: range):
     """The functionals of the draws of indices and of their reflections, as
     an array indexed by arm, functional and draw."""
-    sampler, rule, functionals = args
     out = np.empty((2, len(functionals), len(indices)))
     if isinstance(sampler, _GridLaw):
         knots, inc = sampler._rows(indices)
@@ -560,7 +563,7 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     adjusted across the functionals that are not degenerate; the test passes
     iff every adjusted p-value exceeds alpha.
     """
-    if n_draws < 1000:
+    if _checked_count("a draw count", n_draws) < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
     if not 0 < alpha < 1:  # NaN included
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -572,8 +575,8 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
             f"need one or more functionals of distinct names, got {names}")
     sampler = _reseeded(sampler, seed)
     values = np.concatenate(list(_run_draws(  # arm, functional, draw
-        _invariance_block, (sampler, rule, list(functionals)), n_draws,
-        workers, _block_size(sampler))), axis=-1)
+        partial(_invariance_block, sampler, rule, list(functionals)),
+        n_draws, workers, _block_size(sampler))), axis=-1)
     stats = _ks_statistics(functionals, *values, alpha)
     return TestReport(
         name="invariance",
@@ -589,9 +592,8 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
 # expectation bound for stopped paths
 # ---------------------------------------------------------------------------
 
-def _bound_draw(args, i):
+def _bound_draw(sampler, rule: StoppingRule, bound_cap: float, i: int):
     """The stopped value of draw i and the running max of |path| up to it."""
-    sampler, rule, bound_cap = args
     t, annotated = rule.observe(sampler.sample(i))
     if not is_observed(t):
         raise ConfigurationError(
@@ -621,14 +623,16 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
     b = as_rational(b)
     # an infinite cap would turn the cap off, and the paper's bound is for
     # uniformly bounded stopped paths
-    if not (a > 0 and b > 0 and bound_cap > 0 and math.isfinite(bound_cap)):
+    if isinstance(bound_cap, bool) or not (
+            a > 0 and b > 0 and bound_cap > 0 and math.isfinite(bound_cap)):
         raise ConfigurationError(f"a, b and bound_cap must be positive and "
                                  f"bound_cap finite, got {a}, {b} and "
                                  f"{bound_cap}")
     sampler = _reseeded(sampler, seed)
     xs, sup = [], 0.0
     for x, running in _each_draw(
-            _bound_draw, (sampler, rule, float(bound_cap)), n_draws, workers):
+            partial(_bound_draw, sampler, rule, float(bound_cap)), n_draws,
+            workers):
         xs.append(x)
         sup = max(sup, running)
     mean = float(np.mean(xs))
@@ -666,7 +670,8 @@ def _skeleton_step(tr: LadderTrace, n: int) -> int:
     return scaled[tr.last_finite(n + 1)] - scaled[tr.last_finite(n)]
 
 
-def _martingale_draw(args, i):
+def _martingale_draw(sampler, a: Fraction, b: Fraction, n_steps: int,
+                     i: int):
     """The sign word of draw i, its skeleton increments Y_{n+1} - Y_n for
     n <= n_steps as floats, and how many fail the exact antisymmetry.
 
@@ -683,7 +688,6 @@ def _martingale_draw(args, i):
     den: the comparison is exact, and ``dy / den`` is the correctly rounded
     float of the rational, as ``float(Fraction(dy, den))`` is.
     """
-    sampler, a, b, n_steps = args
     tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
     increments = []
     anti_failures = 0
@@ -725,7 +729,8 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
     moments = {}  # (n, word prefix) -> [sum, sum of squares, count]
     anti_failures = 0
     for entries, increments, failures in _each_draw(
-            _martingale_draw, (sampler, a, b, n_steps), n_draws, workers):
+            partial(_martingale_draw, sampler, a, b, n_steps), n_draws,
+            workers):
         anti_failures += failures
         for n, f in enumerate(increments):
             m = moments.setdefault((n, entries[:n]), [0, 0, 0])
@@ -829,10 +834,9 @@ def _deviation(p1: Path, p2: Path) -> float:
     return float(max(x.max(), -x.min())) / scale
 
 
-def _stability_draw(args, i):
+def _stability_draw(sampler, i: int):
     """How often draw i fails each check, and the worst normalized deviation
     of a path identity on it."""
-    sampler, = args
     p = sampler.sample(i)
     fails = {k: 0 for k in
              ["involution_exact", "involution_function", "time_idempotent",
@@ -928,7 +932,7 @@ def stability_suite(n_paths: int, seed: Optional[int] = None, sampler=None,
         sampler = BrownianMotion(dt=1e-3, horizon=10.0)
     sampler = _reseeded(sampler, seed)
     fails, worst = Counter(), 0.0
-    for draw_fails, deviation in _each_draw(_stability_draw, (sampler,),
+    for draw_fails, deviation in _each_draw(partial(_stability_draw, sampler),
                                             n_paths, workers):
         fails.update(draw_fails)
         worst = max(worst, deviation)
@@ -949,9 +953,8 @@ def stability_suite(n_paths: int, seed: Optional[int] = None, sampler=None,
 # sign-word identity suite
 # ---------------------------------------------------------------------------
 
-def _sign_draw(args, i):
+def _sign_draw(sampler, rule: TwoSidedHit, n: int, i: int):
     """The sign word of draw i and whether it fails each check."""
-    sampler, rule, n = args
     a, b = rule.a, rule.b
     tr = ladder_trace(a, b, sampler.sample(i), n)
     w = trace_sign_word(tr)
@@ -994,12 +997,14 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     ladder time indexed by the word's first -1 (unobserved on both sides
     when the word has no -1 but a 0; strictly later than step n when the
     word is all plus)."""
+    _checked_count("n", n)
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
     fails, words = Counter(), Counter()
     for word, draw_fails in _each_draw(
-            _sign_draw, (sampler, TwoSidedHit(a, b), n), n_draws, workers):
+            partial(_sign_draw, sampler, TwoSidedHit(a, b), n), n_draws,
+            workers):
         words[word] += 1
         fails.update(draw_fails)
     stats = [Statistic.judged(k, v, 0.0, "abs_below")
@@ -1020,9 +1025,8 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
 # exit alignment (word -> power of the advance map)
 # ---------------------------------------------------------------------------
 
-def _alignment_draw(args, i):
+def _alignment_draw(sampler, a: Fraction, b: Fraction, n: int, i: int):
     """The sign word of draw i and its ladder trace."""
-    sampler, a, b, n = args
     tr = ladder_trace(a, b, sampler.sample(i), n)
     return trace_sign_word(tr), tr
 
@@ -1036,7 +1040,8 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     map (rewinding when negative); unobserved on both sides in the truncated
     case.  Draws continue until every word has min_per_word checks or the
     draw cap is reached (falling short is a failure)."""
-    if min_per_word < 1:
+    _checked_count("n", n)
+    if _checked_count("min_per_word", min_per_word) < 1:
         raise ConfigurationError(
             f"min_per_word must be at least 1, got {min_per_word}")
     a = as_rational(a)
@@ -1050,7 +1055,7 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     failures = 0
     # one worker: a pool would draw past the draw that fills the last quota
     for draws, (w, tr) in enumerate(_each_draw(
-            _alignment_draw, (sampler, a, b, n), n_draws_max, 1), 1):
+            partial(_alignment_draw, sampler, a, b, n), n_draws_max, 1), 1):
         if counts[w] >= min_per_word:
             continue
         counts[w] += 1
@@ -1131,11 +1136,12 @@ def non_dyadic_sweep(limit: int) -> TestReport:
                       seed=None, sample_size=checked, statistics=stats)
 
 
-def _counterexample_draw(args, i):
+def _counterexample_draw(sampler, exit_unit: TwoSidedHit,
+                         exit_wide: TwoSidedHit, functionals: Sequence,
+                         i: int):
     """Whether draw i misses the unit exit time 1, its value at the wide exit,
     and the functionals of it and of its reflections at 0 and at the unit
     exit, one row per arm."""
-    sampler, exit_unit, exit_wide, functionals = args
     p = sampler.sample(i)
     t, annotated = exit_wide.observe(p)
     arms = (p, negate(p), reflect_at_rule(p, exit_unit))
@@ -1174,8 +1180,8 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     xs = np.empty(n_draws)
     arms = np.empty((3, len(functionals), n_draws))  # arm, functional, draw
     for i, (missed, xs[i], arms[..., i]) in enumerate(_each_draw(
-            _counterexample_draw, (sampler, exit_unit, exit_wide, functionals),
-            n_draws, workers)):
+            partial(_counterexample_draw, sampler, exit_unit, exit_wide,
+                    functionals), n_draws, workers)):
         unit_time_failures += missed
     mean = float(np.mean(xs))
     se = float(np.std(xs, ddof=1) / math.sqrt(n_draws))

@@ -144,8 +144,8 @@ class TestRun:
         header = (tmp_path / "out" / "paths.csv").read_text().splitlines()[0]
         assert header == "t,dx,exact"
 
-    def test_ladder_run_samples_each_dumped_path_once(self, tmp_path,
-                                                      monkeypatch):
+    def test_ladder_dumps_the_draws_it_tabulates(self, tmp_path,
+                                                 monkeypatch):
         import io
 
         from reflectlab import BrownianMotion, dump_csv
@@ -167,7 +167,7 @@ class TestRun:
                            law="bm(dt=0.01,T=2)", N=3, seed=21, dump_paths=3,
                            out_dir=str(tmp_path / "out"))
         assert main(["run", cfg]) == 0
-        assert drawn == [0, 1, 2]
+        assert set(drawn) == {0, 1, 2}
         names = ["paths.csv", "paths_001.csv", "paths_002.csv"]
         written = [(tmp_path / "out" / name).read_bytes().decode()
                    for name in names]
@@ -432,6 +432,29 @@ class TestConfigKeys:
         assert main(["run", path]) == 1
         assert f"{key} must be a nonnegative integer, got {value!r}" in \
             capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("law", ["nope(1)", "bm(dt=0.3,T=1)"])
+    @pytest.mark.parametrize("dumps", [{"dump_paths": 1}, {}],
+                             ids=["dumps", "no-dumps"])
+    def test_bad_ladder_law_exit_one(self, law, dumps, tmp_path, capsys):
+        # with dumps the law was built after report.json and summary.csv
+        # were written; without, a run that draws nothing never built it
+        # and exited 0
+        path = write_config(tmp_path, kind="ladder", a="1", b="2", n=4,
+                            law=law, **dumps, out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", sorted(
+        kind for kind, (_, required, optional) in _KINDS.items()
+        if "law" in required + optional))
+    def test_bad_law_exit_one(self, kind, tmp_path, capsys):
+        path = write_config(tmp_path, **{**KINDS[kind], "law": "nope(1)"},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "unknown law 'nope'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("limit", [0, 2])

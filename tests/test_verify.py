@@ -13,6 +13,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -380,7 +381,7 @@ class TestInvarianceBlocks:
         sampler = dataclasses.replace(law, seed=seed)
         # a block that starts past 0 and may be cut short
         indices = range(b * size, max(b * size + 1, (b + 1) * size - short))
-        block = _invariance_block((sampler, rule, _BLOCK_FUNCTIONALS), indices)
+        block = _invariance_block(sampler, rule, _BLOCK_FUNCTIONALS, indices)
         expected = _block_reference(sampler, rule, _BLOCK_FUNCTIONALS,
                                     indices)
         assert block.shape == expected.shape
@@ -421,7 +422,7 @@ class TestInvarianceBlocks:
         monkeypatch.setattr(verify, "reflect_at_rule", refuse)
         if rows_only:
             monkeypatch.setattr(verify, "_fast_path", refuse)
-        block = _invariance_block((sampler, rule, functionals), range(9))
+        block = _invariance_block(sampler, rule, functionals, range(9))
         assert block.tobytes() == expected.tobytes()
 
     def test_anchored_reflection_goes_through_apply(self, monkeypatch):
@@ -440,7 +441,7 @@ class TestInvarianceBlocks:
         functionals = [RunningMax(), HittingTime(1)]
         expected = _block_reference(sampler, rule, functionals, range(3))
         monkeypatch.setattr(RunningMax, "apply", spy)
-        block = _invariance_block((sampler, rule, functionals), range(3))
+        block = _invariance_block(sampler, rule, functionals, range(3))
         # the sampled rows are read off the matrix, the reflected ones not
         assert [p.anchors for p in applied] == [{2: Fraction(1)}] * 3
         assert block.tobytes() == expected.tobytes()
@@ -483,12 +484,12 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("a, b, bound_cap", [
         (0, 0, 1.0), (-1, 2, 1.0), (1, 0, 1.0), (1, 2, 0.0), (1, 2, -1.0),
-        (1, 2, math.nan), (1, 2, math.inf)])
+        (1, 2, math.nan), (1, 2, math.inf), (1, 2, True)])
     def test_bad_input_rejected_before_any_draw(self, a, b, bound_cap,
                                                 monkeypatch):
         # a = b = 0 used to draw every path and then divide by zero, a = -1
-        # ran against a bound of 1, and a NaN or infinite cap turned the cap
-        # off
+        # ran against a bound of 1, a NaN or infinite cap turned the cap
+        # off, and True ran as a cap of 1.0
         def no_draws(self, index):
             raise AssertionError(f"drew path {index}")
 
@@ -591,7 +592,7 @@ class TestMartingaleStepTest:
             calls.clear()
             resumed.clear()
             entries, increments, failures = _martingale_draw(
-                (sampler, a, b, n_steps), i)
+                sampler, a, b, n_steps, i)
             tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
             expected = []
             for n in range(n_steps + 1):
@@ -613,10 +614,9 @@ class TestMartingaleStepTest:
             assert sum(p is annotated for p, _ in calls[1:]) == retraced
 
 
-def _fraction_route_draw(args, i):
+def _fraction_route_draw(sampler, a, b, n_steps, i):
     """``_martingale_draw`` on the Fraction route: every reflected path
     traced from knot 0, and the skeleton steps as Fractions."""
-    sampler, a, b, n_steps = args
     tr = ladder_trace(a, b, sampler.sample(i), n_steps + 1)
     increments = []
     anti_failures = 0
@@ -653,9 +653,9 @@ class TestMartingaleDrawOracle:
     def test_rows_equal_the_fraction_route(self, law, barriers, seed, i,
                                            n_steps):
         args = (self.LAWS[law](seed), *barriers, n_steps)
-        entries, increments, failures = _martingale_draw(args, i)
+        entries, increments, failures = _martingale_draw(*args, i)
         old_entries, old_increments, old_failures = \
-            _fraction_route_draw(args, i)
+            _fraction_route_draw(*args, i)
         assert entries == old_entries and failures == old_failures == 0
         assert [x.hex() for x in increments] == \
             [x.hex() for x in old_increments]
@@ -784,7 +784,7 @@ class TestStabilityDraw:
 
         monkeypatch.setattr(verify, "_deviation", checked)
         for i in range(20):
-            fails, _ = verify._stability_draw((sampler,), i)
+            fails, _ = verify._stability_draw(sampler, i)
             assert not any(fails.values())
         assert calls
 
@@ -803,7 +803,7 @@ class TestStabilityDraw:
         gc.disable()
         try:
             for i in range(5):
-                verify._stability_draw((sampler,), i)
+                verify._stability_draw(sampler, i)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -883,15 +883,15 @@ _SHARDED = {
 }
 
 
-def _indices(args, indices):
+def _indices(indices):
     return indices
 
 
-def _pid_block(args, indices):
+def _pid_block(indices):
     return os.getpid()
 
 
-def _failing_block(args, indices):
+def _failing_block(indices):
     """The block of draw 1000, the first of shard 1 (shards of 1000 blocks
     of one draw), raises."""
     if indices.start == 1000:
@@ -899,7 +899,7 @@ def _failing_block(args, indices):
     return indices.start
 
 
-def _failing_last_block(args, indices):
+def _failing_last_block(indices):
     """The block of draw 9000, the first of shard 9 (shards of 1000 blocks
     of one draw), raises."""
     if indices.start == 9000:
@@ -930,7 +930,7 @@ class TestSharding:
     def test_ranges_cover_the_run_in_order(self, workers, n, size):
         # on two workers (2500, 1) and (20_003, 10) are three shards of at
         # most 1000 ranges; the last shard of (20_003, 10) is one range of 3
-        ranges = list(_run_draws(_indices, None, n, workers, size))
+        ranges = list(_run_draws(_indices, n, workers, size))
         assert all(isinstance(r, range) and r.step == 1 for r in ranges)
         assert all(1 <= len(r) <= size for r in ranges)
         assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
@@ -941,14 +941,14 @@ class TestSharding:
         # 2500 draws on two workers make three shards of at most 1000;
         # the row of draw i is i
         n = 2500
-        rows = list(verify._each_draw(operator.getitem, range(n), n,
-                                      workers=2))
+        rows = list(verify._each_draw(partial(operator.getitem, range(n)),
+                                      n, workers=2))
         assert rows == list(range(n))
 
     def test_caller_computes_every_workers_th_shard(self):
         # 5000 draws on two workers are five shards of 1000: the caller
         # computes shards 0, 2 and 4, one pooled process shards 1 and 3
-        pids = list(_run_draws(_pid_block, None, 5000, 2, 1))
+        pids = list(_run_draws(_pid_block, 5000, 2, 1))
         shards = [set(pids[s:s + 1000]) for s in range(0, 5000, 1000)]
         assert shards[0] == shards[2] == shards[4] == {os.getpid()}
         assert len(shards[1] | shards[3]) == 1
@@ -960,7 +960,7 @@ class TestSharding:
         # first, then the error
         blocks = []
         with pytest.raises(ValueError, match="draw 9000"):
-            for block in _run_draws(_failing_last_block, None, 10_000, 2, 1):
+            for block in _run_draws(_failing_last_block, 10_000, 2, 1):
                 blocks.append(block)
         assert blocks == list(range(9000))
 
@@ -968,7 +968,7 @@ class TestSharding:
         # 300 draws in blocks of 163 on four workers are two shards: the
         # caller computes one and a pool of one process the other
         pids = []
-        for pid in _run_draws(_pid_block, None, 300, 4, 163):
+        for pid in _run_draws(_pid_block, 300, 4, 163):
             if not pids:
                 children = len(multiprocessing.active_children())
             pids.append(pid)
@@ -980,7 +980,7 @@ class TestSharding:
         # comes first, then the error
         blocks = []
         with pytest.raises(ValueError, match="draw 1000"):
-            for block in _run_draws(_failing_block, None, 3000, 2, 1):
+            for block in _run_draws(_failing_block, 3000, 2, 1):
                 blocks.append(block)
         assert blocks == list(range(1000))
 
@@ -991,8 +991,8 @@ class TestSharding:
         # cancellation all 20 would run.  The pool starts only the shards it
         # has queued ahead
         with pytest.raises(ZeroDivisionError):
-            for _ in _run_draws(_marking_block, str(tmp_path), 200_000,
-                                workers=2, size=10):
+            for _ in _run_draws(partial(_marking_block, str(tmp_path)),
+                                200_000, workers=2, size=10):
                 pass
         started = len(list(tmp_path.iterdir()))
         assert 1 <= started < 10
@@ -1011,7 +1011,7 @@ class TestSharding:
         with pytest.raises(ConfigurationError):
             run(BrownianMotion(dt=0.05, horizon=1.0, seed=76))
 
-    @pytest.mark.parametrize("count", [True, 2.5, 1000.5])
+    @pytest.mark.parametrize("count", [True, 2.5, 1000.5, "5000"])
     @pytest.mark.parametrize("run", [
         lambda s, n: stability_suite(n, sampler=s),
         lambda s, n: sign_identity_test(s, 1, 2, 2, n),
@@ -1025,7 +1025,8 @@ class TestSharding:
             "invariance", "counterexample"])
     def test_count_not_an_integer_rejected(self, monkeypatch, run, count):
         # True ran one draw and recorded "sample_size": true; 2.5 ended in a
-        # TypeError from range
+        # TypeError from range, and "5000" in one from invariance_test's
+        # comparison with 1000
         def no_draws(*args):
             raise AssertionError("drew a path")
 
@@ -1041,6 +1042,26 @@ class TestSharding:
                                  f"{n_steps!r}"):
             martingale_step_test(BrownianMotion(dt=0.05, horizon=1.0), 1, 2,
                                  n_steps, 5, seed=1)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 1.5])
+    @pytest.mark.parametrize("name, run", [
+        ("n", lambda s, v: sign_identity_test(s, 1, 2, v, 5, seed=1)),
+        ("n", lambda s, v: exit_alignment_test(s, 1, 2, v, 1, 5, seed=1)),
+        ("min_per_word",
+         lambda s, v: exit_alignment_test(s, 1, 2, 2, v, 5, seed=1)),
+    ], ids=["signs_n", "alignment_n", "alignment_quota"])
+    def test_word_counts_not_an_integer_rejected(self, monkeypatch, name,
+                                                 run, value):
+        # n=True ran words of length 1 and min_per_word=True a quota of 1,
+        # each recording true; 1.5 ran and 2.5 ended in a TypeError
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be an integer, got "
+                                 f"{value!r}"):
+            run(BrownianMotion(dt=0.05, horizon=1.0), value)
 
     def test_numpy_integer_counts_run(self):
         # the reports are those of Python ints, byte for byte: to_json used
