@@ -19,10 +19,15 @@ truth: dropping every anchor changes results only at ulp scale.
 
 A path never changes after construction, so it caches what is derived from
 it alone, in its ``__dict__``: its prefix-sum ``values``, built on first use,
-and the level scans that :mod:`reflectlab.stopping` has made on it (time,
-and the located exit or the annotated copy, at most a few per path).  Both
-return the bits a new computation would; an equal path built anew starts
-with neither.
+the level scans that :mod:`reflectlab.stopping` has made on it (time, and the
+located exit or the annotated copy) and its reflections, keyed by the pivot
+time; at most ``_MEMO_SIZE`` of each, the oldest dropped first.  All of them
+return the bits a new computation would; an equal path built anew starts with
+none, and a pickled path carries none.  A cache holds only what was derived
+from its own path, never the path it was derived from: the reflection of a
+reflection at the same time is computed, not handed back as the original, so
+an involution check compares two paths built independently, and no path
+refers back to one it was built from.
 """
 
 from __future__ import annotations
@@ -51,6 +56,11 @@ _ZERO = Fraction(0)
 #: Wide enough to absorb prefix-sum rounding, far too tight to mask a logic
 #: error that places a knot on the wrong side of a segment.
 INSERT_RTOL = 1e-9
+
+
+#: Entries kept in each memo on one path (its reflections here, its level
+#: scans in :mod:`reflectlab.stopping`); a full memo drops its oldest entry.
+_MEMO_SIZE = 8
 
 
 def is_observed(t: float) -> bool:
@@ -134,6 +144,12 @@ class Path:
                 and np.array_equal(self.increments, other.increments))
 
     __hash__ = None
+
+    def __reduce__(self):
+        # only what defines the path, through the validating constructor:
+        # the caches in __dict__ are derived from it and would make a pickle
+        # many times the path's size
+        return Path, (self.knots, self.increments, self.anchors)
 
     def __repr__(self) -> str:
         return (f"Path({self.knots.size} knots, horizon={self.horizon!r}, "
@@ -338,9 +354,23 @@ def reflect_at_time(p: Path, r: float) -> Path:
     A knot is inserted at r if absent (at the interpolated value).  Exact
     anchors after the pivot are remapped through the reflection when the pivot
     itself has an exact value on record, and dropped otherwise.
+
+    The result is memoized on p, in its ``__dict__`` beside ``values``, keyed
+    by r, so a later reflection of the same path object at the same time
+    returns the same object, with the values and scans already cached on it.
+    Paths are immutable and the reflection is deterministic, so the memo
+    returns the bits a new reflection would.  Only this forward result is
+    stored: the result's own memo never gets p as its reflection at r, so
+    reflecting it back at r computes a new path, equal to p with a knot at
+    r, and the memo forms no reference cycle.  At most ``_MEMO_SIZE``
+    reflections are kept per path, the oldest dropped first.
     """
     if not (0.0 <= r <= p.horizon):
         raise TimeOutOfRangeError(f"r={r!r} outside [0, {p.horizon!r}]")
+    memo = p.__dict__.setdefault("_reflections", {})
+    q = memo.get(r)
+    if q is not None:
+        return q
     idx = p.knot_index(r)
     if idx is None:
         p, idx = insert_knot(p, r, value_at(p, r))
@@ -353,7 +383,11 @@ def reflect_at_time(p: Path, r: float) -> Path:
         for j, a in p.anchors.items():
             if j > idx:
                 anchors[j] = 2 * pivot - a
-    return _fast_path(p.knots, inc, anchors)
+    q = _fast_path(p.knots, inc, anchors)
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[r] = q
+    return q
 
 
 def reflect_at_rule(p: Path, rule) -> Path:

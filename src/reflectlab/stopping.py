@@ -81,6 +81,7 @@ import numpy as np
 from .errors import DyadicRatioError, MixturePartitionError, RuleError
 from .path import (
     NOT_OBSERVED,
+    _MEMO_SIZE,
     Path,
     _KnotInsertion,
     _interpolate,
@@ -452,10 +453,6 @@ class StoppingRule:
         raise NotImplementedError
 
 
-#: Level scans kept on one path; a full memo drops its oldest entry.
-_MEMO_SIZE = 8
-
-
 def _passage(p: Path, bounds: tuple[Bound, Bound],
              pin: bool) -> tuple[float, Path]:
     """First exit from knot 0 through the bounds, pinned when pin is set: a
@@ -472,12 +469,12 @@ def _passage(p: Path, bounds: tuple[Bound, Bound],
     stores it, with no copy of p), or the pinned path.  A pinned call that
     finds an exit pins from it without scanning and replaces the entry in
     place.  The key is ``id(bounds)``; the entry holds bounds, so that id is
-    not reused while the entry lives, and a path unpickled elsewhere
-    misses.  When the pinned path is p itself (and when the exit is not
-    observed), the entry holds None, so a path never refers to itself.  A
-    memo keeps at most ``_MEMO_SIZE`` entries, so however many rules ask
-    about a long-lived path, its memo holds at most that many pinned
-    copies.
+    not reused while the entry lives, and a pickled path carries no memo
+    (``Path.__reduce__``).  When the pinned path is p itself (and when the
+    exit is not observed), the entry holds None, so a path never refers to
+    itself.  A memo keeps at most ``_MEMO_SIZE`` entries, so however many
+    rules ask about a long-lived path, its memo holds at most that many
+    pinned copies.
     """
     memo = p.__dict__.setdefault("_passages", {})
     entry = memo.get(id(bounds))

@@ -52,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -249,10 +250,12 @@ def _run_draws(block: Callable, n: int, workers: int,
     blocks are first asked for: its reductions would report a pass with
     nothing checked.  A consumer may stop reading early; when it does, or
     when a block raises, the shards that have not started are cancelled
-    rather than run on the way out of the pool.  A count that is a bool or
-    not an integer is rejected there too (``_checked_count``).
+    rather than run on the way out of the pool.  A draw or worker count
+    that is a bool or not an integer is rejected there too
+    (``_checked_count``); a worker count below 1 runs serially.
     """
     n = _checked_count("a draw count", n)
+    workers = _checked_count("a worker count", workers)
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
     if workers <= 1 or n <= size:
@@ -291,6 +294,13 @@ def _checked_count(what: str, value) -> int:
     if count is None or isinstance(value, bool):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     return count
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number other than a bool, the rule for the
+    suites' float parameters: "0.1", None and [2] are not, so they cannot
+    end in a TypeError after a comparison, and True cannot stand for 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _ranges(indices: range, size: int) -> Iterator[range]:
@@ -565,8 +575,8 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     """
     if _checked_count("a draw count", n_draws) < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
-    if not 0 < alpha < 1:  # NaN included
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (_is_real(alpha) and 0 < alpha < 1):  # NaN included
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha!r}")
     names = [f.name for f in functionals]
     if not names or len(set(names)) != len(names):
         # with none the test would pass on nothing checked; two of one name
@@ -623,11 +633,11 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
     b = as_rational(b)
     # an infinite cap would turn the cap off, and the paper's bound is for
     # uniformly bounded stopped paths
-    if isinstance(bound_cap, bool) or not (
-            a > 0 and b > 0 and bound_cap > 0 and math.isfinite(bound_cap)):
+    if not (a > 0 and b > 0 and _is_real(bound_cap) and bound_cap > 0
+            and math.isfinite(bound_cap)):
         raise ConfigurationError(f"a, b and bound_cap must be positive and "
                                  f"bound_cap finite, got {a}, {b} and "
-                                 f"{bound_cap}")
+                                 f"{bound_cap!r}")
     sampler = _reseeded(sampler, seed)
     xs, sup = [], 0.0
     for x, running in _each_draw(
@@ -886,8 +896,9 @@ def _stability_draw(sampler, i: int):
                 fails["formulas_high_branch"] += 1
 
     lhs = reflect_at_rule(p, _HIT_DOWN)
-    rhs = negate(reflect_at_rule(negate(p), _HIT_UP))
-    if lhs != rhs or _HIT_DOWN.evaluate(p) != _HIT_UP.evaluate(negate(p)):
+    neg = negate(p)
+    rhs = negate(reflect_at_rule(neg, _HIT_UP))
+    if lhs != rhs or _HIT_DOWN.evaluate(p) != _HIT_UP.evaluate(neg):
         fails["negated_level_chain"] += 1
 
     # prefix surgery at a knot: q agrees with p on [0, t0] bit for bit

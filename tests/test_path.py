@@ -230,6 +230,126 @@ class TestReflectAtTime:
         assert np.array_equal(q.values[keep], p.values[keep])
 
 
+@st.composite
+def anchored_paths(draw):
+    """A path of paths() with exact anchors on some of its knots: its
+    values are integers, so each anchor is the knot's value exactly."""
+    p = draw(paths())
+    marked = draw(st.lists(st.booleans(), min_size=p.knots.size,
+                           max_size=p.knots.size))
+    anchors = {j: Fraction(int(v)) for j, (v, m)
+               in enumerate(zip(p.values, marked)) if j and m}
+    return Path(p.knots, p.increments, anchors)
+
+
+def _pivot(p, where, k):
+    """A pivot time of p: a knot, a time between two knots, 0 or the
+    horizon."""
+    k %= p.knots.size - 1
+    if where == "knot":
+        return float(p.knots[k + 1])
+    if where == "between":
+        return float(p.knots[k] + p.knots[k + 1]) / 2
+    return 0.0 if where == "zero" else p.horizon
+
+
+def _same_bits(p, q):
+    return (p.knots.tobytes() == q.knots.tobytes()
+            and p.increments.tobytes() == q.increments.tobytes()
+            and sorted(p.anchors.items()) == sorted(q.anchors.items()))
+
+
+def _anew(p):
+    return Path(p.knots, p.increments, p.anchors)
+
+
+class TestReflectionMemo:
+    @given(anchored_paths(), st.lists(
+        st.tuples(st.sampled_from(["knot", "between", "zero", "horizon"]),
+                  st.integers(0, 8)), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_reflection_is_a_fresh_one(self, p, pivots):
+        # one path object reflected at up to 12 pivots, so its memo also
+        # drops entries; each answer, new or served, is the reflection of
+        # an equal path built anew, byte for byte
+        for where, k in pivots:
+            r = _pivot(p, where, k)
+            q = reflect_at_time(p, r)
+            assert reflect_at_time(p, r) is q
+            fresh = reflect_at_time(_anew(p), r)
+            assert _same_bits(q, fresh)
+            # an exact pivot (knot 0, or an anchored knot) remaps the
+            # anchors after it; an inexact one drops them
+            idx = q.knot_index(r)
+            after = {j: a for j, a in p.anchors.items() if p.knots[j] > r}
+            pivot = p.exact_value(idx) if where != "between" else None
+            if pivot is None:
+                assert all(q.knots[j] <= r for j in q.anchors)
+            else:
+                assert {j: q.anchors[j] for j in after} == \
+                    {j: 2 * pivot - a for j, a in after.items()}
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
+    def test_reflecting_back_computes_a_new_path(self, r):
+        p = Path(np.array([0.0, 1.0, 2.0]), np.array([2.0, -1.0]),
+                 {1: Fraction(2)})
+        q = reflect_at_time(p, r)
+        back = reflect_at_time(q, r)
+        assert back is not p and back is not q
+        # the original, with the pivot knot when r was not one
+        assert _same_bits(back, reflect_at_time(reflect_at_time(_anew(p), r),
+                                                r))
+        assert back == (p if p.knot_index(r) is not None
+                        else insert_knot(p, r, value_at(p, r))[0])
+        assert reflect_at_time(q, r) is back
+        assert reflect_at_time(p, r) is q
+
+    def test_memo_keeps_few_reflections(self):
+        import weakref
+
+        from reflectlab.path import _MEMO_SIZE
+
+        p = line(100.0, 1.0)
+        reflections = []
+        for k in range(1, 41):  # each pivot lies inside the segment
+            q = reflect_at_time(p, k / 3)
+            reflections.append(weakref.ref(q))
+            del q
+        alive = [r() is not None for r in reflections]
+        assert sum(alive) <= _MEMO_SIZE
+        assert alive[-1]
+        assert len(p.__dict__["_reflections"]) <= _MEMO_SIZE
+
+
+class TestPickle:
+    def test_round_trip_drops_the_caches(self):
+        import pickle
+
+        p = BrownianMotion(dt=0.01, horizon=4.0, seed=3).sample(0)
+        p1 = TwoSidedHit(1, 2).observe(p)[1]
+        assert p1.anchors
+        assert p1.values[0] == 0.0  # computes and caches values
+        reflect_at_rule(p1, TwoSidedHit(1, 2))
+        TwoSidedHit(1, 2).evaluate(negate(p1))
+        assert {"values", "_passages", "_reflections"} <= set(p1.__dict__)
+        data = pickle.dumps(p1)
+        assert len(data) < 3 * (p1.knots.nbytes + p1.increments.nbytes)
+        q = pickle.loads(data)
+        assert _same_bits(q, p1)
+        assert set(q.__dict__) == {"knots", "increments", "anchors"}
+        assert not q.knots.flags.writeable
+        assert not q.increments.flags.writeable
+
+    def test_unpickling_validates(self):
+        import pickle
+
+        from reflectlab.path import _fast_path
+
+        bad = _fast_path(np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0]), {})
+        with pytest.raises(PathError):
+            pickle.loads(pickle.dumps(bad))
+
+
 class TestDeviation:
     def test_identical(self):
         p = line(2.0, 1.5)

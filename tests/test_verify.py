@@ -236,9 +236,11 @@ class TestInvarianceTest:
             invariance_test(BrownianMotion(seed=1), FixedTime(0.0),
                             [ValueAtTime(1.0)], 100)
 
-    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.0, math.nan])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.0, math.nan, "0.1",
+                                       None, True])
     def test_bad_alpha_rejected_before_any_draw(self, alpha, monkeypatch):
-        # alpha -1 used to pass every statistic, NaN to fail every one
+        # alpha -1 used to pass every statistic, NaN to fail every one, and
+        # "0.1" and None ended in a TypeError from the comparison
         def no_draws(self, indices):
             raise AssertionError(f"drew {indices}")
 
@@ -484,12 +486,14 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("a, b, bound_cap", [
         (0, 0, 1.0), (-1, 2, 1.0), (1, 0, 1.0), (1, 2, 0.0), (1, 2, -1.0),
-        (1, 2, math.nan), (1, 2, math.inf), (1, 2, True)])
+        (1, 2, math.nan), (1, 2, math.inf), (1, 2, True), (1, 2, "2"),
+        (1, 2, None), (1, 2, [2])])
     def test_bad_input_rejected_before_any_draw(self, a, b, bound_cap,
                                                 monkeypatch):
         # a = b = 0 used to draw every path and then divide by zero, a = -1
         # ran against a bound of 1, a NaN or infinite cap turned the cap
-        # off, and True ran as a cap of 1.0
+        # off, True ran as a cap of 1.0, and "2", None and [2] ended in a
+        # TypeError from the comparison with 0
         def no_draws(self, index):
             raise AssertionError(f"drew path {index}")
 
@@ -1062,6 +1066,26 @@ class TestSharding:
                            match=f"{name} must be an integer, got "
                                  f"{value!r}"):
             run(BrownianMotion(dt=0.05, horizon=1.0), value)
+
+    @pytest.mark.parametrize("workers", [2.5, "2", True])
+    def test_worker_count_not_an_integer_rejected(self, monkeypatch,
+                                                  workers):
+        # 2.5 and "2" ended in a TypeError from _ranges, True ran as 1
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(ConfigurationError,
+                           match=f"a worker count must be an integer, got "
+                                 f"{workers!r}"):
+            stability_suite(4, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1, np.int64(1)])
+    def test_worker_count_below_two_runs_serially(self, workers):
+        law = BrownianMotion(dt=0.05, horizon=1.0)
+        assert stability_suite(3, seed=2, sampler=law,
+                               workers=workers).to_json() == \
+            stability_suite(3, seed=2, sampler=law).to_json()
 
     def test_numpy_integer_counts_run(self):
         # the reports are those of Python ints, byte for byte: to_json used
