@@ -17,7 +17,8 @@ same phases of the host's speed.
 The record, ``BENCH_criteria_<NAME>.json`` in the checkout root, holds the
 environment and, per criterion and library, the median and quartiles of its
 wall time and every run's wall time in run order; the largest peak RSS of
-the interpreter plus its largest pool worker; and the verdict and the sha256
+the interpreter plus its largest forked helper, each helper reaped at the
+end of its call (``RUSAGE_CHILDREN``); and the verdict and the sha256
 of ``to_json()`` of each report, which every repeat must reproduce.  A
 changed digest is a changed statistic.  The ``--src`` library's rows go
 under ``against``.  Wall times are not scaled: a reference kernel timed

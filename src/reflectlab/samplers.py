@@ -177,7 +177,7 @@ def _generators(seed: int, indices: Sequence[int], stream: int = 0):
 
 def _check_seed(law) -> None:
     """Validate a law's seed at construction, not at its first draw (which
-    may run in a pool worker), and store it as an int: SamplerError unless
+    may run in a helper process), and store it as an int: SamplerError unless
     it is a nonnegative integer."""
     try:
         seed = operator.index(law.seed)
@@ -192,7 +192,8 @@ def _check_seed(law) -> None:
 @lru_cache(maxsize=16)
 def _grid(dt: float, horizon: float
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (knots, steps, sqrt(steps)) of the uniform grid."""
+    """Read-only (knots, steps, sqrt(steps)) of the uniform grid;
+    SamplerError when its arrays cannot be allocated."""
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
         raise SamplerError("dt and horizon must be positive and finite")
     n = int(round(horizon / dt))
@@ -200,9 +201,13 @@ def _grid(dt: float, horizon: float
         raise SamplerError("horizon must cover at least one step")
     if abs(n * dt - horizon) > 1e-9 * horizon:
         raise SamplerError(f"dt={dt!r} does not divide the horizon {horizon!r}")
-    knots = np.linspace(0.0, horizon, n + 1)
-    steps = np.diff(knots)
-    grid = knots, steps, np.sqrt(steps)
+    try:
+        knots = np.linspace(0.0, horizon, n + 1)
+        steps = np.diff(knots)
+        grid = knots, steps, np.sqrt(steps)
+    except MemoryError:
+        raise SamplerError(f"a grid of {n + 1} knots (dt={dt!r}, horizon="
+                           f"{horizon!r}) does not fit in memory") from None
     for a in grid:
         a.setflags(write=False)
     return grid

@@ -23,10 +23,14 @@ Every Monte Carlo suite runs over index ranges: ``_run_draws`` cuts a run
 into consecutive ranges of draws, spreads them in shards over ``workers``
 computing processes, and yields one block per range in index order.  A run
 has one callable, ``block(indices)``, a module function with the suite's
-inputs bound by ``functools.partial``, so that it pickles to a pool.  The
-calling process is one of the workers: it computes every ``workers``-th shard
-itself while a pool of at most ``workers - 1`` processes computes the rest,
-so a run on one worker starts no pool.  A suite without a block form
+inputs bound by ``functools.partial``.  The assignment is static: shard j is
+computed by process ``j % workers``.  The calling process is process 0; the
+others are at most ``workers - 1`` helpers forked for the call, each of
+which inherits the callable, moves off the CPU the caller ran on when
+another is allowed, and pickles its shards' blocks back through a pipe.
+Every helper is killed and reaped before the run returns, so a run on one
+worker forks nothing and none outlives its call; where ``os.fork`` is
+missing the run is serial.  A suite without a block form
 takes ranges of one draw and the generic block, the list of its per-draw rows
 (``_each_draw``).  ``invariance_test`` takes ranges of ``_block_size`` draws,
 each block an array indexed by arm, functional and draw, and joins the blocks
@@ -49,16 +53,19 @@ does not depend on the route or the block size.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
 import numbers
 import operator
+import os
+import pickle
+import signal
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -242,44 +249,150 @@ def _run_draws(block: Callable, n: int, workers: int,
     of contiguous ranges spread over ``workers`` computing processes, the
     calling process included.
 
-    Every suite runs over these ranges with one picklable callable, its
-    inputs bound with ``functools.partial``: one with a block form computes
-    a range at once, the others go through ``_each_draw``.  Every caller
-    reduces the blocks in the order they come, so each statistic is
-    bit-identical at any worker count.  An empty run is rejected when its
-    blocks are first asked for: its reductions would report a pass with
-    nothing checked.  A consumer may stop reading early; when it does, or
-    when a block raises, the shards that have not started are cancelled
-    rather than run on the way out of the pool.  A draw or worker count
-    that is a bool or not an integer is rejected there too
-    (``_checked_count``); a worker count below 1 runs serially.
+    Every suite runs over these ranges with one callable, its inputs bound
+    with ``functools.partial``: one with a block form computes a range at
+    once, the others go through ``_each_draw``.  Every caller reduces the
+    blocks in the order they come, so each statistic is bit-identical at any
+    worker count.  The assignment is static: shard j is computed by process
+    ``j % workers``, the caller being process 0 and each other one a helper
+    forked for this call (``_helper``), which sends its shards' blocks back
+    through its own pipe, one pickle per shard.  The caller reads each
+    helper's shard at its turn and raises a helper's error there, after
+    every earlier block.  A consumer may stop reading early; when it does,
+    or when a block raises, every helper is killed and reaped on the way
+    out, so no process outlives the call.  An empty run is rejected when
+    its blocks are first asked for: its reductions would report a pass with
+    nothing checked.  A draw or worker count that is a bool or not an
+    integer is rejected there too (``_checked_count``); a worker count below
+    1, or a platform without ``os.fork``, runs serially.
     """
     n = _checked_count("a draw count", n)
     workers = _checked_count("a worker count", workers)
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
-    if workers <= 1 or n <= size:
+    if workers <= 1 or n <= size or not hasattr(os, "fork"):
         yield from map(block, _ranges(range(n), size))
         return
     # a shard is a run of ranges; shards are reduced in index order as they
     # arrive, so a run holds the blocks of a few shards at a time, whatever
-    # its size.  Shard j goes to the pool unless j % workers == 0, in which
-    # case the caller computes it block by block; the pool gets no process
-    # that would have no shard to run
+    # its size.  No helper is forked that would have no shard to compute
     shard = size * min(1000, -(-n // (size * workers)))
     shards = list(_ranges(range(n), shard))
-    pooled = [j for j in range(len(shards)) if j % workers]
-    with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as ex:
-        try:
-            futures = {j: ex.submit(_draws, block, shards[j], size)
-                       for j in pooled}
-            for j, indices in enumerate(shards):
-                if j in futures:
-                    yield from futures.pop(j).result()
-                else:
-                    yield from map(block, _ranges(indices, size))
-        finally:
-            ex.shutdown(cancel_futures=True)
+    getcpu = _sched_getcpu()
+    cpu = getcpu() if getcpu is not None else -1
+    readers, pids = {}, {}
+    try:
+        for k in range(1, min(workers, len(shards))):
+            r, w = os.pipe()
+            readers[k] = os.fdopen(r, "rb")
+            _widen_pipe(w)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _helper(list(readers.values()), w, cpu, block,
+                            shards[k::workers], size)
+            finally:
+                os.close(w)  # the helper never returns here
+            pids[k] = pid
+        for j, indices in enumerate(shards):
+            k = j % workers
+            if not k:
+                yield from map(block, _ranges(indices, size))
+                continue
+            try:
+                blocks, error = pickle.load(readers[k])
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(pids.pop(k), 0)
+                raise RuntimeError(
+                    f"the helper process computing shard {j} of "
+                    f"{len(shards)} exited with code "
+                    f"{os.waitstatus_to_exitcode(status)} before sending "
+                    "it") from None
+            if error is not None:
+                raise error
+            yield from blocks
+    finally:
+        for pid in pids.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # already reaped where SIGCHLD is ignored
+        for reader in readers.values():
+            reader.close()
+
+
+#: Bytes a helper may write ahead of the caller's reads: Linux's default
+#: limit for an unprivileged process (``fs.pipe-max-size``).
+_PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(fd: int) -> None:
+    """Let the pipe whose write end is fd hold ``_PIPE_BYTES`` where the
+    platform allows it.  With the default 64 KiB, a helper whose shard
+    pickles to more (a criterion-6 shard of 1000 rows is 193 KB) waits for
+    the caller to read it before it can go on, and each read is a
+    handshake of the two processes."""
+    import fcntl  # POSIX only, as is os.fork
+
+    try:
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # not Linux, or above the limit
+        pass
+
+
+@cache
+def _sched_getcpu() -> Optional[Callable[[], int]]:
+    """glibc's ``sched_getcpu`` through ctypes, the way
+    ``_set_allocation_thresholds`` reaches ``mallopt``, or None where it or
+    ``os.sched_setaffinity`` is missing."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):
+        return None
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    return getcpu
+
+
+def _helper(inherited: list, out: int, cpu: int, block: Callable,
+            shards: list, size: int) -> None:
+    """The body of a forked helper; it never returns.  It closes the read
+    ends it inherited, leaves the caller's CPU (``cpu``, -1 when unknown)
+    to the caller when another is allowed, then computes its shards in
+    order and writes each into the pipe ``out`` as one pickle, ``(blocks,
+    None)``, or ``(None, error)`` for the first shard that raises, after
+    which it stops.  A child that started computing at once would mostly
+    stay on the CPU it was forked on and share it with the caller."""
+    status = 1
+    try:
+        for reader in inherited:
+            reader.close()
+        if cpu >= 0:
+            others = os.sched_getaffinity(0) - {cpu}
+            if others:
+                os.sched_setaffinity(0, others)
+        with os.fdopen(out, "wb") as f:
+            for indices in shards:
+                try:
+                    sent = _draws(block, indices, size), None
+                except Exception as exc:
+                    sent = None, exc
+                try:
+                    data = pickle.dumps(sent, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    sent = None, RuntimeError(
+                        f"cannot send the blocks of draws {indices.start} to "
+                        f"{indices.stop - 1} from a helper process: {exc!r}")
+                    data = pickle.dumps(sent, pickle.HIGHEST_PROTOCOL)
+                f.write(data)
+                f.flush()
+                if sent[1] is not None:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _checked_count(what: str, value) -> int:
@@ -344,7 +457,7 @@ class ValueAtTime:
     t: float
 
     def __post_init__(self):
-        # here, not at the first draw (inside a pool worker)
+        # here, not at the first draw (inside a helper process)
         if not 0.0 <= self.t < math.inf:
             raise ConfigurationError(
                 f"functional time must be finite and nonnegative, "
@@ -1007,8 +1120,11 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     preserved by all three transformations, and the exit time equals the
     ladder time indexed by the word's first -1 (unobserved on both sides
     when the word has no -1 but a 0; strictly later than step n when the
-    word is all plus)."""
-    _checked_count("n", n)
+    word is all plus).  Words of length 0 are rejected: every draw would
+    give the one empty word and every count would read 0 with nothing
+    checked."""
+    if _checked_count("n", n) == 0:
+        raise ConfigurationError("n must be at least 1, got 0")
     a = as_rational(a)
     b = as_rational(b)
     sampler = _reseeded(sampler, seed)
@@ -1064,7 +1180,7 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     counts = dict.fromkeys(words, 0)
     short = len(words)  # words below quota
     failures = 0
-    # one worker: a pool would draw past the draw that fills the last quota
+    # one worker: a helper would draw past the draw that fills the last quota
     for draws, (w, tr) in enumerate(_each_draw(
             partial(_alignment_draw, sampler, a, b, n), n_draws_max, 1), 1):
         if counts[w] >= min_per_word:

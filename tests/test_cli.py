@@ -467,6 +467,25 @@ class TestConfigKeys:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_signs_of_empty_words_exit_one(self, tmp_path, capsys):
+        # words of length 0 used to report a pass with every count 0
+        path = write_config(tmp_path, **{**KINDS["signs"], "n": 0},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "error: n must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["ladder", "signs"])
+    def test_grid_too_large_exit_one(self, kind, tmp_path, capsys):
+        # a grid of 10^12 + 1 knots ended in NumPy's allocation traceback
+        path = write_config(tmp_path, **{**KINDS[kind],
+                                         "law": "bm(dt=1e-12,T=1)"},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert "error: a grid of 1000000000001 knots" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bound_zero_barrier_exit_one(self, tmp_path, capsys):
         # it drew every path, then raised ZeroDivisionError as a traceback
         path = write_config(tmp_path, **{**KINDS["bound"], "a": "0"},

@@ -157,6 +157,17 @@ class TestParameterValidation:
             parse_law("ocone(clock=random_rate,dt=0.3,T=1)").sample(0)
         assert BrownianMotion(dt=0.1, horizon=0.3).sample(0).knots.size == 4
 
+    @pytest.mark.parametrize("build", [
+        lambda: BrownianMotion(dt=1e-12, horizon=1.0),
+        lambda: parse_law("drift(0.5,dt=1e-12,T=1)"),
+        lambda: parse_law("ocone(clock=identity,dt=1e-12,T=1)"),
+    ], ids=["bm", "drift", "ocone"])
+    def test_grid_too_large_rejected(self, build):
+        # NumPy's "Unable to allocate 7.28 TiB" used to escape as a traceback
+        with pytest.raises(SamplerError,
+                           match="a grid of 1000000000001 knots"):
+            build()
+
 
 class TestBrownianMoments:
     def test_marginal_mean_and_variance(self):

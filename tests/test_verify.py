@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import multiprocessing
 import operator
 import os
 import pathlib
@@ -824,6 +823,22 @@ class TestSignIdentitySuite:
         assert sum(counts.detail["word_counts"].values()) == 150
         assert all(s.value == 0 for s in stats.values())
 
+    def test_empty_words_rejected_before_any_draw(self, monkeypatch):
+        # every draw gave the empty word and every count read 0, a pass
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(ConfigurationError,
+                           match="n must be at least 1, got 0"):
+            sign_identity_test(BrownianMotion(dt=0.01, horizon=1.0), 1, 2, 0,
+                               50, seed=1)
+
+    def test_negative_word_length_keeps_its_rule_error(self):
+        with pytest.raises(RuleError, match="n must be nonnegative"):
+            sign_identity_test(BrownianMotion(dt=0.01, horizon=1.0), 1, 2,
+                               -1, 50, seed=1)
+
 
 class TestExitAlignment:
     def test_negative_word_length_rejected(self, monkeypatch):
@@ -895,6 +910,37 @@ def _pid_block(indices):
     return os.getpid()
 
 
+def _pids_block(indices):
+    return os.getpid(), os.getppid()
+
+
+def _affinity_block(indices):
+    return os.getpid(), os.sched_getaffinity(0)
+
+
+def _failing_at(start, indices):
+    """The block that starts at draw start raises."""
+    if indices.start == start:
+        raise ValueError(f"draw {start}")
+    return indices.start
+
+
+def _exiting_in_helper(caller, indices):
+    """A block that ends any process but caller without a report."""
+    if os.getpid() != caller:
+        os._exit(3)
+    return indices.start
+
+
+def _unpicklable_block(indices):
+    return lambda: indices
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _failing_block(indices):
     """The block of draw 1000, the first of shard 1 (shards of 1000 blocks
     of one draw), raises."""
@@ -951,7 +997,7 @@ class TestSharding:
 
     def test_caller_computes_every_workers_th_shard(self):
         # 5000 draws on two workers are five shards of 1000: the caller
-        # computes shards 0, 2 and 4, one pooled process shards 1 and 3
+        # computes shards 0, 2 and 4, one helper process shards 1 and 3
         pids = list(_run_draws(_pid_block, 5000, 2, 1))
         shards = [set(pids[s:s + 1000]) for s in range(0, 5000, 1000)]
         assert shards[0] == shards[2] == shards[4] == {os.getpid()}
@@ -959,7 +1005,7 @@ class TestSharding:
         assert shards[1] == shards[3] != {os.getpid()}
 
     def test_last_shard_error_after_every_earlier_block(self):
-        # on two workers shard 9 of ten goes to the pool, after shards 1,
+        # on two workers shard 9 of ten goes to the helper, after shards 1,
         # 3, 5 and 7, and raises; every block of shards 0 to 8 comes out
         # first, then the error
         blocks = []
@@ -968,19 +1014,27 @@ class TestSharding:
                 blocks.append(block)
         assert blocks == list(range(9000))
 
-    def test_no_idle_processes(self):
+    def test_no_idle_processes(self, monkeypatch):
         # 300 draws in blocks of 163 on four workers are two shards: the
-        # caller computes one and a pool of one process the other
-        pids = []
-        for pid in _run_draws(_pid_block, 300, 4, 163):
-            if not pids:
-                children = len(multiprocessing.active_children())
-            pids.append(pid)
-        assert children == 1
-        assert len(set(pids)) == 2
+        # caller computes one and the one helper forked the other
+        forks = []
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", counted_fork)
+        rows = list(_run_draws(_pids_block, 300, 4, 163))
+        helpers = {pid for pid, ppid in rows if ppid == os.getpid()}
+        assert len(forks) == 1
+        assert helpers == set(forks)
+        assert len({pid for pid, _ in rows}) == 2
 
     def test_caller_shard_yielded_before_a_pooled_error(self):
-        # shard 1 raises in the pool; every block of the caller's shard 0
+        # shard 1 raises in the helper; every block of the caller's shard 0
         # comes first, then the error
         blocks = []
         with pytest.raises(ValueError, match="draw 1000"):
@@ -989,17 +1043,95 @@ class TestSharding:
         assert blocks == list(range(1000))
 
     def test_stopping_cancels_shards_not_started(self, tmp_path):
-        # the block of draw 0 raises in the caller, which computes shard 0,
-        # before the pooled process has started anything; the 19 other
-        # shards of 1000 blocks wait 0.2 s at their first block, so without
-        # cancellation all 20 would run.  The pool starts only the shards it
-        # has queued ahead
+        # the block of draw 0 raises in the caller, which computes shard 0;
+        # the helper's ten shards of 1000 blocks wait 0.2 s at their first
+        # block, so if the helper outlived the error all ten would run.  It
+        # is killed on the way out, at most one of its shards started
         with pytest.raises(ZeroDivisionError):
             for _ in _run_draws(partial(_marking_block, str(tmp_path)),
                                 200_000, workers=2, size=10):
                 pass
         started = len(list(tmp_path.iterdir()))
         assert 1 <= started < 10
+
+    @pytest.mark.parametrize("finish", [
+        lambda: list(_run_draws(_indices, 5000, 2, 1)),
+        lambda: next(_run_draws(_indices, 5000, 2, 1)),
+        lambda: list(_run_draws(partial(_failing_at, 2000), 5000, 2, 1)),
+        lambda: list(_run_draws(partial(_failing_at, 3000), 5000, 2, 1)),
+    ], ids=["normal", "stopped_early", "caller_error", "helper_error"])
+    def test_no_process_outlives_a_run(self, finish):
+        # 5000 draws on two workers: shards 0, 2 and 4 are the caller's,
+        # 1 and 3 the helper's; the generator of the stopped run is dropped
+        # after its first block, which closes it
+        try:
+            finish()
+        except ValueError:
+            pass
+        _assert_no_child_left()
+
+    def test_helper_exiting_without_a_report_raises(self):
+        # the helper's first shard ends it with code 3 and no pickle
+        blocks = []
+        with pytest.raises(RuntimeError,
+                           match="shard 1 of 3 exited with code 3"):
+            for block in _run_draws(partial(_exiting_in_helper, os.getpid()),
+                                    3000, 2, 1):
+                blocks.append(block)
+        assert blocks == list(range(1000))
+        _assert_no_child_left()
+
+    def test_unpicklable_helper_blocks_raise(self):
+        # the caller's shard 0 comes out; the helper cannot pickle shard 1
+        blocks = []
+        with pytest.raises(RuntimeError, match="cannot send the blocks of "
+                                               "draws 1000 to 1999"):
+            for block in _run_draws(_unpicklable_block, 3000, 2, 1):
+                blocks.append(block)
+        assert len(blocks) == 1000
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs Linux and two allowed CPUs")
+    def test_helper_leaves_the_callers_cpu(self, monkeypatch):
+        # the helper's affinity is every allowed CPU but the one the caller
+        # ran on when it forked; the caller's own affinity is untouched
+        seen = []
+
+        def recorded():
+            seen.append(getcpu())
+            return seen[-1]
+
+        getcpu = verify._sched_getcpu()
+        monkeypatch.setattr(verify, "_sched_getcpu", lambda: recorded)
+        allowed = os.sched_getaffinity(0)
+        rows = list(_run_draws(_affinity_block, 300, 2, 163))
+        assert len(seen) == 1 and seen[0] in allowed
+        assert rows[0] == (os.getpid(), allowed)
+        assert rows[1][0] != os.getpid()
+        assert rows[1][1] == allowed - {seen[0]}
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="F_SETPIPE_SZ is Linux's")
+    def test_helper_pipe_holds_a_mebibyte(self):
+        # a helper writes a shard of 1000 rows of 200 bytes without waiting
+        # for the caller to read it
+        import fcntl
+
+        r, w = os.pipe()
+        try:
+            verify._widen_pipe(w)
+            assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == 1 << 20
+        finally:
+            os.close(r)
+            os.close(w)
+
+    def test_without_fork_the_run_is_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert list(_run_draws(_pid_block, 5000, 2, 1)) == \
+            [os.getpid()] * 5000
 
     @pytest.mark.parametrize("run", [
         lambda s: stability_suite(0, sampler=s),
@@ -1155,6 +1287,15 @@ class TestImport:
             "FixedTime(0.5), default_functionals(1.0), 1000, seed=1)\n"
             "print('scipy' in sys.modules)\n")
         assert out.split() == ["False", "True"]
+
+    def test_no_process_pool_imported(self):
+        # the draw loop forks its helpers itself
+        out = _fresh_python(
+            "import sys\n"
+            "import reflectlab, reflectlab.cli\n"
+            "print('concurrent.futures' in sys.modules, "
+            "'multiprocessing' in sys.modules)\n")
+        assert out.split() == ["False", "False"]
 
     def test_ks_2samp_is_scipys(self):
         assert verify.ks_2samp is ks_2samp
