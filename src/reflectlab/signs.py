@@ -25,12 +25,19 @@ coincides with ladder step n on the event that the observed word equals e.
 
 A ``SignWord`` is held packed, as its length n, its number d of nonzero
 entries and a mask m with bit i set when entry i + 1 is -1, so each word map
-is a bit operation.  Words are validated only where they enter: the tuple
-constructor (behind ``from_string``) and ``word_after_steps``'s suffix.
+is one bit operation that allocates one packed result: ``advance_word`` adds
+1 to m modulo 2**d, ``rewind_word`` subtracts 1, with no word built in
+between.  Words are validated only where they enter: the tuple constructor
+(behind ``from_string``) and ``word_after_steps``'s suffix, which is checked
+once per distinct suffix and reused (an invalid one is never kept, so it
+raises on every call).  ``all_words`` keeps its order with one generator
+and an explicit stack, not a generator per prefix.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import RuleError
@@ -140,18 +147,33 @@ def reflect_word(e: SignWord) -> SignWord:
 
 def advance_word(e: SignWord) -> SignWord:
     """One odometer step: negate, then reflect.  A bijection of the
-    zero-absorbing words of each length."""
-    return reflect_word(negate_word(e))
+    zero-absorbing words of each length.
+
+    Negating flips the d low bits of m, and reflecting then flips back those
+    above the new lowest set bit, the old lowest clear one: together they
+    flip the low ones of m and its lowest 0, which adds 1 modulo 2**d."""
+    return _packed(e._n, e._d, e._m + 1 & (1 << e._d) - 1)
 
 
 def rewind_word(e: SignWord) -> SignWord:
-    """Inverse of :func:`advance_word` (reflect, then negate)."""
-    return negate_word(reflect_word(e))
+    """Inverse of :func:`advance_word` (reflect, then negate): subtracts 1
+    from m modulo 2**d."""
+    return _packed(e._n, e._d, e._m - 1 & (1 << e._d) - 1)
 
 
-def _check_length(n: int) -> None:
-    if n < 0:
+def _check_length(n) -> int:
+    """n as an int: RuleError unless operator.index takes it, it is not a
+    bool and it is nonnegative, so 2.5 cannot build a word whose string
+    raises and True cannot stand for 1."""
+    try:
+        length = operator.index(n)
+    except TypeError:
+        length = None
+    if length is None or isinstance(n, bool):
+        raise RuleError(f"word length n must be an integer, got {n!r}")
+    if length < 0:
         raise RuleError(f"word length n must be nonnegative, got {n}")
+    return length
 
 
 def all_words(n: int) -> Iterator[SignWord]:
@@ -159,14 +181,37 @@ def all_words(n: int) -> Iterator[SignWord]:
     lexicographic order with + before - before 0.
 
     A negative n raises here, not at the first word."""
-    _check_length(n)
+    return _words(_check_length(n))
 
-    def rec(k: int, m: int) -> Iterator[SignWord]:
-        if k < n:
-            yield from rec(k + 1, m)
-            yield from rec(k + 1, m | 1 << k)
-        yield _packed(n, k, m)
-    return rec(0, 0)
+
+def _words(n: int) -> Iterator[SignWord]:
+    """all_words's walk.  Each word of d < n nonzero entries comes right
+    after the last word that extends it, the one whose entries d + 1..n are
+    all -1.  So after each word without a 0 the walk clears the run of set
+    bits at the top of m, from bit n - 1 down, emitting the shorter word
+    each clear leaves, then sets the clear bit that stopped the run: the
+    next word without a 0.  The stack holds the mask from before each bit
+    still set, so clearing the bit pops that int and builds no new one."""
+    stack = []
+    m = 0
+    while True:
+        yield _packed(n, n, m)
+        k = n - 1
+        while k >= 0 and m >> k & 1:
+            m = stack.pop()
+            yield _packed(n, k, m)
+            k -= 1
+        if k < 0:
+            return
+        stack.append(m)
+        m |= 1 << k
+
+
+@lru_cache(maxsize=256)
+def _suffix_word(suffix: tuple) -> SignWord:
+    """The checked word of a hashable suffix tuple.  A RuleError is not
+    cached, so an invalid suffix raises on every call."""
+    return SignWord(suffix)
 
 
 def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
@@ -176,10 +221,14 @@ def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
 
     Requires n >= 0 and 0 <= steps < 2**n.
     """
-    _check_length(n)
+    n = _check_length(n)
     if not 0 <= steps < 1 << n:
         raise RuleError(f"steps must be in [0, 2**{n}), got {steps}")
-    tail = SignWord(suffix)
+    suffix = tuple(suffix)  # a tuple is returned as it is
+    try:
+        tail = _suffix_word(suffix)
+    except TypeError:  # an unhashable entry: the constructor names it
+        tail = SignWord(suffix)
     return _packed(n + tail._n, n + tail._d, steps | tail._m << n)
 
 

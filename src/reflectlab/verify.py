@@ -1246,6 +1246,7 @@ def non_dyadic_sweep(limit: int) -> TestReport:
     (the exhaustive enumeration is itself the oracle).  A limit below 3
     holds no triple and is rejected: nothing checked would read as a
     pass."""
+    limit = _checked_count("limit", limit)
     if limit < 3:
         raise ConfigurationError(f"limit must be at least 3, got {limit}")
     checked, failures, first_failure = 0, 0, None
@@ -1339,6 +1340,7 @@ def advance_formula_check(n_max: int) -> TestReport:
     starting from (plus^(n-1), -1, suffix) with signed exponents, and
     bijectivity of the advance map on each word space.  A negative n_max
     checks nothing and is rejected."""
+    n_max = _checked_count("n_max", n_max)
     if n_max < 0:
         raise ConfigurationError(f"n_max must be at least 0, got {n_max}")
     mismatches = shifted_mismatches = non_bijective = checked = 0

@@ -89,6 +89,25 @@ class TestSignWord:
         with pytest.raises(RuleError, match=message):
             make(n)
 
+    @pytest.mark.parametrize("make", [
+        lambda n: all_words(n),  # 2.5 yielded words whose to_string raised
+        lambda n: word_after_steps(n, 1),  # True built a word of length 1
+    ], ids=["all_words", "word_after_steps"])
+    @pytest.mark.parametrize("n", [2.5, True, "2"])
+    def test_non_integer_length_rejected(self, make, n):
+        message = f"word length n must be an integer, got {n!r}"
+        with pytest.raises(RuleError) as info:
+            make(n)
+        assert str(info.value) == message
+
+    def test_numpy_integer_length_accepted(self):
+        assert len(list(all_words(np.int64(3)))) == 15
+        assert word_after_steps(np.int8(2), 1) == W(-1, 1)
+
+    def test_enumeration_is_lazy(self):
+        # the first word without walking the 2**41 - 1 others
+        assert next(all_words(40)) == SignWord((1,) * 40)
+
 
 def _ref_words(n, prefix=()):
     """The zero-absorbing entry tuples of length n, in all_words order."""
@@ -225,6 +244,24 @@ class TestClosedForm:
             word_after_steps(2, 4, ())
         with pytest.raises(RuleError):
             word_after_steps(2, -1, ())
+
+    def test_invalid_suffix_raises_on_every_call(self):
+        # the checked suffix is reused; a rejected one is not, so a repeat
+        # raises the same error
+        for _ in range(2):
+            with pytest.raises(RuleError) as info:
+                word_after_steps(2, 1, (2,))
+            assert str(info.value) == "sign entries must be in -1, 0, 1; got 2"
+
+    def test_list_suffix(self):
+        for _ in range(2):
+            assert word_after_steps(2, 1, [1]) == W(-1, 1, 1)
+
+    def test_unhashable_suffix_entry_is_a_rule_error(self):
+        # not a TypeError from hashing the suffix
+        with pytest.raises(RuleError) as info:
+            word_after_steps(2, 1, [[1]])
+        assert str(info.value) == "sign entries must be in -1, 0, 1; got [1]"
 
     def test_matches_iteration_small(self):
         for n in range(7):

@@ -112,6 +112,13 @@ class TestNonDyadicTriple:
                            match=f"limit must be at least 3, got {limit}"):
             non_dyadic_sweep(limit)
 
+    @pytest.mark.parametrize("limit", [3.5, "60", True])
+    def test_sweep_limit_not_an_integer_rejected(self, limit):
+        # 3.5 and "60" ended in a bare TypeError
+        with pytest.raises(ConfigurationError) as info:
+            non_dyadic_sweep(limit)
+        assert str(info.value) == f"limit must be an integer, got {limit!r}"
+
     def test_sweep_small(self):
         rep = non_dyadic_sweep(40)
         assert rep.verdict == "pass"
@@ -172,6 +179,14 @@ class TestAdvanceFormulaCheck:
     def test_smallest_run_checks_words(self):
         rep = advance_formula_check(0)
         assert rep.verdict == "pass" and rep.sample_size == 2
+
+    @pytest.mark.parametrize("n_max", [True, 2.5])
+    def test_n_max_not_an_integer_rejected(self, n_max):
+        # True ran as n_max 1 and recorded "n_max": true; 2.5 ended in a
+        # bare TypeError
+        with pytest.raises(ConfigurationError) as info:
+            advance_formula_check(n_max)
+        assert str(info.value) == f"n_max must be an integer, got {n_max!r}"
 
     @pytest.mark.parametrize("n_max", [-1, -3])
     def test_negative_n_max_rejected(self, n_max):
