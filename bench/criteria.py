@@ -12,7 +12,8 @@ so one record can hold five runs of a short criterion beside one of a long
 one.  With ``--src DIR``
 (say, the parent commit's ``src``) each criterion also runs K times on that
 library, the two libraries taking turns run by run, so that both see the
-same phases of the host's speed.
+same phases of the host's speed.  Both libraries are byte-compiled
+before the first run, so that no run pays for compiling a module.
 
 The record, ``BENCH_criteria_<NAME>.json`` in the checkout root, holds the
 environment and, per criterion and library, the median and quartiles of its
@@ -29,6 +30,7 @@ runs of the two libraries are the comparison.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -137,6 +139,13 @@ def main(argv=None) -> int:
     libraries = {"own": own}
     if args.src is not None:
         libraries["against"] = str(args.src.resolve())
+    # byte-compile both libraries once, so no timed child pays for a stale
+    # or missing __pycache__ entry on one side only
+    for name, src in libraries.items():
+        if not compileall.compile_dir(src, quiet=1):
+            print(f"criteria.py: the {name} src {src} does not compile",
+                  file=sys.stderr)
+            return 1
     sys.path[:0] = [str(ROOT / "perfbench"), own]  # bench imports reflectlab
     import bench
 

@@ -47,9 +47,10 @@ config that lacks a required key or holds any other key is rejected):
 
 ``_KEYS`` gives each key its check and, where a kind may leave the key
 out, its default; every key of a config is checked before anything is
-parsed, drawn or written.  A count is a nonnegative integer, a rational an
-integer or a string, a real a number or a string that float() reads, and
-none of them true/false, so that none is rounded or read as 1 or 0.  Then
+parsed, drawn or written.  A count is a nonnegative integer by the
+library's own rule (``rational._as_int``), a rational an integer or a
+string, a real a number or a string that float() reads, and none of them
+true/false, so that none is rounded or read as 1 or 0.  Then
 the law of every kind that takes one, the default law included, is built
 once, so that a bad law exits 1 before anything runs or is written; the
 runners read it from ``cfg["law"]``.
@@ -61,16 +62,16 @@ import argparse
 import csv
 import datetime
 import json
-import operator
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path as FsPath
 
 from . import verify
 from .errors import ConfigurationError, ReflectlabError, RuleError
 from .path import dump_csv, load_csv
-from .rational import as_rational
+from .rational import _as_int, as_rational
 from .samplers import parse_law
 from .stopping import format_time, ladder_levels, ladder_trace, parse_rule
 from .verify import (
@@ -191,18 +192,9 @@ _KINDS = {
 _COMMON_KEYS = ("kind", "seed", "out_dir")
 
 
-def _count(key: str, value) -> int:
-    """A count key's value as an int: ConfigurationError unless it is a
-    nonnegative integer (anything operator.index takes, except bool), so
-    2.9 or true cannot run as 2 or 1."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = -1
-    if count < 0 or isinstance(value, bool):
-        raise ConfigurationError(
-            f"{key} must be a nonnegative integer, got {value!r}")
-    return count
+#: a count key's check: a nonnegative integer, so 2.9 or true cannot run as
+#: 2 or 1
+_count = partial(_as_int, error=ConfigurationError, nonnegative=True)
 
 
 def _real(key: str, value) -> float:

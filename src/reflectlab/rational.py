@@ -4,10 +4,15 @@ All level arithmetic in the ladder construction must stay exact: the level
 recursion is conjugate to the doubling map, which amplifies any rounding
 exponentially.  ``fractions.Fraction`` already guarantees reduced form with a
 positive denominator, so it is used directly as the rational type.
+
+Every count, index, length and power is checked by ``_as_int``, and the
+suites' real parameters and the fixed and functional times by ``_is_real``.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from fractions import Fraction
 
 from .errors import RuleError
@@ -30,6 +35,32 @@ def as_rational(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise RuleError(f"cannot parse rational from {x!r}: {exc}") from exc
     raise RuleError(f"expected int, str or Fraction, got {type(x).__name__}")
+
+
+def _as_int(what: str, value, error: type,
+            nonnegative: bool = False) -> int:
+    """value as an int, the one rule for every count, index and length:
+    ``error`` unless operator.index takes it and it is not a bool (and, with
+    nonnegative set, it is not negative), so 2.5 cannot end in a TypeError
+    and True cannot run as 1.  NumPy integers pass."""
+    if value.__class__ is int:  # the common case, and never a bool
+        count = value
+    else:
+        try:
+            count = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            count = None
+    if count is None or nonnegative and count < 0:
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise error(f"{what} must be {kind}, got {value!r}")
+    return count
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number other than a bool, the rule for float
+    parameters and times: "0.1", None and [2] are not, so they cannot end in
+    a TypeError after a comparison, and True cannot stand for 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def is_dyadic(q: Fraction) -> bool:

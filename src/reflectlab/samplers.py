@@ -6,8 +6,8 @@ path.  The random stream of a draw is, bit for bit, NumPy's
 for the increments, 1 for the random clock's rates), so draws with equal
 (law, seed, index) are bit-identical, distinct indices are independent
 streams, and workers can draw in parallel with no shared generator state.
-The seed is validated at construction: anything ``operator.index`` takes,
-except bool, and nonnegative.
+The seed is validated at construction and each index at its draw, both as
+nonnegative integers (``rational._as_int``).
 
 SeedSequence's hash is computed here, not by NumPy (``_seed_words``): the
 seed's words are hashed once per seed (``_seed_pool`` is cached), and a
@@ -34,7 +34,6 @@ built every array itself; parameters are validated once, at construction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +44,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import RuleError, SamplerError
 from .path import Path, _fast_path
+from .rational import _as_int
 from .stopping import _CALL, LevelLike, TwoSidedHit, _parse_level, _split_args
 
 __all__ = [
@@ -67,10 +67,9 @@ _POOL = 4
 
 
 def _words(n) -> list[int]:
-    """The uint32 words of a nonnegative int, least significant first."""
-    n = operator.index(n)
-    if n < 0:
-        raise SamplerError(f"expected a nonnegative index, got {n}")
+    """The uint32 words of a nonnegative integer, least significant first;
+    SamplerError for anything else (a draw index of 2.5 or True)."""
+    n = _as_int("index", n, SamplerError, nonnegative=True)
     out = [n & _MASK32]
     while n > _MASK32:
         n >>= 32
@@ -179,13 +178,7 @@ def _check_seed(law) -> None:
     """Validate a law's seed at construction, not at its first draw (which
     may run in a helper process), and store it as an int: SamplerError unless
     it is a nonnegative integer."""
-    try:
-        seed = operator.index(law.seed)
-    except TypeError:
-        seed = -1
-    if seed < 0 or isinstance(law.seed, bool):
-        raise SamplerError(
-            f"seed must be a nonnegative integer, got {law.seed!r}")
+    seed = _as_int("seed", law.seed, SamplerError, nonnegative=True)
     object.__setattr__(law, "seed", seed)
 
 

@@ -36,12 +36,12 @@ and an explicit stack, not a generator per prefix.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import RuleError
 from .path import Path, negate, reflect_at_rule
+from .rational import _as_int
 from .stopping import LadderTrace, StoppingRule
 
 _VALUES = {"+": 1, "-": -1, "0": 0}
@@ -162,18 +162,13 @@ def rewind_word(e: SignWord) -> SignWord:
 
 
 def _check_length(n) -> int:
-    """n as an int: RuleError unless operator.index takes it, it is not a
-    bool and it is nonnegative, so 2.5 cannot build a word whose string
-    raises and True cannot stand for 1."""
-    try:
-        length = operator.index(n)
-    except TypeError:
-        length = None
-    if length is None or isinstance(n, bool):
-        raise RuleError(f"word length n must be an integer, got {n!r}")
-    if length < 0:
+    """n as a nonnegative int (``rational._as_int``), so 2.5 cannot build a
+    word whose string raises and True cannot stand for 1."""
+    if n.__class__ is not int:
+        n = _as_int("word length n", n, RuleError)
+    if n < 0:
         raise RuleError(f"word length n must be nonnegative, got {n}")
-    return length
+    return n
 
 
 def all_words(n: int) -> Iterator[SignWord]:
@@ -222,6 +217,8 @@ def word_after_steps(n: int, steps: int, suffix: tuple = ()) -> SignWord:
     Requires n >= 0 and 0 <= steps < 2**n.
     """
     n = _check_length(n)
+    if steps.__class__ is not int:  # a call per word would cost 10%
+        steps = _as_int("steps", steps, RuleError)
     if not 0 <= steps < 1 << n:
         raise RuleError(f"steps must be in [0, 2**{n}), got {steps}")
     suffix = tuple(suffix)  # a tuple is returned as it is
@@ -277,6 +274,7 @@ def rewind_path(p: Path, rule: StoppingRule) -> Path:
 
 
 def advance_path_power(p: Path, rule: StoppingRule, power: int) -> Path:
+    power = _as_int("power", power, RuleError)
     step = advance_path if power >= 0 else rewind_path
     for _ in range(abs(power)):
         p = step(p, rule)

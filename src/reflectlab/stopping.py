@@ -90,7 +90,7 @@ from .path import (
     reflect_at_time,
     value_at,
 )
-from .rational import as_rational, is_dyadic
+from .rational import _as_int, _is_real, as_rational, is_dyadic
 
 LevelLike = Union[int, str, Fraction, float]
 
@@ -266,7 +266,7 @@ def ladder_levels(a: LevelLike, b: LevelLike, n: int) -> LevelLadder:
     b = as_rational(b)
     if a <= 0 or b <= 0:
         raise RuleError("barriers a and b must be positive")
-    if n < 0:
+    if _as_int("n", n, RuleError) < 0:
         raise RuleError("n must be nonnegative")
     if is_dyadic(a / (a + b)):
         raise DyadicRatioError(f"a/(a+b) = {a / (a + b)} is dyadic")
@@ -520,7 +520,7 @@ class FixedTime(StoppingRule):
     r: float
 
     def __post_init__(self):
-        if not 0.0 <= self.r < math.inf:
+        if not (_is_real(self.r) and 0.0 <= self.r < math.inf):
             raise RuleError(f"fixed time must be finite and nonnegative, "
                             f"got {self.r!r}")
 
@@ -577,11 +577,13 @@ class LadderStep(StoppingRule):
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
+        n = _as_int("ladder index", self.n, RuleError)
+        if n < 0:
             raise RuleError("ladder index must be nonnegative")
+        object.__setattr__(self, "n", n)
         # validates a, b, their ratio and the float steps up to n here,
         # not at the first trace
-        _ladder_grid(self.a, self.b, self.n)
+        _ladder_grid(self.a, self.b, n)
 
     def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
         # the trace pins every step, with or without pin

@@ -57,8 +57,6 @@ import ctypes
 import dataclasses
 import json
 import math
-import numbers
-import operator
 import os
 import pickle
 import signal
@@ -82,7 +80,7 @@ from .path import (
     reflect_at_time,
     value_at,
 )
-from .rational import as_rational, is_dyadic
+from .rational import _as_int, _is_real, as_rational, is_dyadic
 from .samplers import BrownianMotion, DyadicCounterexample, _GridLaw
 from .signs import (
     SignWord,
@@ -263,11 +261,11 @@ def _run_draws(block: Callable, n: int, workers: int,
     out, so no process outlives the call.  An empty run is rejected when
     its blocks are first asked for: its reductions would report a pass with
     nothing checked.  A draw or worker count that is a bool or not an
-    integer is rejected there too (``_checked_count``); a worker count below
-    1, or a platform without ``os.fork``, runs serially.
+    integer is rejected there too (``rational._as_int``); a worker count
+    below 1, or a platform without ``os.fork``, runs serially.
     """
-    n = _checked_count("a draw count", n)
-    workers = _checked_count("a worker count", workers)
+    n = _as_int("a draw count", n, ConfigurationError)
+    workers = _as_int("a worker count", workers, ConfigurationError)
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
     if workers <= 1 or n <= size or not hasattr(os, "fork"):
@@ -395,27 +393,6 @@ def _helper(inherited: list, out: int, cpu: int, block: Callable,
         os._exit(status)
 
 
-def _checked_count(what: str, value) -> int:
-    """value as an int: ConfigurationError unless operator.index takes it
-    and it is not a bool, the rule the CLI applies to its counts, so 2.5
-    cannot end in a TypeError and True cannot run as 1.  NumPy integers
-    pass."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or isinstance(value, bool):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return count
-
-
-def _is_real(value) -> bool:
-    """Whether value is a real number other than a bool, the rule for the
-    suites' float parameters: "0.1", None and [2] are not, so they cannot
-    end in a TypeError after a comparison, and True cannot stand for 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _ranges(indices: range, size: int) -> Iterator[range]:
     """The consecutive ranges of at most size indices that cover indices."""
     return (indices[s:s + size] for s in range(0, len(indices), size))
@@ -458,7 +435,7 @@ class ValueAtTime:
 
     def __post_init__(self):
         # here, not at the first draw (inside a helper process)
-        if not 0.0 <= self.t < math.inf:
+        if not (_is_real(self.t) and 0.0 <= self.t < math.inf):
             raise ConfigurationError(
                 f"functional time must be finite and nonnegative, "
                 f"got {self.t!r}")
@@ -686,7 +663,7 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     adjusted across the functionals that are not degenerate; the test passes
     iff every adjusted p-value exceeds alpha.
     """
-    if _checked_count("a draw count", n_draws) < 1000:
+    if _as_int("a draw count", n_draws, ConfigurationError) < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
     if not (_is_real(alpha) and 0 < alpha < 1):  # NaN included
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -843,7 +820,7 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
 
     A negative n_steps checks no increment and is rejected.
     """
-    if _checked_count("n_steps", n_steps) < 0:
+    if _as_int("n_steps", n_steps, ConfigurationError) < 0:
         raise ConfigurationError(
             f"n_steps must be at least 0, got {n_steps}")
     a = as_rational(a)
@@ -1123,7 +1100,7 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     word is all plus).  Words of length 0 are rejected: every draw would
     give the one empty word and every count would read 0 with nothing
     checked."""
-    if _checked_count("n", n) == 0:
+    if _as_int("n", n, ConfigurationError) == 0:
         raise ConfigurationError("n must be at least 1, got 0")
     a = as_rational(a)
     b = as_rational(b)
@@ -1167,8 +1144,8 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     map (rewinding when negative); unobserved on both sides in the truncated
     case.  Draws continue until every word has min_per_word checks or the
     draw cap is reached (falling short is a failure)."""
-    _checked_count("n", n)
-    if _checked_count("min_per_word", min_per_word) < 1:
+    _as_int("n", n, ConfigurationError)
+    if _as_int("min_per_word", min_per_word, ConfigurationError) < 1:
         raise ConfigurationError(
             f"min_per_word must be at least 1, got {min_per_word}")
     a = as_rational(a)
@@ -1246,7 +1223,7 @@ def non_dyadic_sweep(limit: int) -> TestReport:
     (the exhaustive enumeration is itself the oracle).  A limit below 3
     holds no triple and is rejected: nothing checked would read as a
     pass."""
-    limit = _checked_count("limit", limit)
+    limit = _as_int("limit", limit, ConfigurationError)
     if limit < 3:
         raise ConfigurationError(f"limit must be at least 3, got {limit}")
     checked, failures, first_failure = 0, 0, None
@@ -1290,7 +1267,7 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     tests at those two reflections pass.
     """
     # checked before the arrays are sized, not first in _run_draws
-    if _checked_count("a draw count", n_draws) < 1000:
+    if _as_int("a draw count", n_draws, ConfigurationError) < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
     c = as_rational(c)
     if c <= 1:
@@ -1340,7 +1317,7 @@ def advance_formula_check(n_max: int) -> TestReport:
     starting from (plus^(n-1), -1, suffix) with signed exponents, and
     bijectivity of the advance map on each word space.  A negative n_max
     checks nothing and is rejected."""
-    n_max = _checked_count("n_max", n_max)
+    n_max = _as_int("n_max", n_max, ConfigurationError)
     if n_max < 0:
         raise ConfigurationError(f"n_max must be at least 0, got {n_max}")
     mismatches = shifted_mismatches = non_bijective = checked = 0
