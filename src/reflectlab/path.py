@@ -266,6 +266,7 @@ class _KnotInsertion:
         p = self.p
         if not (0.0 <= t <= p.horizon):
             raise TimeOutOfRangeError(f"t={t!r} outside [0, {p.horizon!r}]")
+        t = float(t)  # a Fraction t must find the knot at its float
         splits = self.splits
         i = int(np.searchsorted(p.knots, t))
         if splits and t == splits[-1][1]:  # the last new knot
@@ -367,6 +368,7 @@ def reflect_at_time(p: Path, r: float) -> Path:
     """
     if not (0.0 <= r <= p.horizon):
         raise TimeOutOfRangeError(f"r={r!r} outside [0, {p.horizon!r}]")
+    r = float(r)  # a Fraction r must find the knot at its float
     memo = p.__dict__.setdefault("_reflections", {})
     q = memo.get(r)
     if q is not None:

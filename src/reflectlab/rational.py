@@ -27,14 +27,16 @@ def as_rational(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise RuleError(f"cannot parse rational from {x!r}: {exc}") from exc
-    raise RuleError(f"expected int, str or Fraction, got {type(x).__name__}")
+    try:  # ints by the integer rule, NumPy integers included
+        return Fraction(_as_int("x", x, TypeError))
+    except TypeError:
+        raise RuleError("expected int, str or Fraction, "
+                        f"got {type(x).__name__}") from None
 
 
 def _as_int(what: str, value, error: type,

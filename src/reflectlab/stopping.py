@@ -64,13 +64,14 @@ values w(tau_n) as exact rationals (the anchor of step n plus or minus the
 step magnitude), so sign extraction and hitting-time identities are decided by
 exact comparisons rather than float ones.  Every level and every realized
 value lies on the grid (1/lcm(den a, den b))Z, so a trace holds them as
-integers over that denominator.
+integers over that denominator, ``LevelLadder.den``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -227,10 +228,12 @@ def _exit_rows(knots: np.ndarray, values: np.ndarray, lo: float,
 class LevelLadder:
     """Exact level sequence for barriers -a and b.
 
-    levels:  c_0 .. c_n (c_0 = 0).
-    exits:   d_1 .. d_n, the barrier (-a or b) of which c_{k-1} is the
-             midpoint with c_k.
-    steps:   |c_k - c_{k-1}|, k = 1 .. n.
+    levels:        c_0 .. c_n (c_0 = 0).
+    exits:         d_1 .. d_n, the barrier (-a or b) of which c_{k-1} is the
+                   midpoint with c_k.
+    steps:         |c_k - c_{k-1}|, k = 1 .. n.
+    den:           lcm(den a, den b); every level is an integer over den.
+    scaled_steps:  the steps times den, integers.
     """
 
     a: Fraction
@@ -238,6 +241,22 @@ class LevelLadder:
     levels: tuple[Fraction, ...]
     exits: tuple[Fraction, ...]
     steps: tuple[Fraction, ...]
+    den: int
+    scaled_steps: tuple[int, ...]
+
+    @cached_property
+    def float_steps(self) -> tuple[float, ...]:
+        """The steps as floats, which only a trace needs.  RuleError when a
+        step has no positive finite float: the scan would treat every window
+        as exited at its start, or fail mid-trace."""
+        message = "every ladder step needs a positive finite float value"
+        try:
+            steps = tuple(s / self.den for s in self.scaled_steps)
+        except OverflowError as exc:  # int / int past the float range
+            raise RuleError(message) from exc
+        if 0.0 in steps:
+            raise RuleError(message)
+        return steps
 
     def step_direction(self, k: int) -> int:
         """Sign of c_k - c_{k-1} (1-based k)."""
@@ -284,7 +303,9 @@ def ladder_levels(a: LevelLike, b: LevelLike, n: int) -> LevelLadder:
         c.append(nxt)
         exits.append(exit_)
         steps.append(abs(nxt - x))
-    ladder = LevelLadder(a, b, tuple(c), tuple(exits), tuple(steps))
+    den = math.lcm(a.denominator, b.denominator)
+    ladder = LevelLadder(a, b, tuple(c), tuple(exits), tuple(steps), den,
+                         tuple(int(s * den) for s in steps))
     assert ladder.violations() == 0
     return ladder
 
@@ -295,9 +316,8 @@ class LadderTrace:
 
     times:          tau_0 .. tau_n (inf once not observed, then inf onwards).
     directions:     relative hit directions, +1 up, -1 down, 0 not observed.
-    den:            the common denominator of the ladder's levels.
-    scaled_values:  exact values w(tau_k) times den, integers, for the
-                    observed steps (length = number of finite times).
+    scaled_values:  exact values w(tau_k) times ``ladder.den``, integers,
+                    for the observed steps (length = number of finite times).
     path:           annotated copy of the input with every finite tau_k a knot
                     pinned to its exact value.
     """
@@ -305,49 +325,21 @@ class LadderTrace:
     ladder: LevelLadder
     times: tuple[float, ...]
     directions: tuple[int, ...]
-    den: int
     scaled_values: tuple[int, ...]
     path: Path
 
     @cached_property
     def anchor_values(self) -> tuple[Fraction, ...]:
         """Exact values w(tau_k) for the observed steps."""
-        return tuple(Fraction(x, self.den) for x in self.scaled_values)
-
-    @property
-    def finite_count(self) -> int:
-        return len(self.scaled_values)
+        return tuple(Fraction(x, self.ladder.den) for x in self.scaled_values)
 
     def last_finite(self, n: int) -> int:
         """max{k <= n : tau_k observed} (the index the skeleton freezes at)."""
-        return min(n, self.finite_count - 1)
+        return min(n, len(self.scaled_values) - 1)
 
     def skeleton_value(self, n: int) -> Fraction:
         """Exact path value at the last observed ladder time <= n."""
         return self.anchor_values[self.last_finite(n)]
-
-
-@lru_cache(maxsize=256, typed=True)  # typed, as ladder_levels is
-def _ladder_grid(a: LevelLike, b: LevelLike, n: int
-                 ) -> tuple[LevelLadder, int, tuple[int, ...],
-                            tuple[float, ...]]:
-    """The ladder, the common denominator den of its levels, and its steps
-    as integers over den and as floats.
-
-    Raises RuleError when a step has no positive finite float: the scan
-    would treat every window as exited at its start, or fail mid-trace.
-    """
-    ladder = ladder_levels(a, b, n)
-    den = math.lcm(ladder.a.denominator, ladder.b.denominator)
-    steps = tuple(int(s * den) for s in ladder.steps)
-    message = "every ladder step needs a positive finite float value"
-    try:
-        steps_f = tuple(s / den for s in steps)
-    except OverflowError as exc:  # int / int past the float range
-        raise RuleError(message) from exc
-    if 0.0 in steps_f:
-        raise RuleError(message)
-    return ladder, den, steps, steps_f
 
 
 def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace:
@@ -358,21 +350,21 @@ def ladder_trace(a: LevelLike, b: LevelLike, p: Path, n_max: int) -> LadderTrace
     Every step is located on p itself: a window that starts at a crossing
     not inserted yet scans from the next knot of p after the crossing's
     split increment.  The knots are inserted in one copy at the end.
-    Inside the trace the exact values are integers over the ladder's
-    common denominator, and the trace keeps them so (``scaled_values``);
-    an anchor of p off that grid can never end a window and is skipped.
+    Inside the trace the exact values are integers over ``LevelLadder.den``,
+    and the trace keeps them so (``scaled_values``); an anchor of p off that
+    grid can never end a window and is skipped.
     """
-    return _trace(_ladder_grid(a, b, n_max), p, (0.0,), (), (0,), 0)
+    return _trace(ladder_levels(a, b, n_max), p, (0.0,), (), (0,), 0)
 
 
-def _trace(ladder_grid: tuple, p: Path, times: tuple, directions: tuple,
+def _trace(ladder: LevelLadder, p: Path, times: tuple, directions: tuple,
            scaled: tuple, k: int) -> LadderTrace:
-    """The ladder loop: the trace of p to the last step of ladder_grid (a
-    ``_ladder_grid``), from a start state in which tau_0 .. tau_m, m =
-    len(directions), are observed, with their times, directions and exact
-    values times den given, and tau_m is knot k of p.  From knot 0 that
-    state is (0.0,), (), (0,) and k = 0."""
-    ladder, den, steps, steps_f = ladder_grid
+    """The ladder loop: the trace of p to the last step of ladder, from a
+    start state in which tau_0 .. tau_m, m = len(directions), are observed,
+    with their times, directions and exact values times ``ladder.den``
+    given, and tau_m is knot k of p.  From knot 0 that state is (0.0,),
+    (), (0,) and k = 0."""
+    den, steps, steps_f = ladder.den, ladder.scaled_steps, ladder.float_steps
     grid = sorted((j, x.numerator * (den // x.denominator))
                   for j, x in p.anchors.items() if den % x.denominator == 0)
     knots = _KnotInsertion(p)
@@ -403,8 +395,8 @@ def _trace(ladder_grid: tuple, p: Path, times: tuple, directions: tuple,
         times.append(t)
         directions.append(side)
         scaled.append(base)
-    return LadderTrace(ladder, tuple(times), tuple(directions), den,
-                       tuple(scaled), knots.path())
+    return LadderTrace(ladder, tuple(times), tuple(directions), tuple(scaled),
+                       knots.path())
 
 
 def _reflected_trace(tr: LadderTrace, n: int) -> LadderTrace:
@@ -421,7 +413,7 @@ def _reflected_trace(tr: LadderTrace, n: int) -> LadderTrace:
     """
     t = tr.times[n]
     q = reflect_at_time(tr.path, t)
-    return _trace(_ladder_grid(tr.ladder.a, tr.ladder.b, n + 1), q,
+    return _trace(ladder_levels(tr.ladder.a, tr.ladder.b, n + 1), q,
                   tr.times[:n + 1], tr.directions[:n],
                   tr.scaled_values[:n + 1], q.knot_index(t))
 
@@ -520,9 +512,11 @@ class FixedTime(StoppingRule):
     r: float
 
     def __post_init__(self):
-        if not (_is_real(self.r) and 0.0 <= self.r < math.inf):
+        if not (_is_real(self.r) and 0.0 <= self.r <= sys.float_info.max):
             raise RuleError(f"fixed time must be finite and nonnegative, "
                             f"got {self.r!r}")
+        # kept as the float it stops at, so a Fraction time finds its knot
+        object.__setattr__(self, "r", float(self.r))
 
     def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
         if self.r > p.horizon:
@@ -581,9 +575,8 @@ class LadderStep(StoppingRule):
         if n < 0:
             raise RuleError("ladder index must be nonnegative")
         object.__setattr__(self, "n", n)
-        # validates a, b, their ratio and the float steps up to n here,
-        # not at the first trace
-        _ladder_grid(self.a, self.b, n)
+        # a, b, their ratio and the float steps are checked here, not in a trace
+        ladder_levels(self.a, self.b, n).float_steps
 
     def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
         # the trace pins every step, with or without pin

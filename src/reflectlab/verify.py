@@ -794,7 +794,7 @@ def _martingale_draw(sampler, a: Fraction, b: Fraction, n_steps: int,
     self_trace = None
     for n in range(n_steps + 1):
         dy = _skeleton_step(tr, n)
-        increments.append(dy / tr.den)
+        increments.append(dy / tr.ladder.den)
         if is_observed(tr.times[n]):
             tr_q = _reflected_trace(tr, n)
         else:

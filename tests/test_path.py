@@ -125,6 +125,13 @@ class TestInsertKnot:
         with pytest.raises(KnotConflictError):
             insert_knot(p, 1.0, 3.0)
 
+    def test_fraction_time_finds_the_knot_at_its_float(self):
+        p = BrownianMotion(dt=0.1, horizon=1.0, seed=1).sample(0)
+        q, i = insert_knot(p, Fraction(1, 3), value_at(p, 1 / 3))
+        r, j = insert_knot(q, Fraction(1, 3), value_at(p, 1 / 3))
+        assert r is q and i == j and r.knots.size == 12
+        assert q.knots[i] == 1 / 3
+
     def test_crossing_knot_reflects_to_exact_level(self):
         # pin a crossing knot to the exact level a, reflect there: the value
         # at the pivot must remain exactly a (2a - a = a)
@@ -206,6 +213,14 @@ class TestReflectAtTime:
         # and bit-exact against the path with the pivot knot inserted
         p1 = insert_knot(p, 0.5, value_at(p, 0.5))[0]
         assert q == p1
+
+    def test_twice_at_fraction_time(self):
+        # the second reflection finds the knot the first one inserted
+        p = BrownianMotion(dt=0.1, horizon=1.0, seed=1).sample(0)
+        q = reflect_at_time(reflect_at_time(p, Fraction(1, 3)), Fraction(1, 3))
+        Path(q.knots, q.increments, q.anchors)  # strictly increasing knots
+        assert q == reflect_at_time(reflect_at_time(p, 1 / 3), 1 / 3)
+        assert q.knots.size == 12
 
     def test_value_identity_after_pivot(self):
         p = Path(np.array([0.0, 1.0, 2.0]), np.array([2.0, -1.0]))

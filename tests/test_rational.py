@@ -1,11 +1,12 @@
 """The package's integer rule (``rational._as_int``) and its real-time rule
 (``rational._is_real``), at every entry point that takes a count, an index,
-a length, a power or a time."""
+a length, a power, a time or an exact level."""
 
 import numpy as np
 import pytest
 
 from reflectlab import (
+    FirstPassage,
     FixedTime,
     LadderStep,
     RuleError,
@@ -51,6 +52,11 @@ _ROWS = {
     # times are reals: 2.5 is one, True is not
     "FixedTime.r": (FixedTime, RuleError, (True,)),
     "ValueAtTime.t": (ValueAtTime, ConfigurationError, (True,)),
+    # levels are exact through as_rational, or floats where a rule takes them
+    "FirstPassage.level": (FirstPassage, RuleError, (True,)),
+    "TwoSidedHit.a": (lambda v: TwoSidedHit(v, 2), RuleError, (True,)),
+    "ladder_levels.a": (lambda v: ladder_levels(v, 2, 3), RuleError,
+                        (True, 2.5)),
 }
 
 

@@ -93,6 +93,23 @@ class TestLadderLevels:
         with pytest.raises(RuleError):
             ladder_trace(a, b, line_to(1.0, 1.0), 4)
 
+    @pytest.mark.parametrize("a, b, den", [
+        (1, 2, 1), (2, 3, 1), (F(1, 3), F(1, 2), 6)])
+    def test_den_and_scaled_steps(self, a, b, den):
+        lad = ladder_levels(a, b, 8)
+        assert lad.den == math.lcm(F(a).denominator, F(b).denominator) == den
+        assert lad.scaled_steps == tuple(s * den for s in lad.steps)
+        assert all(type(s) is int for s in lad.scaled_steps)
+        assert lad.float_steps == tuple(float(s) for s in lad.steps)
+
+    def test_steps_past_the_float_range_build_but_do_not_trace(self):
+        # the ladder kind prints such a ladder; only a trace needs floats
+        lad = ladder_levels(10 ** 400, 2 * 10 ** 400, 2)
+        assert lad.scaled_steps == (10 ** 400, 10 ** 400)
+        with pytest.raises(RuleError, match="^every ladder step needs a "
+                           "positive finite float value$"):
+            lad.float_steps
+
     @given(st.integers(1, 30), st.integers(1, 30))
     @settings(max_examples=200, deadline=None)
     def test_invariants_on_random_barriers(self, a, b):
@@ -138,6 +155,19 @@ class TestEvaluate:
         p = line_to(1.0, 2.0)
         assert FixedTime(1.5).evaluate(p) == 1.5
         assert FixedTime(3.0).evaluate(p) == NOT_OBSERVED
+
+    def test_fixed_time_is_kept_as_a_float(self):
+        # a Fraction time stops at the knot of its float, not beside it
+        p = BrownianMotion(dt=0.1, horizon=1.0, seed=1).sample(0)
+        q = reflect_at_rule(p, FixedTime(F(1, 3)))
+        Path(q.knots, q.increments, q.anchors)  # strictly increasing knots
+        r = reflect_at_rule(p, FixedTime(1 / 3))
+        assert q.knots.tobytes() == r.knots.tobytes()
+        assert q.increments.tobytes() == r.increments.tobytes()
+        assert q.anchors == r.anchors
+        assert FixedTime(F(1, 3)) == FixedTime(1 / 3)
+        assert type(FixedTime(F(1, 3)).evaluate(p)) is float
+        assert repr(FixedTime(np.int64(1))) == "FixedTime(r=1.0)"
 
     def test_min_max(self):
         p = line_to(2.0, 1.0)
@@ -314,7 +344,8 @@ def _assert_same_trace(tr, other):
     assert [float(t).hex() for t in tr.times] == \
         [float(t).hex() for t in other.times]
     assert tr.directions == other.directions
-    assert (tr.den, tr.scaled_values) == (other.den, other.scaled_values)
+    assert (tr.ladder.den, tr.scaled_values) == \
+        (other.ladder.den, other.scaled_values)
     assert tr.anchor_values == other.anchor_values
     assert tr.ladder == other.ladder
     assert tr.path.knots.tobytes() == other.path.knots.tobytes()
@@ -379,7 +410,7 @@ class TestReflectedTrace:
 
     def test_scaled_values_are_the_anchor_values_times_den(self):
         tr = ladder_trace(F(1, 3), F(1, 2), line_to(-1.0, 1.0), 4)
-        assert tr.den == 6
+        assert tr.ladder.den == 6
         assert tr.anchor_values == tuple(F(x, 6) for x in tr.scaled_values)
         assert tr.skeleton_value(4) == F(tr.scaled_values[-1], 6)
 
@@ -491,7 +522,9 @@ class TestRuleGrammar:
                       lambda: TwoSidedHit(1, math.inf),
                       lambda: FirstPassage(10 ** 400),  # overflows a float
                       lambda: FixedTime(math.nan),
-                      lambda: FixedTime(math.inf)):
+                      lambda: FixedTime(math.inf),
+                      lambda: FixedTime(10 ** 400),  # no finite float
+                      lambda: FixedTime(F(-1, 10 ** 400))):  # float is -0.0
             with pytest.raises(RuleError):
                 build()
 
@@ -731,7 +764,7 @@ class TestExitKernel:
         pinned = 0
         for i in range(10):
             tr = ladder_trace(1, 2, sampler.sample(i), 6)
-            pinned += tr.finite_count - 1
+            pinned += len(tr.scaled_values) - 1
             again = ladder_trace(1, 2, tr.path, 6)
             assert again.path is tr.path
             assert again.times == tr.times

@@ -581,7 +581,8 @@ class TestMartingaleStepTest:
                 for m in (n, n + 1):
                     assert whole.skeleton_value(m) == fresh.skeleton_value(m)
                 step = fresh.skeleton_value(n + 1) - fresh.skeleton_value(n)
-                assert Fraction(_skeleton_step(whole, n), whole.den) == step
+                assert Fraction(_skeleton_step(whole, n),
+                                whole.ladder.den) == step
                 unobserved += not is_observed(tr.times[n])
                 moved += step != 0
         assert unobserved >= 20 and moved >= 20
