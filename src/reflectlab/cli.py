@@ -93,9 +93,9 @@ def parse_functional(spec: str):
         rule_spec = spec.split(":", 1)[1]
         return ValueAtRuleTime(parse_rule(rule_spec), rule_spec)
     if spec.startswith("value_at:"):
-        return ValueAtTime(float(spec.split(":", 1)[1]))
+        return ValueAtTime(_real("value_at time", spec.split(":", 1)[1]))
     if spec.startswith("hitting_time:"):
-        return HittingTime(float(spec.split(":", 1)[1]))
+        return HittingTime(_real("hitting_time level", spec.split(":", 1)[1]))
     raise ConfigurationError(f"cannot parse functional {spec!r}")
 
 

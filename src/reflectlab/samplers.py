@@ -44,7 +44,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import RuleError, SamplerError
 from .path import Path, _fast_path
-from .rational import _as_int
+from .rational import _as_int, _is_real
 from .stopping import _CALL, LevelLike, TwoSidedHit, _parse_level, _split_args
 
 __all__ = [
@@ -174,12 +174,17 @@ def _generators(seed: int, indices: Sequence[int], stream: int = 0):
         yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _check_seed(law) -> None:
-    """Validate a law's seed at construction, not at its first draw (which
-    may run in a helper process), and store it as an int: SamplerError unless
-    it is a nonnegative integer."""
+def _check_fields(law, *reals: str) -> None:
+    """Validate a law's fields at construction, not at its first draw (which
+    may run in a helper process): SamplerError unless its seed is a
+    nonnegative integer, stored as an int, and each field named in reals a
+    real number other than a bool (``_is_real``), kept as given."""
     seed = _as_int("seed", law.seed, SamplerError, nonnegative=True)
     object.__setattr__(law, "seed", seed)
+    for name in reals:
+        value = getattr(law, name)
+        if not _is_real(value):
+            raise SamplerError(f"{name} must be a real number, got {value!r}")
 
 
 @lru_cache(maxsize=16)
@@ -243,7 +248,7 @@ class BrownianMotion(_GridLaw):
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self)
+        _check_fields(self, "dt", "horizon")
         _grid(self.dt, self.horizon)
 
     def _rows(self, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +267,7 @@ class DriftedBM(_GridLaw):
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self)
+        _check_fields(self, "drift", "dt", "horizon")
         if not math.isfinite(self.drift):
             raise SamplerError(f"drift must be finite, got {self.drift!r}")
         _grid(self.dt, self.horizon)
@@ -289,7 +294,7 @@ class DyadicCounterexample:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self)
+        _check_fields(self, "horizon")
         if not 1.0 < self.horizon < math.inf:
             raise SamplerError("horizon must be finite and exceed the first "
                                "segment (1.0)")
@@ -312,7 +317,7 @@ class StoppedSymmetric:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self)
+        _check_fields(self)
         # built once, outside the fields, so repr and equality are the law's
         try:
             exit_rule = TwoSidedHit(self.level, self.level)
@@ -352,7 +357,7 @@ class OconeTimeChange(_GridLaw):
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self)
+        _check_fields(self, "dt", "horizon")
         if self.clock not in ("identity", "random_rate"):
             raise SamplerError(f"unknown clock spec {self.clock!r}")
         _grid(self.dt, self.horizon)

@@ -21,13 +21,14 @@ fall never changes a bit.  From knot 0 these sums are ``Path.values`` bit
 for bit, so a level passage and the ladder window that defines the same
 stopping time agree to the bit, and a scan from knot 0 reads that cache
 when the path already has it.  A window that ends at a knot anchored on one
-of its bounds is summed to that knot in one cumsum.
+of its bounds (``_first_anchor``) is summed to that knot in one cumsum.
 
 The kernel only locates the exit (time, knot or segment, side) and leaves the
-path alone.  Pinning it, a knot inserted at the exact target or an anchor
-written on an existing knot, is paid only where an annotated path is wanted:
-by ``observe`` and by the pivot of ``ComposeReflect``.  ``evaluate`` returns
-the same float as ``observe`` and never annotates.  Every level scan
+path alone.  Pinning it (``_pin_exit``), a knot inserted at the exact target
+or an anchor written on an existing knot, is paid only where an annotated
+path is wanted: by ``observe`` and by the pivot of ``ComposeReflect``.
+Level rules and ladder steps share that search and that pin.  ``evaluate``
+returns the same float as ``observe`` and never annotates.  Every level scan
 (``FirstPassage``, ``TwoSidedHit``), pinned or not, is memoized on the path
 it scanned, so every later ``observe``, ``evaluate``, reflection or pivot of
 the same rule on the same path object reads it instead of scanning again:
@@ -194,30 +195,22 @@ def _locate_exit(p: Path, k: int, lo: float, hi: float,
     return float(knots[anchor[0]]), anchor[0], anchor[1], False
 
 
-def _exit_rows(knots: np.ndarray, values: np.ndarray, lo: float,
-               hi: float) -> np.ndarray:
-    """The time ``_locate_exit(p, 0, lo, hi)`` gives, for every unanchored
-    path p on knots whose ``p.values`` is a row of values, NOT_OBSERVED
-    where it gives None.
+def _first_anchor(anchors, first: int, lo, hi) -> Optional[tuple[int, int]]:
+    """``_locate_exit``'s anchor for a scan past knot first: the least knot
+    j > first whose exact value in anchors, (j, value) pairs in any order,
+    is lo or hi, with its side, +1 for hi and -1 for lo; or None."""
+    found = min(((j, x) for j, x in anchors if j > first and x in (lo, hi)),
+                default=None)
+    return None if found is None else (found[0], 1 if found[1] == hi else -1)
 
-    Each row exits at its first knot outside (lo, hi): at that knot when it
-    is knot 0 or its sum is exactly on the bound crossed, else at the
-    crossing inside the segment that ends there.  The tests and the
-    formula are the scalar kernel's, applied to the columns.
-    """
-    out = (values <= lo) | (values >= hi)
-    j = out.argmax(axis=1)
-    rows = np.flatnonzero(out[np.arange(j.size), j])
-    j = j[rows]
-    u = values[rows, j]
-    target = np.where(u >= hi, hi, lo)
-    t = np.full(values.shape[0], NOT_OBSERVED)
-    t[rows] = knots[j]
-    inside = (u != target) & (j > 0)
-    rows, j = rows[inside], j[inside]
-    t[rows] = _interpolate(values[rows, j - 1], u[inside], knots[j - 1],
-                           knots[j], target[inside])
-    return t
+
+def _pin_exit(knots: _KnotInsertion, hit: Exit, v: float,
+              exact: Optional[Fraction]) -> int:
+    """Make an exit ``_locate_exit`` found on knots.p a knot: one inserted at
+    its time holding v when it crosses inside a segment, else exact recorded
+    on the knot it ends at; returns that knot's final index."""
+    t, j, _, inside = hit
+    return knots.insert(t, v, exact) if inside else knots.pin(j, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +358,8 @@ def _trace(ladder: LevelLadder, p: Path, times: tuple, directions: tuple,
     given, and tau_m is knot k of p.  From knot 0 that state is (0.0,),
     (), (0,) and k = 0."""
     den, steps, steps_f = ladder.den, ladder.scaled_steps, ladder.float_steps
-    grid = sorted((j, x.numerator * (den // x.denominator))
-                  for j, x in p.anchors.items() if den % x.denominator == 0)
+    grid = [(j, x.numerator * (den // x.denominator))
+            for j, x in p.anchors.items() if den % x.denominator == 0]
     knots = _KnotInsertion(p)
     times, directions, scaled = list(times), list(directions), list(scaled)
     base = scaled[-1]  # the exact value at the window start, times den
@@ -375,23 +368,18 @@ def _trace(ladder: LevelLadder, p: Path, times: tuple, directions: tuple,
     for step, step_f in zip(steps[m:], steps_f[m:]):
         hit = None
         if times[-1] != NOT_OBSERVED:  # absorbed: later steps stay unobserved
-            first = k if lead is None else k - 1
-            anchor = next(((j, 1 if x > base else -1) for j, x in grid
-                           if j > first and abs(x - base) == step), None)
+            anchor = _first_anchor(grid, k if lead is None else k - 1,
+                                   base - step, base + step)
             hit = _locate_exit(p, k, -step_f, step_f, anchor, lead)
         if hit is None:
             times.append(NOT_OBSERVED)
             directions.append(0)
             continue
         # every step is pinned: the next window restarts at this knot
-        t, j, side, inside = hit
+        t, _, side, _ = hit
         base += side * step
-        exact = Fraction(base, den)
-        if inside:
-            index = knots.insert(t, base / den, exact)
-        else:
-            index = knots.pin(j, exact)
-        k, lead = knots.resume(index)
+        k, lead = knots.resume(_pin_exit(knots, hit, base / den,
+                                         Fraction(base, den)))
         times.append(t)
         directions.append(side)
         scaled.append(base)
@@ -447,62 +435,70 @@ class StoppingRule:
 
 def _passage(p: Path, bounds: tuple[Bound, Bound],
              pin: bool) -> tuple[float, Path]:
-    """First exit from knot 0 through the bounds, pinned when pin is set: a
-    knot inserted at the target, or the target's exact value recorded as
-    the anchor of an existing knot.  A knot anchored at an exact target
-    decides the hit there, overriding a float crossing in the segment that
-    ends at it.
+    """First exit from knot 0 through the bounds, pinned when pin is set
+    (``_pin_exit``).  A knot anchored at an exact target decides the hit
+    there, overriding a float crossing in the segment that ends at it
+    (``_first_anchor``); an unanchored path or a float level skips that.
 
     Every scan, pinned or not, is memoized on p, in its ``__dict__`` beside
     the ``values`` cache, and serves every later call with the same bounds
     object: paths and rules are immutable and the scan is deterministic, so
-    the memo returns the bits a new scan would.  An entry holds bounds, the
-    time and what is known past it: the located exit (a call without pin
-    stores it, with no copy of p), or the pinned path.  A pinned call that
-    finds an exit pins from it without scanning and replaces the entry in
-    place.  The key is ``id(bounds)``; the entry holds bounds, so that id is
-    not reused while the entry lives, and a pickled path carries no memo
-    (``Path.__reduce__``).  When the pinned path is p itself (and when the
-    exit is not observed), the entry holds None, so a path never refers to
-    itself.  A memo keeps at most ``_MEMO_SIZE`` entries, so however many
-    rules ask about a long-lived path, its memo holds at most that many
-    pinned copies.
+    the memo returns the bits a new scan would.  Every entry is (bounds,
+    time, pinned copy, exit): a scan stores its exit and no copy, and the
+    first call with pin pins from that exit and stores the copy, with no
+    exit left to pin, in place.  The copy is not stored when it is p
+    itself, so a path never refers to itself.  The key is ``id(bounds)``;
+    the entry holds bounds, so that id is not reused while the entry lives,
+    and a pickled path carries no memo (``Path.__reduce__``).  A memo keeps
+    at most ``_MEMO_SIZE`` entries, so however many rules ask about a
+    long-lived path, its memo holds at most that many pinned copies.
     """
     memo = p.__dict__.setdefault("_passages", {})
     entry = memo.get(id(bounds))
-    if entry is not None and entry[0] is bounds:
-        t, found = entry[1], entry[2]
-        if not pin or found is None:
-            return t, p
-        if not isinstance(found, tuple):
-            return t, found
-        hit = found  # located by a call without pin, not pinned yet
-    else:
+    if entry is None:
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
         (lo_f, lo_q), (hi_f, hi_q) = bounds
         anchor = None
         if p.anchors and (lo_q is not None or hi_q is not None):
-            for j, x in p.anchors.items():
-                if j > 0 and (anchor is None or j < anchor[0]) \
-                        and x in (lo_q, hi_q):
-                    anchor = j, 1 if x == hi_q else -1
+            anchor = _first_anchor(p.anchors.items(), 0, lo_q, hi_q)
         hit = _locate_exit(p, 0, lo_f, hi_f, anchor)
-        t = NOT_OBSERVED if hit is None else hit[0]
-        if len(memo) >= _MEMO_SIZE and id(bounds) not in memo:
-            del memo[next(iter(memo))]
-    if hit is None or not pin:
-        memo[id(bounds)] = bounds, t, hit
-        return t, p
-    _, j, side, inside = hit
-    target_f, target_q = bounds[side == 1]
-    knots = _KnotInsertion(p)
-    if inside:
-        knots.insert(t, target_f if target_q is None else float(target_q),
-                     target_q)
-    else:
-        knots.pin(j, target_q)
-    pinned = knots.path()
-    memo[id(bounds)] = bounds, t, None if pinned is p else pinned
-    return t, pinned
+        entry = memo[id(bounds)] = (
+            bounds, NOT_OBSERVED if hit is None else hit[0], None, hit)
+    _, t, pinned, hit = entry
+    if pin and hit is not None:  # located, not pinned yet
+        knots = _KnotInsertion(p)
+        _pin_exit(knots, hit, *bounds[hit[2] == 1])  # at the bound crossed
+        pinned = knots.path()
+        memo[id(bounds)] = bounds, t, None if pinned is p else pinned, None
+    return t, (pinned if pin and pinned is not None else p)
+
+
+class _PassageRule(StoppingRule):
+    """A first exit from knot 0 through ``_bounds``, the rule's (floor,
+    ceiling) pair of Bounds, on one path or, by ``rows``, on a block."""
+
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        return _passage(p, self._bounds, pin)
+
+    def rows(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The time ``evaluate`` gives on each unanchored path on knots
+        whose ``values`` is a row of values, bit for bit: the tests and the
+        formula of ``_locate_exit`` from knot 0, applied to the columns."""
+        (lo, _), (hi, _) = self._bounds
+        out = (values <= lo) | (values >= hi)
+        j = out.argmax(axis=1)
+        rows = np.flatnonzero(out[np.arange(j.size), j])
+        j = j[rows]
+        u = values[rows, j]
+        target = np.where(u >= hi, hi, lo)
+        t = np.full(values.shape[0], NOT_OBSERVED)
+        t[rows] = knots[j]
+        inside = (u != target) & (j > 0)
+        rows, j = rows[inside], j[inside]
+        t[rows] = _interpolate(values[rows, j - 1], u[inside], knots[j - 1],
+                               knots[j], target[inside])
+        return t
 
 
 @dataclass(frozen=True)
@@ -527,7 +523,7 @@ class FixedTime(StoppingRule):
 
 
 @dataclass(frozen=True)
-class FirstPassage(StoppingRule):
+class FirstPassage(_PassageRule):
     """First time the path attains a level."""
 
     level: LevelLike
@@ -538,12 +534,9 @@ class FirstPassage(StoppingRule):
                            (_NO_FLOOR, level) if level[0] >= 0.0
                            else (level, _NO_CEILING))
 
-    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
-        return _passage(p, self._bounds, pin)
-
 
 @dataclass(frozen=True)
-class TwoSidedHit(StoppingRule):
+class TwoSidedHit(_PassageRule):
     """First exit from the interval (-a, b): the minimum of the passage times
     at -a and at b, for positive a and b."""
 
@@ -557,9 +550,6 @@ class TwoSidedHit(StoppingRule):
             raise RuleError("two-sided barriers must be positive")
         object.__setattr__(self, "_bounds",
                            ((-lo_f, None if lo_q is None else -lo_q), hi))
-
-    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
-        return _passage(p, self._bounds, pin)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,6 @@ from .stopping import (
     StoppingRule,
     TimeCompare,
     TwoSidedHit,
-    _exit_rows,
     _reflected_trace,
     ladder_trace,
 )
@@ -491,8 +490,7 @@ class HittingTime:
         return t if is_observed(t) else p.horizon + 1.0
 
     def rows(self, knots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        (lo, _), (hi, _) = self._rule._bounds
-        t = _exit_rows(knots, values, lo, hi)
+        t = self._rule.rows(knots, values)
         t[t == NOT_OBSERVED] = float(knots[-1]) + 1.0
         return t
 
@@ -1143,8 +1141,10 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     time evaluated after exit_alignment_power(e) applications of the advance
     map (rewinding when negative); unobserved on both sides in the truncated
     case.  Draws continue until every word has min_per_word checks or the
-    draw cap is reached (falling short is a failure)."""
-    _as_int("n", n, ConfigurationError)
+    draw cap is reached (falling short is a failure).  n must be at least 1:
+    tau_0 = 0 is never an exit time."""
+    if _as_int("n", n, ConfigurationError) == 0:
+        raise ConfigurationError("n must be at least 1, got 0")
     if _as_int("min_per_word", min_per_word, ConfigurationError) < 1:
         raise ConfigurationError(
             f"min_per_word must be at least 1, got {min_per_word}")

@@ -4,12 +4,17 @@ One test per acceptance criterion, each at its stated tolerance and runtime
 budget; a summary line is printed per criterion.  Every Monte Carlo run but
 the sequential alignment search (criterion 5) shards its draws across two
 workers.  The per-draw rows are reduced in draw-index order, so every
-statistic is bit-identical to a serial run (checked in test_verify).
+statistic is bit-identical to a serial run (checked in test_verify).  Each
+criterion's reports must also be byte-identical to those of its latest
+committed record (``RECORDS``).
 """
 
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from reflectlab import (
     BrownianMotion,
@@ -30,6 +35,13 @@ from reflectlab import (
 from reflectlab.verify import default_functionals
 
 WORKERS = 2
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The latest committed record, ``BENCH_criteria_<name>.json``, of each
+#: criterion: every run must give its sha256 of each report's ``to_json()``.
+RECORDS = {1: "int-rule", 2: "int-rule", 3: "reflect-memo", 4: "ladder-grid",
+           5: "ladder-grid", 6: "forked-helpers", 7: "forked-helpers",
+           8: "ladder-grid", 9: "int-rule"}
 
 
 def _bound_family():
@@ -76,6 +88,14 @@ def report_line(number, label, ok, elapsed, detail=""):
           f"[{elapsed:.1f}s] {detail}")
 
 
+def check_digests(number, reports):
+    """Each report of the criterion hashes as in its committed record."""
+    record = json.loads(
+        (ROOT / f"BENCH_criteria_{RECORDS[number]}.json").read_text())
+    assert [hashlib.sha256(r.to_json().encode()).hexdigest()
+            for r in reports] == record["criteria"][str(number)]["sha256"]
+
+
 def test_criterion_1_exhaustive_advance_formula():
     t0 = time.time()
     rep, = CRITERIA[1]()
@@ -85,6 +105,7 @@ def test_criterion_1_exhaustive_advance_formula():
                 f"{rep.sample_size} comparisons")
     assert rep.verdict == "pass"
     assert elapsed < 60
+    check_digests(1, [rep])
 
 
 def test_criterion_2_non_dyadic_sweep():
@@ -96,6 +117,7 @@ def test_criterion_2_non_dyadic_sweep():
                 f"{rep.sample_size} triples")
     assert rep.verdict == "pass"
     assert elapsed < 60
+    check_digests(2, [rep])
 
 
 def test_criterion_3_pathwise_stability():
@@ -109,6 +131,7 @@ def test_criterion_3_pathwise_stability():
                 f"{fails['max_normalized_deviation']:.2e}")
     assert rep.verdict == "pass", fails
     assert elapsed < 120
+    check_digests(3, [rep])
 
 
 def test_criterion_4_sign_dynamics_identities():
@@ -121,6 +144,7 @@ def test_criterion_4_sign_dynamics_identities():
                 str(fails))
     assert rep.verdict == "pass", fails
     assert elapsed < 120
+    check_digests(4, [rep])
 
 
 def test_criterion_5_alignment_contract():
@@ -135,6 +159,7 @@ def test_criterion_5_alignment_contract():
                 f"over {rep.sample_size} draws")
     assert rep.verdict == "pass", {k: s.value for k, s in stats.items()}
     assert elapsed < 300
+    check_digests(5, [rep])
 
 
 def test_criterion_6_counterexample_reproduction():
@@ -149,13 +174,15 @@ def test_criterion_6_counterexample_reproduction():
                 f"(4 SE = {mean_stat.threshold:.5f})")
     assert rep.verdict == "pass", {k: s.value for k, s in stats.items()}
     assert elapsed < 120
+    check_digests(6, [rep])
 
 
 def test_criterion_7_bound_family():
     t0 = time.time()
     worst_ratio = 0.0
     all_ok = True
-    for rep in CRITERIA[7]():
+    reports = CRITERIA[7]()
+    for rep in reports:
         stat = rep.statistics[0]
         # stricter than the generic bound: the sampled law is an exact
         # martingale here, so the mean itself must sit within 4 SE of 0
@@ -168,6 +195,7 @@ def test_criterion_7_bound_family():
                 f"worst |mean|/SE = {worst_ratio:.2f}")
     assert all_ok
     assert elapsed < 300
+    check_digests(7, reports)
 
 
 def test_criterion_8_martingale_steps():
@@ -186,6 +214,7 @@ def test_criterion_8_martingale_steps():
                                    for s in rep.statistics
                                    if s.verdict == "fail"]
     assert elapsed < 300
+    check_digests(8, [rep])
 
 
 def test_criterion_9_drift_negative_control():
@@ -200,3 +229,4 @@ def test_criterion_9_drift_negative_control():
     assert rep.verdict == "fail"
     assert min_p < 1e-3
     assert elapsed < 120
+    check_digests(9, [rep])

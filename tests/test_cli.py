@@ -636,6 +636,14 @@ class TestFunctionalSpecs:
         with pytest.raises(ConfigurationError):
             parse_functional("median")
 
+    @pytest.mark.parametrize("spec", ["value_at:x", "hitting_time:x",
+                                      "value_at:", "hitting_time:1/2"])
+    def test_unparsable_number_is_a_configuration_error(self, spec):
+        # float() raised a bare ValueError
+        with pytest.raises(ConfigurationError) as info:
+            parse_functional(spec)
+        assert type(info.value) is ConfigurationError
+
     def test_non_finite_hitting_level_rejected_at_parse(self):
         with pytest.raises(RuleError):
             parse_functional("hitting_time:nan")

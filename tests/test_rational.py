@@ -1,6 +1,6 @@
 """The package's integer rule (``rational._as_int``) and its real-time rule
 (``rational._is_real``), at every entry point that takes a count, an index,
-a length, a power, a time or an exact level."""
+a length, a power, a time, an exact level or a law's real field."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,14 @@ from reflectlab import (
 )
 from reflectlab.errors import ConfigurationError
 from reflectlab.rational import _as_int
-from reflectlab.samplers import _LAW_BUILDERS, BrownianMotion, parse_law
+from reflectlab.samplers import (
+    _LAW_BUILDERS,
+    BrownianMotion,
+    DriftedBM,
+    DyadicCounterexample,
+    OconeTimeChange,
+    parse_law,
+)
 from reflectlab.verify import ValueAtTime
 
 _PATH = BrownianMotion(dt=0.05, horizon=2.0, seed=3).sample(0)
@@ -57,6 +64,16 @@ _ROWS = {
     "TwoSidedHit.a": (lambda v: TwoSidedHit(v, 2), RuleError, (True,)),
     "ladder_levels.a": (lambda v: ladder_levels(v, 2, 3), RuleError,
                         (True, 2.5)),
+    # a law's real fields: True ran as 1.0 and was recorded as true, and a
+    # string ended in a TypeError
+    "BrownianMotion.dt": (lambda v: BrownianMotion(dt=v, horizon=2.0),
+                          SamplerError, (True, "0.1")),
+    "BrownianMotion.horizon": (lambda v: BrownianMotion(dt=0.5, horizon=v),
+                               SamplerError, (True, "1")),
+    "DriftedBM.drift": (lambda v: DriftedBM(v, dt=0.5, horizon=1.0),
+                        SamplerError, (True, "1")),
+    "OconeTimeChange.dt": (lambda v: OconeTimeChange(dt=v, horizon=2.0),
+                           SamplerError, (True, "0.1")),
 }
 
 
@@ -77,6 +94,19 @@ def test_entry_point_rejects_bool_and_non_integer(row):
 def test_entry_point_takes_numpy_integer(row):
     call, _, _ = _ROWS[row]
     assert call(np.int64(1)) == call(1)
+
+
+@pytest.mark.parametrize("value", [True, "3"])
+def test_counterexample_horizon_is_real(value):
+    with pytest.raises(SamplerError) as info:
+        DyadicCounterexample(horizon=value)
+    assert type(info.value) is SamplerError
+
+
+def test_law_fields_kept_as_given():
+    # checked, not converted: the counterexample golden records horizon=11
+    assert repr(DriftedBM(1, dt=0.5, horizon=1)) == \
+        "DriftedBM(drift=1, dt=0.5, horizon=1, seed=0)"
 
 
 def test_ladder_step_stores_an_int():

@@ -596,6 +596,20 @@ class TestExitKernel:
         assert tr.path.knots.size == p.knots.size + 1
         assert tr.path.anchors == {1: F(1), 2049 + lead: F(2)}
 
+    @pytest.mark.parametrize("rule", [FirstPassage(1), TwoSidedHit(2, 1),
+                                      LadderStep(1, 2, 1)])
+    def test_earliest_anchor_wins_whatever_the_dict_order(self, rule):
+        # the float sums sit one ulp below 1 at knots 1 and 3, both anchored
+        # at 1, and the anchors dict lists knot 3 first
+        below = math.nextafter(1.0, 0.0)
+        anchors = {3: F(1), 1: F(1)}
+        p = Path(np.arange(5.0), np.array([below, -0.5, 0.5, 1.0]), anchors)
+        assert p.values[1] == p.values[3] == below
+        assert rule.evaluate(p) == 1.0
+        t, q = rule.observe(Path(p.knots, p.increments, anchors))  # no memo
+        assert t == 1.0
+        assert q.knots.size == p.knots.size and q.anchors == anchors
+
     # later seams: the second block holds 4096 summands, the third 8192
     FINE = 2.0 ** -14  # up to 2**14 steps of this size sum exactly
     SEAMS = [2048 + 4096, 2048 + 4096 + 8192]

@@ -857,6 +857,17 @@ class TestSignIdentitySuite:
 
 
 class TestExitAlignment:
+    def test_empty_words_rejected_before_any_draw(self, monkeypatch):
+        # tau_0 = 0 never equals an exit time, so every run failed
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(ConfigurationError,
+                           match="n must be at least 1, got 0"):
+            exit_alignment_test(BrownianMotion(dt=0.01, horizon=3.0), 1, 2,
+                                0, 1, 50, seed=1)
+
     def test_negative_word_length_rejected(self, monkeypatch):
         # all_words(-1) recursed until RecursionError
         def no_draws(self, index):
