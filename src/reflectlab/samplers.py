@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -45,12 +45,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import RuleError, SamplerError
 from .path import Path, _fast_path
 from .rational import _as_int, _is_real
-from .stopping import _CALL, LevelLike, TwoSidedHit, _parse_level, _split_args
-
-__all__ = [
-    "BrownianMotion", "DriftedBM", "DyadicCounterexample", "OconeTimeChange",
-    "StoppedSymmetric", "parse_law", "Sampler",
-]
+from .stopping import LevelLike, TwoSidedHit, _parse_call, _parse_level
 
 
 # The SeedSequence hash of numpy's bit_generator.pyx (stable since numpy
@@ -378,60 +373,47 @@ class OconeTimeChange(_GridLaw):
         return knots, _scaled_normals(self.seed, indices, root_steps)
 
 
-Sampler = Union[BrownianMotion, DriftedBM, DyadicCounterexample,
-                StoppedSymmetric, OconeTimeChange]
-
-
 # law spec strings, e.g. bm(dt=1e-3,T=10), drift(0.5), counterexample(),
 # ocone(clock=random_rate,T=10), stopped(level=1,T=10)
 
-#: law name -> (sampler class, its arguments in positional order)
+_DT = ("dt", "dt", float)
+_T = ("T", "horizon", float)
+
+#: law name -> (sampler class, one (spec name, field, value parser) row per
+#: argument, in positional order)
 _LAW_BUILDERS = {
-    "bm": (BrownianMotion, ("dt", "T")),
-    "drift": (DriftedBM, ("mu", "dt", "T")),
-    "counterexample": (DyadicCounterexample, ("T",)),
-    "ocone": (OconeTimeChange, ("clock", "dt", "T")),
-    "stopped": (StoppedSymmetric, ("level", "dt", "T")),
+    "bm": (BrownianMotion, (_DT, _T)),
+    "drift": (DriftedBM, (("mu", "drift", float), _DT, _T)),
+    "counterexample": (DyadicCounterexample, (_T,)),
+    "ocone": (OconeTimeChange, (("clock", "clock", str), _DT, _T)),
+    "stopped": (StoppedSymmetric, (("level", "level", _parse_level), _DT, _T)),
 }
 
-#: argument name -> sampler field, for the names that differ
-_KEY_MAP = {"T": "horizon", "mu": "drift"}
 
-#: sampler field -> value parser, for the fields that are not floats
-_VALUE_PARSERS = {"clock": str, "level": _parse_level}
-
-
-def parse_law(spec: str, seed: int = 0) -> Sampler:
+def parse_law(spec: str, seed: int = 0):
     """Parse a law spec string into a sampler with the given seed.  An
-    argument is named as in the spec or by its field (T or horizon)."""
-    m = _CALL.match(spec.strip())
-    if not m:
-        raise SamplerError(f"cannot parse law {spec!r}")
-    name, inside = m.group(1), m.group(2)
-    if name not in _LAW_BUILDERS:
-        raise SamplerError(f"unknown law {name!r}")
-    cls, positional = _LAW_BUILDERS[name]
-    fields = [_KEY_MAP.get(key, key) for key in positional]
-    try:
-        args = _split_args(inside)
-    except RuleError as exc:
-        raise SamplerError(f"cannot parse law {spec!r}") from exc
+    argument is given by position, by its name in the spec or by its field
+    (T or horizon).  SamplerError for every malformed spec; an empty
+    argument (``bm(,2)``) or an unbalanced parenthesis names the whole
+    spec."""
+    name, (cls, rows), args = _parse_call(spec, _LAW_BUILDERS, "law",
+                                          SamplerError)
     kwargs: dict = {}
     for i, arg in enumerate(args):
-        if "=" in arg:
-            given, val = (s.strip() for s in arg.split("=", 1))
-        elif i < len(positional):
-            given, val = positional[i], arg
-        else:
-            raise SamplerError(f"too many positional args in {spec!r}")
-        key = _KEY_MAP.get(given, given)
-        if key not in fields:
+        if "=" not in arg:  # a positional argument, named by its row
+            if i >= len(rows):
+                raise SamplerError(f"too many positional args in {spec!r}")
+            arg = f"{rows[i][0]}={arg}"
+        given, val = (s.strip() for s in arg.split("=", 1))
+        row = next((row for row in rows if given in row[:2]), None)
+        if row is None:
             raise SamplerError(f"unknown argument {given!r} of {name!r} in "
                                f"{spec!r}")
+        _, key, parse = row
         if key in kwargs:
             raise SamplerError(f"repeated argument {given!r} in {spec!r}")
         try:
-            kwargs[key] = _VALUE_PARSERS.get(key, float)(val)
+            kwargs[key] = parse(val)
         except ValueError as exc:
             raise SamplerError(f"bad value {val!r} for {key!r} in "
                                f"{spec!r}") from exc

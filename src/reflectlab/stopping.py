@@ -704,23 +704,34 @@ class ComposeReflect(StoppingRule):
 
 
 # ---------------------------------------------------------------------------
-# rule mini-grammar
+# spec grammars: the rule grammar, and the call lexer that the law grammar
+# (samplers.parse_law) shares with it
 # ---------------------------------------------------------------------------
 
-_CALL = re.compile(r"^([A-Za-z_]+)\((.*)\)$", re.S)
-
-
-def _split_args(s: str) -> list[str]:
+def _parse_call(spec: str, table: dict, what: str, error: type):
+    """Lex ``name(arg,...)``, one call of the rule or the law grammar: the
+    name, its entry in table and the arguments, split at the commas outside
+    inner parentheses and stripped.  error("cannot parse <what> '<spec>'")
+    when the parentheses do not balance or an argument is empty, and
+    error("unknown <what> '<name>'") for a name not in table."""
+    spec = spec.strip()
+    m = re.fullmatch(r"([A-Za-z_]+)\((.*)\)", spec, re.S)
+    # name() has no argument; the comma appended ends the last one
+    inside = m.group(2) + "," if m and m.group(2).strip() else ""
     args, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
+    for i, ch in enumerate(inside):
         depth += (ch == "(") - (ch == ")")
         if depth < 0:
-            raise RuleError(f"unbalanced parentheses in {s!r}")
+            break
         if ch == "," and depth == 0:
-            args.append(s[start:i])
+            args.append(inside[start:i].strip())
             start = i + 1
-    args.append(s[start:])
-    return [a.strip() for a in args if a.strip()]
+    if not m or depth or "" in args:
+        raise error(f"cannot parse {what} {spec!r}")
+    name = m.group(1)
+    if name not in table:
+        raise error(f"unknown {what} {name!r}")
+    return name, table[name], args
 
 
 def _parse_level(s: str) -> LevelLike:
@@ -749,17 +760,10 @@ def parse_rule(spec: str) -> StoppingRule:
         level := integer | 'p/q' | decimal
 
     Rational-looking levels ('1', '1/2') are kept exact; decimals become
-    floats.  Every malformed spec raises RuleError.
+    floats.  Every malformed spec raises RuleError; an empty argument
+    (``Tpm(1,,2)``) or an unbalanced parenthesis names the whole spec.
     """
-    spec = spec.strip()
-    m = _CALL.match(spec)
-    if not m:
-        raise RuleError(f"cannot parse rule {spec!r}")
-    name, inside = m.group(1), m.group(2)
-    args = _split_args(inside)
-    if name not in _RULES:
-        raise RuleError(f"unknown rule {name!r}")
-    cls, parsers = _RULES[name]
+    name, (cls, parsers), args = _parse_call(spec, _RULES, "rule", RuleError)
     if len(args) != len(parsers):
         raise RuleError(f"{name} expects {len(parsers)} argument(s), "
                         f"got {len(args)}")

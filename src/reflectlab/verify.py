@@ -716,6 +716,7 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
     failure.  The bound is only meaningful for laws invariant under the sign
     flip and the exit reflection with a non-dyadic a/(a+b); a dyadic ratio is
     annotated in the report, since the bound can genuinely fail there.
+    A run needs at least two draws, and a + b a finite float value.
     """
     a = as_rational(a)
     b = as_rational(b)
@@ -726,6 +727,13 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
         raise ConfigurationError(f"a, b and bound_cap must be positive and "
                                  f"bound_cap finite, got {a}, {b} and "
                                  f"{bound_cap!r}")
+    try:
+        bound = float(a + b)
+    except OverflowError:
+        raise ConfigurationError("a + b has no finite float value") from None
+    if _as_int("a draw count", n_draws, ConfigurationError) < 2:
+        raise ConfigurationError(
+            f"bound_check needs at least 2 draws, got {n_draws}")
     sampler = _reseeded(sampler, seed)
     xs, sup = [], 0.0
     for x, running in _each_draw(
@@ -734,7 +742,7 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
         xs.append(x)
         sup = max(sup, running)
     mean = float(np.mean(xs))
-    se = float(np.std(xs, ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
+    se = float(np.std(xs, ddof=1) / math.sqrt(len(xs)))
     notes = []
     if is_dyadic(a / (a + b)):
         notes.append(
@@ -747,9 +755,9 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
         seed=sampler.seed,
         sample_size=n_draws,
         statistics=[
-            Statistic.judged("stopped_mean", mean,
-                             float(a + b) + SE_BAND * se, "abs_below", se=se,
-                             bound=float(a + b), sup_observed=sup),
+            Statistic.judged("stopped_mean", mean, bound + SE_BAND * se,
+                             "abs_below", se=se, bound=bound,
+                             sup_observed=sup),
         ],
         notes=notes,
     )
@@ -1272,7 +1280,10 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     c = as_rational(c)
     if c <= 1:
         raise ConfigurationError("c must exceed 1")
-    horizon = max(5.0, 2.0 + float(c))  # the exit of (-2, c) is observed
+    try:  # the exit of (-2, c) is observed
+        horizon = max(5.0, 2.0 + float(c))
+    except OverflowError:
+        raise ConfigurationError("c has no finite float value") from None
     sampler = DyadicCounterexample(horizon=horizon, seed=seed)
     exit_wide = TwoSidedHit(2, c)
     exit_unit = TwoSidedHit(1, 1)

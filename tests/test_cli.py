@@ -495,6 +495,21 @@ class TestConfigKeys:
             capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("kind, keys, message", [
+        ("bound", ("a", "b"), "a + b has no finite float value"),
+        ("counterexample", ("c",), "c has no finite float value"),
+    ], ids=["bound", "counterexample"])
+    def test_overflowing_barrier_exit_one(self, kind, keys, message,
+                                          tmp_path, capsys):
+        # a Python traceback from float() used to end the run
+        big = str(10 ** 400)
+        path = write_config(tmp_path,
+                            **{**KINDS[kind], **dict.fromkeys(keys, big)},
+                            out_dir=str(tmp_path / "out"))
+        assert main(["run", path]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_bound_infinite_cap_exit_one(self, tmp_path, capsys):
         # it ran with the cap turned off and passed with |path| above a + b
         path = write_config(tmp_path, **{**KINDS["bound"], "bound_cap": "inf"},

@@ -18,13 +18,15 @@ from reflectlab import (
     DriftedBM,
     DyadicCounterexample,
     OconeTimeChange,
+    RuleError,
     SamplerError,
     StoppedSymmetric,
     TwoSidedHit,
     parse_law,
+    parse_rule,
     value_at,
 )
-from reflectlab.samplers import _generators, _seed_words
+from reflectlab.samplers import _LAW_BUILDERS, _generators, _seed_words
 
 
 class TestReproducibility:
@@ -325,6 +327,66 @@ class TestLawGrammar:
         assert parse_law("bm(horizon=2,dt=0.5)") == BrownianMotion(
             dt=0.5, horizon=2.0)
         assert parse_law("drift(drift=0.5)") == DriftedBM(drift=0.5)
+
+    def test_empty_call_takes_the_defaults(self):
+        assert parse_law("bm()") == BrownianMotion()
+        assert parse_law("counterexample( )") == DyadicCounterexample()
+
+    # sampler field -> (its value in a spec, the value parsed), each unlike
+    # the field's default
+    FIELD_VALUES = {"dt": ("0.5", 0.5), "horizon": ("2", 2.0),
+                    "drift": ("0.25", 0.25),
+                    "clock": ("random_rate", "random_rate"),
+                    "level": ("1/2", Fraction(1, 2))}
+
+    @pytest.mark.parametrize("name", sorted(_LAW_BUILDERS))
+    def test_position_spec_name_and_field_name_agree(self, name):
+        _, rows = _LAW_BUILDERS[name]
+        given = [(arg, field, self.FIELD_VALUES[field][0])
+                 for arg, field, _ in rows]
+        by_position = ",".join(value for _, _, value in given)
+        # the named forms in reverse order, so the names place the values
+        by_arg = ",".join(f"{arg}={value}" for arg, _, value in given[::-1])
+        by_field = ",".join(f"{field}={value}"
+                            for _, field, value in given[::-1])
+        laws = [parse_law(f"{name}({args})", seed=3)
+                for args in (by_position, by_arg, by_field)]
+        assert laws[0] == laws[1] == laws[2]
+        for _, field, _ in rows:
+            assert getattr(laws[0], field) == self.FIELD_VALUES[field][1]
+
+
+#: grammar -> (its parser, its error)
+_GRAMMARS = {"rule": (parse_rule, RuleError), "law": (parse_law, SamplerError)}
+
+
+def _assert_names_the_spec(what, spec):
+    parse, error = _GRAMMARS[what]
+    with pytest.raises(error) as info:
+        parse(spec)
+    assert str(info.value) == f"cannot parse {what} {spec.strip()!r}"
+
+
+class TestSpecLexer:
+    # each used to run with its empty argument dropped: bm(,2) as bm(dt=2)
+    @pytest.mark.parametrize("what, spec", [
+        ("law", "bm(,2)"), ("law", "bm(dt=0.1,)"), ("law", "bm(,)"),
+        ("rule", "Tpm(1,,2)"), ("rule", "min(hit(1),,fixed(1))"),
+        ("rule", "hit(,)"),
+    ])
+    def test_empty_argument_rejected(self, what, spec):
+        _assert_names_the_spec(what, spec)
+
+    @pytest.mark.parametrize("what, spec", [
+        ("rule", "hit(1))"),  # named '1)' only
+        ("rule", "Tpm(1,2"),
+        ("rule", "min(hit(1),hit(2)"),  # named 'hit(2' only
+        ("law", "bm(dt=0.1))"),
+        ("law", " bm(dt=0.1)) "),
+        ("law", "bm(dt=(0.1)"),  # a bad value '(0.1' for 'dt'
+    ])
+    def test_unbalanced_parentheses_name_the_whole_spec(self, what, spec):
+        _assert_names_the_spec(what, spec)
 
 
 class TestGridSamplers:

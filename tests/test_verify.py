@@ -7,6 +7,7 @@ import operator
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -516,6 +517,22 @@ class TestBoundCheck:
             bound_check(BrownianMotion(dt=0.05, horizon=1.0, seed=56), a, b,
                         FixedTime(1.0), bound_cap=bound_cap, n_draws=100)
 
+    @pytest.mark.parametrize("a, b, n_draws, message", [
+        # it drew every path, then raised OverflowError at float(a + b)
+        (10 ** 400, 10 ** 400, 5, "a + b has no finite float value"),
+        # it judged one value against a + b with se = 0.0
+        (1, 2, 1, "bound_check needs at least 2 draws, got 1"),
+    ], ids=["overflowing-barrier", "one-draw"])
+    def test_rejected_before_any_draw(self, a, b, n_draws, message,
+                                      monkeypatch):
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            bound_check(BrownianMotion(dt=0.1, horizon=1.0), a, b,
+                        FixedTime(1.0), 10.0, n_draws, seed=1)
+
     @pytest.mark.parametrize("build", [
         lambda: FirstPassage(True),
         lambda: TwoSidedHit(True, 2),
@@ -898,6 +915,16 @@ class TestCounterexampleDemo:
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError):
                 counterexample_demo(n_draws)
+
+    def test_overflowing_barrier_rejected_before_any_draw(self, monkeypatch):
+        # float(c) raised a bare OverflowError
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
+        with pytest.raises(ConfigurationError,
+                           match="c has no finite float value"):
+            counterexample_demo(1000, c=10 ** 400)
 
 
 _SHARDED = {
