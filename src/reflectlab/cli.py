@@ -313,7 +313,11 @@ def run_config(cfg: dict) -> int:
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     env_seed = os.environ.get("REFLECTLAB_SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigurationError(f"REFLECTLAB_SEED must be an integer, "
+                                     f"got {env_seed!r}") from None
     for key, val in vars(args).items():
         if key in _KEYS and val is not None:
             cfg[key] = val
@@ -353,7 +357,11 @@ def main(argv=None) -> int:
     p_demo.add_argument("--c", default=None)
     common(p_demo)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # 2, argparse's status for a usage error, means a verdict failed
+        return 1 if exc.code else 0
     try:
         if args.command == "run":
             with open(args.config) as fp:

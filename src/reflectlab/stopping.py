@@ -76,11 +76,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DyadicRatioError, MixturePartitionError, RuleError
+from .errors import (ConfigurationError, DyadicRatioError,
+                     MixturePartitionError, RuleError)
 from .path import (
     NOT_OBSERVED,
     _MEMO_SIZE,
@@ -301,6 +303,18 @@ def ladder_levels(a: LevelLike, b: LevelLike, n: int) -> LevelLadder:
                          tuple(int(s * den) for s in steps))
     assert ladder.violations() == 0
     return ladder
+
+
+def _checked_ladder(a: LevelLike, b: LevelLike, n: int,
+                    words: bool = False) -> tuple[Fraction, Fraction]:
+    """a and b as rationals, checked with n as a trace of n steps checks
+    them, float steps included, before any draw.  With words set, n is a
+    word length, and 0, which would check nothing, is rejected first."""
+    if words and _as_int("n", n, ConfigurationError) == 0:
+        raise ConfigurationError("n must be at least 1, got 0")
+    ladder = ladder_levels(a, b, n)
+    ladder.float_steps
+    return ladder.a, ladder.b
 
 
 @dataclass(frozen=True)
@@ -565,8 +579,7 @@ class LadderStep(StoppingRule):
         if n < 0:
             raise RuleError("ladder index must be nonnegative")
         object.__setattr__(self, "n", n)
-        # a, b, their ratio and the float steps are checked here, not in a trace
-        ladder_levels(self.a, self.b, n).float_steps
+        _checked_ladder(self.a, self.b, n)
 
     def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
         # the trace pins every step, with or without pin
@@ -761,14 +774,24 @@ def parse_rule(spec: str) -> StoppingRule:
 
     Rational-looking levels ('1', '1/2') are kept exact; decimals become
     floats.  Every malformed spec raises RuleError; an empty argument
-    (``Tpm(1,,2)``) or an unbalanced parenthesis names the whole spec.
+    (``Tpm(1,,2)``) or an unbalanced parenthesis names the whole spec; one
+    nested more than ``_MAX_RULE_DEPTH`` calls deep is rejected first.
     """
+    depth = max(accumulate((ch == "(") - (ch == ")") for ch in spec),
+                default=0)
+    if depth > _MAX_RULE_DEPTH:
+        raise RuleError(f"rule spec nested {depth} calls deep; at most "
+                        f"{_MAX_RULE_DEPTH} are taken")
     name, (cls, parsers), args = _parse_call(spec, _RULES, "rule", RuleError)
     if len(args) != len(parsers):
         raise RuleError(f"{name} expects {len(parsers)} argument(s), "
                         f"got {len(args)}")
     return cls(*(parse(arg) for parse, arg in zip(parsers, args)))
 
+
+#: The deepest nesting of calls parse_rule takes: a rule's repr recurses
+#: three frames a level, so about 330 exhaust the default recursion limit.
+_MAX_RULE_DEPTH = 100
 
 #: rule name -> (rule class, one parser per argument)
 _RULES = {

@@ -16,6 +16,8 @@ Conventions
   null is preserved under invariance.
 * every report records seed, sizes, statistics and thresholds; verdicts are
   recomputable from the recorded numbers alone.
+* every drawing suite builds its report with ``TestReport.drawn``, which
+  records the law (``params.law``) and seed of the sampler it reseeded.
 
 Block draws
 -----------
@@ -109,6 +111,7 @@ from .stopping import (
     StoppingRule,
     TimeCompare,
     TwoSidedHit,
+    _checked_ladder,
     _reflected_trace,
     ladder_trace,
 )
@@ -164,6 +167,15 @@ class TestReport:
     sample_size: int
     statistics: list[Statistic]
     notes: list[str] = field(default_factory=list)
+
+    @classmethod
+    def drawn(cls, name: str, sampler, n_draws: int,
+              statistics: list[Statistic], notes: Sequence[str] = (),
+              **params) -> "TestReport":
+        """The report of a suite that drew n_draws paths from sampler, as
+        reseeded for the run, whose law and seed replay the verdict."""
+        return cls(name, {"law": repr(sampler), **params}, sampler.seed,
+                   n_draws, statistics, list(notes))
 
     @property
     def verdict(self) -> str:
@@ -676,14 +688,9 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
         partial(_invariance_block, sampler, rule, list(functionals)),
         n_draws, workers, _block_size(sampler))), axis=-1)
     stats = _ks_statistics(functionals, *values, alpha)
-    return TestReport(
-        name="invariance",
-        params={"law": repr(sampler), "rule": repr(rule), "alpha": alpha,
-                "bonferroni": sum(s.verdict != "skip" for s in stats)},
-        seed=sampler.seed,
-        sample_size=n_draws,
-        statistics=stats,
-    )
+    return TestReport.drawn(
+        "invariance", sampler, n_draws, stats, rule=repr(rule), alpha=alpha,
+        bonferroni=sum(s.verdict != "skip" for s in stats))
 
 
 # ---------------------------------------------------------------------------
@@ -743,24 +750,14 @@ def bound_check(sampler, a: LevelLike, b: LevelLike, rule: StoppingRule,
         sup = max(sup, running)
     mean = float(np.mean(xs))
     se = float(np.std(xs, ddof=1) / math.sqrt(len(xs)))
-    notes = []
-    if is_dyadic(a / (a + b)):
-        notes.append(
-            f"a/(a+b) = {a / (a + b)} is dyadic: the invariance hypothesis "
-            "behind the bound does not hold, result is informational")
-    return TestReport(
-        name="bound_check",
-        params={"law": repr(sampler), "a": a, "b": b, "rule": repr(rule),
-                "bound_cap": bound_cap},
-        seed=sampler.seed,
-        sample_size=n_draws,
-        statistics=[
-            Statistic.judged("stopped_mean", mean, bound + SE_BAND * se,
-                             "abs_below", se=se, bound=bound,
-                             sup_observed=sup),
-        ],
-        notes=notes,
-    )
+    notes = [] if not is_dyadic(a / (a + b)) else [
+        f"a/(a+b) = {a / (a + b)} is dyadic: the invariance hypothesis "
+        "behind the bound does not hold, result is informational"]
+    stats = [Statistic.judged("stopped_mean", mean, bound + SE_BAND * se,
+                              "abs_below", se=se, bound=bound,
+                              sup_observed=sup)]
+    return TestReport.drawn("bound_check", sampler, n_draws, stats, notes,
+                            a=a, b=b, rule=repr(rule), bound_cap=bound_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +824,8 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
     A negative n_steps checks no increment and is rejected.
     """
     if _as_int("n_steps", n_steps, ConfigurationError) < 0:
-        raise ConfigurationError(
-            f"n_steps must be at least 0, got {n_steps}")
-    a = as_rational(a)
-    b = as_rational(b)
+        raise ConfigurationError(f"n_steps must be at least 0, got {n_steps}")
+    a, b = _checked_ladder(a, b, n_steps + 1)
     sampler = _reseeded(sampler, seed)
     moments = {}  # (n, word prefix) -> [sum, sum of squares, count]
     anti_failures = 0
@@ -854,13 +849,8 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
         stats.append(Statistic.judged(
             f"mean_increment_n{n}_prefix_{label}", mean, SE_BAND * se,
             "abs_below", se=se, count=count))
-    return TestReport(
-        name="martingale_step_test",
-        params={"law": repr(sampler), "a": a, "b": b, "n_steps": n_steps},
-        seed=sampler.seed,
-        sample_size=n_draws,
-        statistics=stats,
-    )
+    return TestReport.drawn("martingale_step_test", sampler, n_draws, stats,
+                            a=a, b=b, n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,13 +1037,7 @@ def stability_suite(n_paths: int, seed: Optional[int] = None, sampler=None,
              for k, v in sorted(fails.items())]
     stats.append(Statistic.judged("max_normalized_deviation", worst,
                                   PATH_RTOL, "abs_below"))
-    return TestReport(
-        name="stability_suite",
-        params={"law": repr(sampler)},
-        seed=sampler.seed,
-        sample_size=n_paths,
-        statistics=stats,
-    )
+    return TestReport.drawn("stability_suite", sampler, n_paths, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,10 +1090,7 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     word is all plus).  Words of length 0 are rejected: every draw would
     give the one empty word and every count would read 0 with nothing
     checked."""
-    if _as_int("n", n, ConfigurationError) == 0:
-        raise ConfigurationError("n must be at least 1, got 0")
-    a = as_rational(a)
-    b = as_rational(b)
+    a, b = _checked_ladder(a, b, n, words=True)
     sampler = _reseeded(sampler, seed)
     fails, words = Counter(), Counter()
     for word, draw_fails in _each_draw(
@@ -1122,13 +1103,8 @@ def sign_identity_test(sampler, a: LevelLike, b: LevelLike, n: int,
     stats.append(Statistic.judged(
         "distinct_words_observed", len(words), 0.0, "above",
         word_counts=dict(sorted(words.items()))))
-    return TestReport(
-        name="sign_identity_test",
-        params={"a": a, "b": b, "n": n, "law": repr(sampler)},
-        seed=sampler.seed,
-        sample_size=n_draws,
-        statistics=stats,
-    )
+    return TestReport.drawn("sign_identity_test", sampler, n_draws, stats,
+                            a=a, b=b, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,16 +1127,14 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     case.  Draws continue until every word has min_per_word checks or the
     draw cap is reached (falling short is a failure).  n must be at least 1:
     tau_0 = 0 is never an exit time."""
-    if _as_int("n", n, ConfigurationError) == 0:
-        raise ConfigurationError("n must be at least 1, got 0")
+    # a negative n is reported as a word length, before the ladder checks it
+    words = list(all_words(_as_int("n", n, ConfigurationError)))
+    a, b = _checked_ladder(a, b, n, words=True)
     if _as_int("min_per_word", min_per_word, ConfigurationError) < 1:
         raise ConfigurationError(
             f"min_per_word must be at least 1, got {min_per_word}")
-    a = as_rational(a)
-    b = as_rational(b)
     sampler = _reseeded(sampler, seed)
     rule = TwoSidedHit(a, b)
-    words = list(all_words(n))
     powers = {w: exit_alignment_power(w) for w in words}
     counts = dict.fromkeys(words, 0)
     short = len(words)  # words below quota
@@ -1178,19 +1152,13 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
             short -= 1
             if not short:
                 break
-    return TestReport(
-        name="exit_alignment_test",
-        params={"law": repr(sampler), "a": a, "b": b, "n": n,
-                "min_per_word": min_per_word, "words": len(words)},
-        seed=sampler.seed,
-        sample_size=draws,
-        statistics=[
-            Statistic.judged("alignment_failures", failures, 0.0, "abs_below"),
-            Statistic.judged("words_below_quota", short, 0.0, "abs_below",
-                             min_count=min(counts.values()),
-                             checks_total=sum(counts.values())),
-        ],
-    )
+    return TestReport.drawn(
+        "exit_alignment_test", sampler, draws,
+        [Statistic.judged("alignment_failures", failures, 0.0, "abs_below"),
+         Statistic.judged("words_below_quota", short, 0.0, "abs_below",
+                          min_count=min(counts.values()),
+                          checks_total=sum(counts.values()))],
+        a=a, b=b, n=n, min_per_word=min_per_word, words=len(words))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from reflectlab import BrownianMotion
 from reflectlab.cli import (
     _COMMON_KEYS,
     _KEYS,
@@ -14,8 +15,10 @@ from reflectlab.cli import (
     _real,
     main,
     parse_functional,
+    run_config,
 )
 from reflectlab.errors import ConfigurationError, RuleError
+from reflectlab.stopping import _MAX_RULE_DEPTH
 from reflectlab.verify import (
     HittingTime,
     RunningMax,
@@ -636,6 +639,75 @@ class TestLemmasAndDemo:
                      "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "invariance test needs at least 10^3 draws" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestUsageErrors:
+    # argparse exited 2 on its own errors, the status of a failed verdict
+    @pytest.mark.parametrize("argv, message", [
+        (["ladder", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["lemmas", "--limit", "2.5"],
+         "argument --limit: invalid int value: '2.5'"),
+        (["lemmas", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["ladder-n", "lemmas-limit", "unknown-flag", "no-subcommand"])
+    def test_usage_error_exit_one(self, argv, message, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["ladder", "--help"]])
+    def test_help_exit_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage: reflectlab" in capsys.readouterr().out
+
+    def test_env_seed_not_an_integer_exit_one(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the message was only int()'s "invalid literal for int()"
+        monkeypatch.setenv("REFLECTLAB_SEED", "abc")
+        assert main(["lemmas", "--limit", "3",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "error: REFLECTLAB_SEED must be an integer, got 'abc'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def nested_rule(depth):
+    """fixed(1) inside depth - 1 layers of min(..., fixed(1)): a rule spec
+    nested depth calls deep."""
+    spec = "fixed(1)"
+    for _ in range(depth - 1):
+        spec = f"min({spec},fixed(1))"
+    return spec
+
+
+class TestRuleDepth:
+    def bound_config(self, tmp_path, depth):
+        return {"kind": "bound", "law": "bm(dt=0.1,T=1)",
+                "rule": nested_rule(depth), "a": "1", "b": "2", "N": 4,
+                "bound_cap": 10.0, "out_dir": str(tmp_path / "out")}
+
+    def test_deepest_rule_runs(self, tmp_path):
+        assert run_config(self.bound_config(tmp_path, _MAX_RULE_DEPTH)) == 0
+        report = read_report(tmp_path / "out")
+        assert report["params"]["rule"].count("MinOf(") == \
+            _MAX_RULE_DEPTH - 1
+
+    @pytest.mark.parametrize("depth", [_MAX_RULE_DEPTH + 1, 1000])
+    def test_deeper_rule_rejected_before_any_draw(self, depth, tmp_path,
+                                                  monkeypatch):
+        # 1000 layers ended in a RecursionError inside parse_rule, and 400
+        # drew every path and then overflowed in the report's repr(rule)
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        with pytest.raises(RuleError,
+                           match=f"rule spec nested {depth} calls deep; at "
+                                 f"most {_MAX_RULE_DEPTH} are taken"):
+            run_config(self.bound_config(tmp_path, depth))
         assert not (tmp_path / "out").exists()
 
 

@@ -53,6 +53,10 @@ class TestPathInvariants:
         with pytest.raises(PathError):
             Path(np.array([0.0, 2.0, 2.0]), np.array([1.0, 1.0]))
 
+    def test_knots_one_dimensional(self):
+        with pytest.raises(PathError, match="must be one-dimensional"):
+            Path(np.array([[0.0, 1.0]]), np.array([1.0]))
+
     def test_increment_length(self):
         with pytest.raises(PathError):
             Path(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
@@ -93,6 +97,15 @@ class TestValueAt:
             value_at(p, -0.1)
         with pytest.raises(TimeOutOfRangeError):
             value_at(p, 1.1)
+
+    @pytest.mark.parametrize("surgery", [
+        lambda p, t: insert_knot(p, t, 0.0),
+        lambda p, t: reflect_at_time(p, t),
+    ], ids=["insert_knot", "reflect_at_time"])
+    @pytest.mark.parametrize("t", [-0.1, 1.1])
+    def test_surgery_out_of_range(self, surgery, t):
+        with pytest.raises(TimeOutOfRangeError, match="outside"):
+            surgery(line(1.0, 1.0), t)
 
 
 class TestInsertKnot:

@@ -137,6 +137,9 @@ class TestParameterValidation:
             DyadicCounterexample(horizon=0.5)
         with pytest.raises(SamplerError):
             OconeTimeChange(clock="warp")
+        with pytest.raises(SamplerError,
+                           match="horizon must cover at least one step"):
+            BrownianMotion(dt=1.0, horizon=0.4).sample(0)
 
     @pytest.mark.parametrize("spec", [
         "bm(dt=nan,T=2)", "bm(dt=0.01,T=inf)", "bm(dt=inf,T=2)",

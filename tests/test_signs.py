@@ -75,6 +75,11 @@ class TestSignWord:
         assert w.to_string() == "+-0"
         assert SignWord.from_string("+-0") == w
 
+    def test_bad_string_rejected(self):
+        with pytest.raises(RuleError) as info:
+            SignWord.from_string("+x")
+        assert str(info.value) == "bad sign character in '+x'"
+
     def test_word_space_size(self):
         for n in range(6):
             assert len(list(all_words(n))) == 2 ** (n + 1) - 1

@@ -515,6 +515,21 @@ class TestRuleGrammar:
         with pytest.raises(RuleError):
             parse_rule(bad)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TwoSidedHit(-1, 2), "two-sided barriers must be positive"),
+        (lambda: LadderStep(1, 2, -1), "ladder index must be nonnegative"),
+        (lambda: Mixture(()), "mixture needs at least one branch"),
+        (lambda: TimeCompare(FixedTime(1.0), FixedTime(2.0), "bogus"),
+         "unknown comparison 'bogus'"),
+        (lambda: SignAtTime(FixedTime(1.0), "bogus"),
+         "unknown sign op 'bogus'"),
+    ], ids=["TwoSidedHit", "LadderStep", "Mixture", "TimeCompare",
+            "SignAtTime"])
+    def test_reject_messages_built_directly(self, build, message):
+        with pytest.raises(RuleError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_rejects_non_finite_rules_built_directly(self):
         for build in (lambda: FirstPassage(math.nan),
                       lambda: FirstPassage(-math.inf),

@@ -26,8 +26,10 @@ from reflectlab import (
     ConfigurationError,
     DriftedBM,
     DyadicCounterexample,
+    DyadicRatioError,
     FixedTime,
     FirstPassage,
+    LadderStep,
     MinOf,
     OconeTimeChange,
     Path,
@@ -897,6 +899,42 @@ class TestExitAlignment:
                                 -1, 1, 10)
 
 
+class TestLadderArguments:
+    @pytest.mark.parametrize("run", [
+        lambda a, b: martingale_step_test(
+            BrownianMotion(dt=0.05, horizon=1.0), a, b, 2, 50, seed=1,
+            workers=2),
+        lambda a, b: sign_identity_test(
+            BrownianMotion(dt=0.05, horizon=1.0), a, b, 2, 50, seed=1,
+            workers=2),
+        lambda a, b: exit_alignment_test(
+            BrownianMotion(dt=0.05, horizon=1.0), a, b, 2, 1, 50, seed=1),
+        lambda a, b: LadderStep(a, b, 2),
+    ], ids=["martingale", "signs", "alignment", "LadderStep"])
+    @pytest.mark.parametrize("a, b, error, message", [
+        (1, 1, DyadicRatioError, "a/(a+b) = 1/2 is dyadic"),
+        (0, 2, RuleError, "barriers a and b must be positive"),
+        (10 ** 400, 2 * 10 ** 400, RuleError,
+         "every ladder step needs a positive finite float value"),
+    ], ids=["dyadic", "zero", "overflowing"])
+    def test_rejected_before_any_draw(self, run, a, b, error, message,
+                                      monkeypatch):
+        # the suites reported these only at the first draw, after forking
+        # their helper processes
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        def no_fork():
+            raise AssertionError("forked a helper process")
+
+        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(RuleError) as info:
+            run(a, b)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestCounterexampleDemo:
     def test_moderate_run(self):
         rep = counterexample_demo(2000, seed=65)
@@ -925,6 +963,14 @@ class TestCounterexampleDemo:
         with pytest.raises(ConfigurationError,
                            match="c has no finite float value"):
             counterexample_demo(1000, c=10 ** 400)
+
+    def test_low_barrier_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(self, index):
+            raise AssertionError(f"drew path {index}")
+
+        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
+        with pytest.raises(ConfigurationError, match="c must exceed 1"):
+            counterexample_demo(1000, c=1)
 
 
 _SHARDED = {
@@ -1310,6 +1356,24 @@ class TestReports:
         rows = rep.csv_rows()
         assert all(set(r) == {"test", "statistic", "threshold", "verdict",
                               "seed"} for r in rows)
+
+    def test_skipped_statistic_writes_null(self):
+        # the value at time 0 is 0 on both arms, so its KS is skipped
+        rep = invariance_test(DyadicCounterexample(horizon=5.0, seed=44),
+                              TwoSidedHit(1, 1), [ValueAtTime(0.0)], 1000)
+        stat, = json.loads(rep.to_json())["statistics"]
+        assert stat["verdict"] == "skip"
+        assert stat["value"] is None and stat["threshold"] is None
+        assert rep.csv_rows()[0]["statistic"] == ""
+        assert rep.recheck()
+
+    def test_drawn_records_law_and_seed(self):
+        law = BrownianMotion(dt=0.5, horizon=1.0, seed=9)
+        stats = [Statistic.judged("x", 0.0, 1.0, "abs_below")]
+        rep = verify.TestReport.drawn("t", law, 7, stats, ["a note"], a=1)
+        assert rep == verify.TestReport(
+            "t", {"law": "BrownianMotion(dt=0.5, horizon=1.0, seed=9)",
+                  "a": 1}, 9, 7, stats, ["a note"])
 
     def test_judgement_directions(self):
         assert Statistic.judged("x", 0.5, 1.0, "abs_below").verdict == "pass"
