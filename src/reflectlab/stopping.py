@@ -71,6 +71,7 @@ integers over that denominator, ``LevelLadder.den``.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -588,33 +589,32 @@ class LadderStep(StoppingRule):
 
 
 @dataclass(frozen=True)
-class MinOf(StoppingRule):
+class _PairRule(StoppingRule):
+    """The earlier (``_pick = min``) or later (``max``) of two rules' times;
+    the left rule wins a tie, and an unobserved pick is unobserved."""
+
+    left: StoppingRule
+    right: StoppingRule
+
+    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
+        left = self.left._observe(p, pin)
+        right = self.right._observe(p, pin)
+        t = self._pick(left[0], right[0])
+        if not is_observed(t):
+            return NOT_OBSERVED, p
+        return left if left[0] == t else right
+
+
+class MinOf(_PairRule):
     """Earlier of two rules."""
 
-    left: StoppingRule
-    right: StoppingRule
-
-    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
-        left = self.left._observe(p, pin)
-        right = self.right._observe(p, pin)
-        if not is_observed(min(left[0], right[0])):
-            return NOT_OBSERVED, p
-        return left if left[0] <= right[0] else right
+    _pick = min
 
 
-@dataclass(frozen=True)
-class MaxOf(StoppingRule):
+class MaxOf(_PairRule):
     """Later of two rules (NOT_OBSERVED if either is)."""
 
-    left: StoppingRule
-    right: StoppingRule
-
-    def _observe(self, p: Path, pin: bool = True) -> tuple[float, Path]:
-        left = self.left._observe(p, pin)
-        right = self.right._observe(p, pin)
-        if not (is_observed(left[0]) and is_observed(right[0])):
-            return NOT_OBSERVED, p
-        return left if left[0] >= right[0] else right
+    _pick = max
 
 
 # --- prefix events for mixtures -------------------------------------------
@@ -639,9 +639,8 @@ class TimeCompare(PrefixEvent):
     right: StoppingRule
     op: str  # lt | le | eq | ge | gt
 
-    _OPS = {"lt": lambda x, y: x < y, "le": lambda x, y: x <= y,
-            "eq": lambda x, y: x == y, "ge": lambda x, y: x >= y,
-            "gt": lambda x, y: x > y}
+    _OPS = {"lt": operator.lt, "le": operator.le, "eq": operator.eq,
+            "ge": operator.ge, "gt": operator.gt}
 
     def __post_init__(self):
         if self.op not in self._OPS:
@@ -661,8 +660,10 @@ class SignAtTime(PrefixEvent):
     op: str  # neg | zero | pos
     unobserved_matches: bool = False
 
+    _SIGNS = {"neg": -1, "zero": 0, "pos": 1}
+
     def __post_init__(self):
-        if self.op not in ("neg", "zero", "pos"):
+        if self.op not in self._SIGNS:
             raise RuleError(f"unknown sign op {self.op!r}")
 
     def holds(self, p: Path) -> bool:
@@ -670,11 +671,7 @@ class SignAtTime(PrefixEvent):
         if not is_observed(t):
             return self.unobserved_matches
         v = value_at(p, t)
-        if self.op == "neg":
-            return v < 0.0
-        if self.op == "pos":
-            return v > 0.0
-        return v == 0.0
+        return (v > 0.0) - (v < 0.0) == self._SIGNS[self.op]
 
 
 @dataclass(frozen=True)

@@ -25,32 +25,33 @@ Every Monte Carlo suite runs over index ranges: ``_run_draws`` cuts a run
 into consecutive ranges of draws, spreads them in shards over ``workers``
 computing processes, and yields one block per range in index order.  A run
 has one callable, ``block(indices)``, a module function with the suite's
-inputs bound by ``functools.partial``.  The assignment is static: shard j is
+inputs bound by ``functools.partial``.  The worker count is capped at the
+CPUs the process may run on.  The assignment is static: shard j is
 computed by process ``j % workers``.  The calling process is process 0; the
 others are at most ``workers - 1`` helpers forked for the call, each of
 which inherits the callable, moves off the CPU the caller ran on when
 another is allowed, and pickles its shards' blocks back through a pipe.
-Every helper is killed and reaped before the run returns, so a run on one
-worker forks nothing and none outlives its call; where ``os.fork`` is
-missing the run is serial.  A suite without a block form
-takes ranges of one draw and the generic block, the list of its per-draw rows
-(``_each_draw``).  ``invariance_test`` takes ranges of ``_block_size`` draws,
-each block an array indexed by arm, functional and draw, and joins the blocks
-in one ``concatenate``.  On a law with a shared grid (``BrownianMotion``,
-``DriftedBM``, ``OconeTimeChange``) a block holds about ``_BLOCK_INCREMENTS``
-increments: the sampler fills one increment matrix, one row per draw from
-that draw's own Generator, and one ``cumsum(axis=1)`` gives every row's
-``Path.values`` bit for bit, which a functional with a ``rows`` form reads
-off its columns; that is the sampled arm.  The reflected arm takes one of two
-routes.  When the rule pivots every draw at one knot of the grid
-(``_grid_pivot``: a fixed time on a knot, or at least the horizon), it is the
-same matrix with the columns from that knot on negated, summed the same way;
-negation is exact, so no draw is built as a path.  Under any other rule each
-draw is reflected on its own path and read with ``apply``.  A functional
-without a rows form (``ValueAtRuleTime``) reads a matrix through paths built
-from its rows, and a law without a shared grid is drawn one path per block,
-both arms read with ``apply``.  All routes give the same bits, so the report
-does not depend on the route or the block size.
+Every helper is killed and reaped before the run returns, and none
+outlives its call.  A serial run is the one-worker run, which forks
+nothing; it is what a platform without ``os.fork`` runs.  A suite without
+a block form takes ranges of one draw and the generic block, the list of
+its per-draw rows (``_each_draw``).  ``invariance_test`` takes ranges of
+``_block_size`` draws, each block an array indexed by arm, functional and
+draw, and joins the blocks in one ``concatenate``.  On a law with a shared
+grid (``BrownianMotion``, ``DriftedBM``, ``OconeTimeChange``) a block holds
+about ``_BLOCK_INCREMENTS`` increments: the sampler fills one increment
+matrix, one row per draw from that draw's own Generator, and one
+``cumsum(axis=1)`` gives every row's ``Path.values`` bit for bit, which a
+functional with a ``rows`` form reads off its columns; that is the sampled
+arm.  The reflected arm takes one of two routes.  When the rule pivots every
+draw at one knot of the grid (``_grid_pivot``: a fixed time on a knot, or at
+least the horizon), it is the same matrix with the columns from that knot on
+negated, summed the same way; negation is exact, so no draw is built as a
+path.  Under any other rule each draw is reflected on its own path and read
+with ``apply``.  A functional without a rows form (``ValueAtRuleTime``) reads
+a matrix through paths built from its rows, and a law without a shared grid
+is drawn one path per block, both arms read with ``apply``.  All routes give
+the same bits, so the report does not depend on the route or the block size.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .rational import _as_int, _is_real, as_rational, is_dyadic
 from .samplers import BrownianMotion, DyadicCounterexample, _GridLaw
 from .signs import (
     SignWord,
+    _check_length,
     advance_path,
     advance_path_power,
     advance_word,
@@ -188,21 +190,7 @@ class TestReport:
                    for s in self.statistics if s.verdict != "skip")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": _jsonable(self.params),
-            "seed": self.seed,
-            "sample_size": _jsonable(self.sample_size),
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-            "statistics": [
-                {"name": s.name, "value": _jsonable(s.value),
-                 "threshold": _jsonable(s.threshold),
-                 "direction": s.direction, "verdict": s.verdict,
-                 "se": _jsonable(s.se), "detail": _jsonable(s.detail)}
-                for s in self.statistics
-            ],
-        }
+        return _jsonable({**dataclasses.asdict(self), "verdict": self.verdict})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -272,16 +260,18 @@ def _run_draws(block: Callable, n: int, workers: int,
     out, so no process outlives the call.  An empty run is rejected when
     its blocks are first asked for: its reductions would report a pass with
     nothing checked.  A draw or worker count that is a bool or not an
-    integer is rejected there too (``rational._as_int``); a worker count
-    below 1, or a platform without ``os.fork``, runs serially.
+    integer is rejected there too (``rational._as_int``).  The worker count
+    is capped at the CPUs this process may run on; a count below 1, or a
+    platform without ``os.fork``, is one worker, the caller, which forks
+    nothing: a serial run is the one-worker run.
     """
     n = _as_int("a draw count", n, ConfigurationError)
     workers = _as_int("a worker count", workers, ConfigurationError)
     if n < 1:
         raise ConfigurationError(f"a run needs at least one draw, got {n}")
-    if workers <= 1 or n <= size or not hasattr(os, "fork"):
-        yield from map(block, _ranges(range(n), size))
-        return
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(workers, cpus)) if hasattr(os, "fork") else 1
     # a shard is a run of ranges; shards are reduced in index order as they
     # arrive, so a run holds the blocks of a few shards at a time, whatever
     # its size.  No helper is forked that would have no shard to compute
@@ -385,7 +375,7 @@ def _helper(inherited: list, out: int, cpu: int, block: Callable,
         with os.fdopen(out, "wb") as f:
             for indices in shards:
                 try:
-                    sent = _draws(block, indices, size), None
+                    sent = list(map(block, _ranges(indices, size))), None
                 except Exception as exc:
                     sent = None, exc
                 try:
@@ -407,12 +397,6 @@ def _helper(inherited: list, out: int, cpu: int, block: Callable,
 def _ranges(indices: range, size: int) -> Iterator[range]:
     """The consecutive ranges of at most size indices that cover indices."""
     return (indices[s:s + size] for s in range(0, len(indices), size))
-
-
-def _draws(block: Callable, indices: range, size: int) -> list:
-    """One shard: the blocks of the ranges of at most size that cover
-    indices."""
-    return list(map(block, _ranges(indices, size)))
 
 
 def _each_draw(draw: Callable, n: int, workers: int) -> Iterator:
@@ -673,6 +657,7 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
     adjusted across the functionals that are not degenerate; the test passes
     iff every adjusted p-value exceeds alpha.
     """
+    functionals = list(functionals)  # read once: it may be a generator
     if _as_int("a draw count", n_draws, ConfigurationError) < 1000:
         raise ConfigurationError("invariance test needs at least 10^3 draws")
     if not (_is_real(alpha) and 0 < alpha < 1):  # NaN included
@@ -685,7 +670,7 @@ def invariance_test(sampler, rule: StoppingRule, functionals: Sequence,
             f"need one or more functionals of distinct names, got {names}")
     sampler = _reseeded(sampler, seed)
     values = np.concatenate(list(_run_draws(  # arm, functional, draw
-        partial(_invariance_block, sampler, rule, list(functionals)),
+        partial(_invariance_block, sampler, rule, functionals),
         n_draws, workers, _block_size(sampler))), axis=-1)
     stats = _ks_statistics(functionals, *values, alpha)
     return TestReport.drawn(
@@ -844,8 +829,7 @@ def martingale_step_test(sampler, a: LevelLike, b: LevelLike, n_steps: int,
         mean = s / n_draws
         var = max(0.0, (ss - s * s / n_draws) / max(1, n_draws - 1))
         se = math.sqrt(var / n_draws)
-        label = "".join("+" if e == 1 else "-" if e == -1 else "0"
-                        for e in prefix) or "()"
+        label = SignWord(prefix).to_string() or "()"
         stats.append(Statistic.judged(
             f"mean_increment_n{n}_prefix_{label}", mean, SE_BAND * se,
             "abs_below", se=se, count=count))
@@ -1128,24 +1112,22 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
     draw cap is reached (falling short is a failure).  n must be at least 1:
     tau_0 = 0 is never an exit time."""
     # a negative n is reported as a word length, before the ladder checks it
-    words = list(all_words(_as_int("n", n, ConfigurationError)))
+    n = _check_length(_as_int("n", n, ConfigurationError))
     a, b = _checked_ladder(a, b, n, words=True)
     if _as_int("min_per_word", min_per_word, ConfigurationError) < 1:
         raise ConfigurationError(
             f"min_per_word must be at least 1, got {min_per_word}")
     sampler = _reseeded(sampler, seed)
     rule = TwoSidedHit(a, b)
-    powers = {w: exit_alignment_power(w) for w in words}
-    counts = dict.fromkeys(words, 0)
-    short = len(words)  # words below quota
-    failures = 0
+    words = short = 2 ** (n + 1) - 1  # all, then those below quota
+    counts, failures = Counter(), 0  # checks of each word drawn
     # one worker: a helper would draw past the draw that fills the last quota
     for draws, (w, tr) in enumerate(_each_draw(
             partial(_alignment_draw, sampler, a, b, n), n_draws_max, 1), 1):
         if counts[w] >= min_per_word:
             continue
         counts[w] += 1
-        q = advance_path_power(tr.path, rule, powers[w])
+        q = advance_path_power(tr.path, rule, exit_alignment_power(w))
         if rule.evaluate(q) != tr.times[n]:
             failures += 1
         if counts[w] == min_per_word:
@@ -1156,9 +1138,10 @@ def exit_alignment_test(sampler, a: LevelLike, b: LevelLike, n: int,
         "exit_alignment_test", sampler, draws,
         [Statistic.judged("alignment_failures", failures, 0.0, "abs_below"),
          Statistic.judged("words_below_quota", short, 0.0, "abs_below",
-                          min_count=min(counts.values()),
-                          checks_total=sum(counts.values()))],
-        a=a, b=b, n=n, min_per_word=min_per_word, words=len(words))
+                          min_count=(min(counts.values())
+                                     if len(counts) == words else 0),
+                          checks_total=counts.total())],
+        a=a, b=b, n=n, min_per_word=min_per_word, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -1283,7 +1266,7 @@ def counterexample_demo(n_draws: int, seed: int = 0,
     return TestReport(
         name="counterexample_demo",
         params={"c": c, "horizon": horizon},
-        seed=seed,
+        seed=sampler.seed,
         sample_size=n_draws,
         statistics=stats,
     )

@@ -177,6 +177,11 @@ class TestEvaluate:
         never = FirstPassage(5)
         assert MinOf(s, never).evaluate(p) == 0.5
         assert MaxOf(s, never).evaluate(p) == NOT_OBSERVED
+        # reports record these reprs
+        assert repr(MinOf(s, t)) == \
+            "MinOf(left=FirstPassage(level=1), right=FixedTime(r=0.75))"
+        assert repr(MaxOf(t, s)) == \
+            "MaxOf(left=FixedTime(r=0.75), right=FirstPassage(level=1))"
 
     def test_compose_reflect(self):
         # the unit-slope line reflected at T_1 descends as 2 - t afterwards,
@@ -217,6 +222,13 @@ class TestEvaluate:
         assert not SignAtTime(FixedTime(0.5), "pos").holds(p)
         assert SignAtTime(FirstPassage(5), "pos",
                           unobserved_matches=True).holds(p)
+
+    def test_sign_at_time_zero(self):
+        p = line_to(0.0, 1.0)  # 0.0 at every time
+        assert SignAtTime(FixedTime(0.5), "zero").holds(p)
+        assert not SignAtTime(FixedTime(0.5), "neg").holds(p)
+        assert not SignAtTime(FixedTime(0.5), "pos").holds(p)
+        assert SignAtTime(FixedTime(0.5), "pos").holds(line_to(1e-300, 1.0))
 
 
 class TestReflectAtRule:

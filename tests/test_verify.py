@@ -58,7 +58,7 @@ from reflectlab import (
     stability_suite,
     trace_sign_word,
 )
-from reflectlab import verify
+from reflectlab import signs, verify
 from reflectlab.samplers import _GridLaw
 from reflectlab.stopping import _reflected_trace
 from reflectlab.verify import (
@@ -334,6 +334,16 @@ class TestInvarianceTest:
                             1200, seed=7)
         assert a.statistics[0].value == b.statistics[0].value
         assert a.seed == 7
+
+    def test_functionals_from_a_generator(self):
+        # the names used the generator up, so every draw read no functional
+        # and the KS step raised a TypeError
+        sampler = BrownianMotion(dt=0.05, horizon=2.0, seed=0)
+        functionals = default_functionals(2.0)
+        assert invariance_test(sampler, FixedTime(1.0),
+                               (f for f in functionals), 1000).to_json() == \
+            invariance_test(sampler, FixedTime(1.0), functionals,
+                            1000).to_json()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -898,6 +908,21 @@ class TestExitAlignment:
             exit_alignment_test(BrownianMotion(dt=0.05, horizon=1.0), 1, 2,
                                 -1, 1, 10)
 
+    def test_words_counted_only_when_drawn(self, monkeypatch):
+        # a table over all 2**19 - 1 words took 0.8 s and 150 MB before the
+        # first of this run's one draw
+        def no_table(n):
+            raise AssertionError(f"enumerated the words of length {n}")
+
+        monkeypatch.setattr(verify, "all_words", no_table)
+        rep = exit_alignment_test(BrownianMotion(dt=0.5, horizon=1.0), 1, 2,
+                                  18, 1, 1, seed=1)
+        assert rep.params["words"] == 2 ** 19 - 1
+        assert rep.sample_size == 1
+        quota = rep.statistics[1]
+        assert quota.value == 2 ** 19 - 2
+        assert quota.detail == {"min_count": 0, "checks_total": 1}
+
 
 class TestLadderArguments:
     @pytest.mark.parametrize("run", [
@@ -971,6 +996,57 @@ class TestCounterexampleDemo:
         monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
         with pytest.raises(ConfigurationError, match="c must exceed 1"):
             counterexample_demo(1000, c=1)
+
+    def test_numpy_seed_recorded_as_an_int(self):
+        # the seed was stored as given, and to_json raised a TypeError after
+        # every draw had been made
+        rep = counterexample_demo(1000, seed=np.int64(3))
+        assert type(rep.seed) is int
+        assert rep.to_json() == counterexample_demo(1000, seed=3).to_json()
+
+
+_BROKEN_MAPS = {
+    # a map in verify's namespace, a broken stand-in, a run of the battery
+    # that reads it and the statistic that must count the breakage
+    "negated_level_chain": (
+        "negate", lambda p: p,
+        lambda: stability_suite(4, seed=71,
+                                sampler=BrownianMotion(dt=0.01, horizon=4.0)),
+        "negated_level_chain"),
+    "sign_reflection": (
+        "reflect_word", signs.negate_word,
+        lambda: sign_identity_test(BrownianMotion(dt=0.01, horizon=3.0), 1,
+                                   2, 4, 10, seed=72),
+        "reflection"),
+    "alignment": (
+        "exit_alignment_power", lambda w: signs.exit_alignment_power(w) + 1,
+        lambda: exit_alignment_test(BrownianMotion(dt=0.01, horizon=3.0), 1,
+                                    2, 2, 1, 50, seed=73),
+        "alignment_failures"),
+    "antisymmetry": (
+        "_reflected_trace", lambda tr, n: tr,
+        lambda: martingale_step_test(BrownianMotion(dt=0.01, horizon=3.0), 1,
+                                     2, 2, 10, seed=73),
+        "antisymmetry_failures"),
+    "non_dyadic_sweep": (
+        "_non_dyadic_ints", lambda x, y, z: False,
+        lambda: non_dyadic_sweep(5), "triple_failures"),
+    "advance_formula": (
+        "word_after_steps", lambda n, steps, suffix=():
+        signs.word_after_steps(n, (steps + 1) % 2 ** n, suffix),
+        lambda: advance_formula_check(3), "formula_mismatches"),
+}
+
+
+class TestBatteriesCanFail:
+    @pytest.mark.parametrize("name", sorted(_BROKEN_MAPS))
+    def test_broken_map_is_counted(self, monkeypatch, name):
+        # no unit test used to reach a failure counter of these batteries
+        attr, broken, run, stat = _BROKEN_MAPS[name]
+        monkeypatch.setattr(verify, attr, broken)
+        rep = run()
+        assert {s.name: s.value for s in rep.statistics}[stat] > 0
+        assert rep.verdict == "fail"
 
 
 _SHARDED = {
@@ -1228,6 +1304,26 @@ class TestSharding:
             os.close(r)
             os.close(w)
 
+    def test_worker_count_capped_at_usable_cpus(self, monkeypatch):
+        # six one-draw shards: a run on more workers than CPUs forked five
+        # helpers, one per shard but the caller's
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        forks = []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", counted_fork)
+        law = BrownianMotion(dt=0.1, horizon=1.0)
+        rule = MinOf(TwoSidedHit(1, 2), FixedTime(1.0))
+        capped = bound_check(law, 1, 2, rule, 2.0, 6, seed=74,
+                             workers=cpus + 6)
+        assert len(forks) <= cpus - 1
+        assert capped == bound_check(law, 1, 2, rule, 2.0, 6, seed=74)
+
     def test_without_fork_the_run_is_serial(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert list(_run_draws(_pid_block, 5000, 2, 1)) == \
@@ -1374,6 +1470,19 @@ class TestReports:
         assert rep == verify.TestReport(
             "t", {"law": "BrownianMotion(dt=0.5, horizon=1.0, seed=9)",
                   "a": 1}, 9, 7, stats, ["a note"])
+
+    def test_numpy_scalars_serialize(self):
+        # seed was written raw, so a NumPy seed raised a TypeError
+        stats = [Statistic.judged("x", np.float64(0.5), 1.0, "abs_below",
+                                  count=np.int64(3))]
+        rep = verify.TestReport("t", {"n": np.int32(2)}, np.int64(9),
+                                np.int64(7), stats)
+        assert json.loads(rep.to_json()) == {
+            "name": "t", "params": {"n": 2}, "seed": 9, "sample_size": 7,
+            "verdict": "pass", "notes": [],
+            "statistics": [{"name": "x", "value": 0.5, "threshold": 1.0,
+                            "direction": "abs_below", "verdict": "pass",
+                            "se": None, "detail": {"count": 3}}]}
 
     def test_judgement_directions(self):
         assert Statistic.judged("x", 0.5, 1.0, "abs_below").verdict == "pass"
