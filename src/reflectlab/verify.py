@@ -211,8 +211,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, SignWord):
-        return x.to_string()
     if isinstance(x, float):
         if math.isnan(x):
             return None

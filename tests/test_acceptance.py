@@ -1,20 +1,22 @@
 """Acceptance suite.
 
-One test per acceptance criterion, each at its stated tolerance and runtime
-budget; a summary line is printed per criterion.  Every Monte Carlo run but
-the sequential alignment search (criterion 5) shards its draws across two
-workers.  The per-draw rows are reduced in draw-index order, so every
-statistic is bit-identical to a serial run (checked in test_verify).  Each
-criterion's reports must also be byte-identical to those of its latest
-committed record (``RECORDS``).
+One test, run once per acceptance criterion: each criterion's run
+(``CRITERIA``) is held to its runtime budget, its verdict and its gate
+(``GATES``), and a summary line is printed per criterion.  Every Monte
+Carlo run but the sequential alignment search (criterion 5) shards its
+draws across two workers.  The per-draw rows are reduced in draw-index
+order, so every statistic is bit-identical to a serial run (checked in
+test_verify).  Each criterion's reports must also be byte-identical to
+those of its latest committed record (``RECORDS``).
 """
 
 import hashlib
 import json
-import math
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from reflectlab import (
     BrownianMotion,
@@ -82,10 +84,65 @@ CRITERIA = {
 }
 
 
-def report_line(number, label, ok, elapsed, detail=""):
-    status = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {number} ({label}): {status} "
-          f"[{elapsed:.1f}s] {detail}")
+def _stat(rep, name):
+    return next(s for s in rep.statistics if s.name == name)
+
+
+def _worst_ratio(stats):
+    """The largest |mean|/SE among stats with a standard error."""
+    return max((abs(s.value) / s.se for s in stats if s.se), default=0.0)
+
+
+def _exact_martingale(*reports):
+    # stricter than the generic bound: the sampled law is an exact
+    # martingale here, so each mean itself must sit within 4 SE of 0
+    worst = _worst_ratio(rep.statistics[0] for rep in reports)
+    return worst <= 4.0, f"worst |mean|/SE = {worst:.2f}"
+
+
+def _quota_detail(rep):
+    checks = _stat(rep, "words_below_quota").detail["checks_total"]
+    return True, f"{checks} checks over {rep.sample_size} draws"
+
+
+def _mean_detail(rep):
+    mean = _stat(rep, "stopped_mean_vs_expected")
+    return True, (f"mean deviation {mean.value:+.5f} "
+                  f"(4 SE = {mean.threshold:.5f})")
+
+
+def _steps_detail(rep):
+    anti = _stat(rep, "antisymmetry_failures")
+    return True, (f"antisymmetry failures {anti.value:.0f}, "
+                  f"worst |mean|/SE = {_worst_ratio(rep.statistics):.2f}")
+
+
+def _strong_rejection(rep):
+    min_p = min(s.value for s in rep.statistics if s.verdict != "skip")
+    return min_p < 1e-3, f"min adjusted p = {min_p:.2e}"
+
+
+#: criterion -> (label, runtime budget in s, the verdict every report must
+#: give, gate); a gate maps the reports to (ok, the summary line's detail)
+GATES = {
+    1: ("advance formula, n <= 12, both suffix heads", 60, "pass",
+        lambda rep: (True, f"{rep.sample_size} comparisons")),
+    2: ("non-dyadic triples to 200", 60, "pass",
+        lambda rep: (True, f"{rep.sample_size} triples")),
+    3: ("stability identities on 10^4 Brownian paths", 120, "pass",
+        lambda rep: (True, "max normalized deviation "
+                     f"{_stat(rep, 'max_normalized_deviation').value:.2e}")),
+    4: ("sign-word identities, a=1 b=2 n=8", 120, "pass",
+        lambda rep: (True, str({s.name: s.value for s in rep.statistics}))),
+    5: ("alignment power contract on every length-4 word", 300, "pass",
+        _quota_detail),
+    6: ("counterexample mean (c-2)/2 and invariance", 120, "pass",
+        _mean_detail),
+    7: ("stopped-mean bound, 6 configurations", 300, "pass",
+        _exact_martingale),
+    8: ("ladder martingale steps, n <= 4", 300, "pass", _steps_detail),
+    9: ("drifted negative control must fail", 120, "fail", _strong_rejection),
+}
 
 
 def check_digests(number, reports):
@@ -96,137 +153,21 @@ def check_digests(number, reports):
             for r in reports] == record["criteria"][str(number)]["sha256"]
 
 
-def test_criterion_1_exhaustive_advance_formula():
+@pytest.mark.parametrize("number", sorted(CRITERIA),
+                         ids="criterion_{}".format)
+def test_criterion(number):
+    label, budget, verdict, gate = GATES[number]
     t0 = time.time()
-    rep, = CRITERIA[1]()
+    reports = CRITERIA[number]()
     elapsed = time.time() - t0
-    ok = rep.verdict == "pass" and elapsed < 60
-    report_line(1, "advance formula, n <= 12, both suffix heads", ok, elapsed,
-                f"{rep.sample_size} comparisons")
-    assert rep.verdict == "pass"
-    assert elapsed < 60
-    check_digests(1, [rep])
-
-
-def test_criterion_2_non_dyadic_sweep():
-    t0 = time.time()
-    rep, = CRITERIA[2]()
-    elapsed = time.time() - t0
-    ok = rep.verdict == "pass" and elapsed < 60
-    report_line(2, "non-dyadic triples to 200", ok, elapsed,
-                f"{rep.sample_size} triples")
-    assert rep.verdict == "pass"
-    assert elapsed < 60
-    check_digests(2, [rep])
-
-
-def test_criterion_3_pathwise_stability():
-    t0 = time.time()
-    rep, = CRITERIA[3]()
-    elapsed = time.time() - t0
-    fails = {s.name: s.value for s in rep.statistics}
-    ok = rep.verdict == "pass" and elapsed < 120
-    report_line(3, "stability identities on 10^4 Brownian paths", ok, elapsed,
-                f"max normalized deviation "
-                f"{fails['max_normalized_deviation']:.2e}")
-    assert rep.verdict == "pass", fails
-    assert elapsed < 120
-    check_digests(3, [rep])
-
-
-def test_criterion_4_sign_dynamics_identities():
-    t0 = time.time()
-    rep, = CRITERIA[4]()
-    elapsed = time.time() - t0
-    fails = {s.name: s.value for s in rep.statistics}
-    ok = rep.verdict == "pass" and elapsed < 120
-    report_line(4, "sign-word identities, a=1 b=2 n=8", ok, elapsed,
-                str(fails))
-    assert rep.verdict == "pass", fails
-    assert elapsed < 120
-    check_digests(4, [rep])
-
-
-def test_criterion_5_alignment_contract():
-    t0 = time.time()
-    rep, = CRITERIA[5]()
-    elapsed = time.time() - t0
-    stats = {s.name: s for s in rep.statistics}
-    ok = rep.verdict == "pass" and elapsed < 300
-    report_line(5, "alignment power contract on every length-4 word", ok,
-                elapsed,
-                f"{stats['words_below_quota'].detail['checks_total']} checks "
-                f"over {rep.sample_size} draws")
-    assert rep.verdict == "pass", {k: s.value for k, s in stats.items()}
-    assert elapsed < 300
-    check_digests(5, [rep])
-
-
-def test_criterion_6_counterexample_reproduction():
-    t0 = time.time()
-    rep, = CRITERIA[6]()
-    elapsed = time.time() - t0
-    stats = {s.name: s for s in rep.statistics}
-    mean_stat = stats["stopped_mean_vs_expected"]
-    ok = rep.verdict == "pass" and elapsed < 120
-    report_line(6, "counterexample mean (c-2)/2 and invariance", ok, elapsed,
-                f"mean deviation {mean_stat.value:+.5f} "
-                f"(4 SE = {mean_stat.threshold:.5f})")
-    assert rep.verdict == "pass", {k: s.value for k, s in stats.items()}
-    assert elapsed < 120
-    check_digests(6, [rep])
-
-
-def test_criterion_7_bound_family():
-    t0 = time.time()
-    worst_ratio = 0.0
-    all_ok = True
-    reports = CRITERIA[7]()
-    for rep in reports:
-        stat = rep.statistics[0]
-        # stricter than the generic bound: the sampled law is an exact
-        # martingale here, so the mean itself must sit within 4 SE of 0
-        ratio = abs(stat.value) / stat.se if stat.se else 0.0
-        worst_ratio = max(worst_ratio, ratio)
-        all_ok = all_ok and ratio <= 4.0 and rep.verdict == "pass"
-    elapsed = time.time() - t0
-    ok = all_ok and elapsed < 300
-    report_line(7, "stopped-mean bound, 6 configurations", ok, elapsed,
-                f"worst |mean|/SE = {worst_ratio:.2f}")
-    assert all_ok
-    assert elapsed < 300
-    check_digests(7, reports)
-
-
-def test_criterion_8_martingale_steps():
-    t0 = time.time()
-    rep, = CRITERIA[8]()
-    elapsed = time.time() - t0
-    anti = next(s for s in rep.statistics
-                if s.name == "antisymmetry_failures")
-    worst = max((abs(s.value) / s.se for s in rep.statistics
-                 if s.se), default=0.0)
-    ok = rep.verdict == "pass" and elapsed < 300
-    report_line(8, "ladder martingale steps, n <= 4", ok, elapsed,
-                f"antisymmetry failures {anti.value:.0f}, "
-                f"worst |mean|/SE = {worst:.2f}")
-    assert rep.verdict == "pass", [(s.name, s.value, s.threshold)
-                                   for s in rep.statistics
-                                   if s.verdict == "fail"]
-    assert elapsed < 300
-    check_digests(8, [rep])
-
-
-def test_criterion_9_drift_negative_control():
-    t0 = time.time()
-    rep, = CRITERIA[9]()
-    elapsed = time.time() - t0
-    live = [s for s in rep.statistics if s.verdict != "skip"]
-    min_p = min(s.value for s in live)
-    ok = rep.verdict == "fail" and min_p < 1e-3 and elapsed < 120
-    report_line(9, "drifted negative control must fail", ok, elapsed,
-                f"min adjusted p = {min_p:.2e}")
-    assert rep.verdict == "fail"
-    assert min_p < 1e-3
-    assert elapsed < 120
-    check_digests(9, [rep])
+    verdicts_ok = all(rep.verdict == verdict for rep in reports)
+    gate_ok, detail = gate(*reports)
+    ok = verdicts_ok and gate_ok and elapsed < budget
+    print(f"ACCEPTANCE {number} ({label}): {'PASS' if ok else 'FAIL'} "
+          f"[{elapsed:.1f}s] {detail}")
+    assert verdicts_ok, [(s.name, s.value, s.threshold)
+                         for rep in reports for s in rep.statistics
+                         if s.verdict == "fail"]
+    assert gate_ok, detail
+    assert elapsed < budget
+    check_digests(number, reports)

@@ -225,24 +225,18 @@ class TestDeterminism:
 
 
 def report_digest(out_dir):
-    """sha256 of report.json without its generated_at line, and for a
-    ladder or bound report without its params.law line: neither recorded
-    a law when the digests below were pinned."""
+    """sha256 of report.json without its generated_at line."""
     lines = (out_dir / "report.json").read_text().splitlines(keepends=True)
-    no_law = {'  "name": "ladder",\n', '  "name": "bound_check",\n'}
-    law_added = not no_law.isdisjoint(lines)
     kept = [line for line in lines
-            if not line.startswith('  "generated_at": ')
-            and not (law_added and line.startswith('    "law": '))]
+            if not line.startswith('  "generated_at": ')]
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
 # name -> (config, or CLI arguments before --out-dir; exit status; report
 # digest).  Every report-writing config of this file, run in a fresh
 # directory that holds line.csv (a straight line from 0 to 3 at time 3).
-# The digests were taken before the config keys were checked, the
-# demo-counterexample subcommand ran through run_config and the ladder
-# recorded its law; those changes must keep every byte of these reports.
+# Each digest covers the whole report but its timestamp, the law a ladder
+# or bound run records included.
 REPORTS = {
     "invariance": (
         {"kind": "invariance", "law": "counterexample()", "rule": "Tpm(1,1)",
@@ -266,7 +260,7 @@ REPORTS = {
          "rule": "min(Tpm(1,1),fixed(1.0))", "a": "1", "b": "1", "N": 1200,
          "bound_cap": 1.0, "seed": 8},
         0,
-        "b8dce68e427f4de80d628dd156193f6cc3cd3ec439c710572164619707ba9418"),
+        "cb856984d1382e13ff78192449a67657e92765867c913d9669e908c338ae8007"),
     "signs": (
         {"kind": "signs", "law": "bm(dt=0.02,T=2)", "a": "1", "b": "2",
          "n": 3, "N": 120, "seed": 6},
@@ -286,16 +280,16 @@ REPORTS = {
         {"kind": "ladder", "a": "1", "b": "2", "n": 6, "N": 2,
          "law": "bm(dt=0.01,T=4)", "seed": 5},
         0,
-        "d6cebd638574d9d31d768d82ec4e351b5a175bcacdb27a807f0e58e6d7a31f5c"),
+        "cc4fd95b38c19be50475f7c9e9fa1d5025c40420c77822300e0113db9ece4f9b"),
     "ladder-dumps": (
         {"kind": "ladder", "a": "1", "b": "2", "n": 4, "N": 3,
          "law": "bm(dt=0.01,T=2)", "seed": 21, "dump_paths": 3},
         0,
-        "e3c6b52bc680b2f82c951f8097f6f024708ca7a925d4d8277214f2cedb867455"),
+        "81e1da5ef6352d30640d9d44f3a0894eb28a162cc6780df3c8123fa30d2bc93d"),
     "ladder-default-law": (
         {"kind": "ladder", "a": "1", "b": "2", "n": 2, "N": 1, "seed": 9},
         0,
-        "5eb4f3e2e215533b3d50551ccda3ed8d05007d900ccfe1ac0e0e7c313392a496"),
+        "5cc0f3bf7e4705fd0116d8e1112cfdc00d4c46b8c287dbdb14898254b9d7946a"),
     "ladder-csv": (
         {"kind": "ladder", "a": "1", "b": "2", "n": 3,
          "paths_csv": ["line.csv"], "seed": 0},
@@ -311,7 +305,7 @@ REPORTS = {
         ["ladder", "--a", "1", "--b", "2", "--n", "4",
          "--law", "bm(dt=0.1,T=2)", "--seed", "2"],
         0,
-        "aa08fb382b916da4ac4f19a6d6142c056169a2f8064f275ce5fc905473498749"),
+        "79d8c0577921df48f5644efb6ac0375a1437c6d7625b3bf570747b53ab42c36e"),
     "demo-subcommand": (
         ["demo-counterexample", "--N", "1500"], 0,
         "5f9f8e7390bf50799bca753fb86e219cc1f0c48880347e3a30f2516854c3afe4"),
@@ -697,13 +691,9 @@ class TestRuleDepth:
 
     @pytest.mark.parametrize("depth", [_MAX_RULE_DEPTH + 1, 1000])
     def test_deeper_rule_rejected_before_any_draw(self, depth, tmp_path,
-                                                  monkeypatch):
+                                                  refuse_draws):
         # 1000 layers ended in a RecursionError inside parse_rule, and 400
         # drew every path and then overflowed in the report's repr(rule)
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(RuleError,
                            match=f"rule spec nested {depth} calls deep; at "
                                  f"most {_MAX_RULE_DEPTH} are taken"):

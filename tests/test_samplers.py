@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
 from collections import Counter
 from fractions import Fraction
@@ -478,3 +479,29 @@ class TestGridSamplers:
         for a in (p.knots, p.increments):
             with pytest.raises(ValueError):
                 a[1] = 0.5
+
+
+#: os.fork as imported, before any fixture patches it
+_FORK = os.fork
+
+
+class TestDrawGuard:
+    # the refuse_draws fixture (conftest.py) behind every test that a run
+    # is rejected before its first draw: a law it let draw would pass them
+    @pytest.mark.parametrize("spec", [
+        "bm(dt=0.5,T=1)", "drift(0.5,dt=0.5,T=1)",
+        "ocone(identity,dt=0.5,T=1)", "ocone(random_rate,dt=0.5,T=1)",
+        "stopped(1,dt=0.5,T=1)", "counterexample()"])
+    def test_every_law_is_refused(self, spec, refuse_draws):
+        law = parse_law(spec)
+        draws = [lambda: law.sample(0)]
+        if hasattr(law, "_rows"):
+            draws.append(lambda: law._rows(range(3)))
+        for draw in draws:
+            with pytest.raises(AssertionError, match="drew paths"):
+                draw()
+
+    def test_fork_is_refused(self, refuse_draws):
+        assert os.fork is not _FORK  # never runs the real fork
+        with pytest.raises(AssertionError, match="forked a helper process"):
+            os.fork()

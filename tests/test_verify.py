@@ -30,12 +30,16 @@ from reflectlab import (
     FixedTime,
     FirstPassage,
     LadderStep,
+    MaxOf,
     MinOf,
+    Mixture,
     OconeTimeChange,
     Path,
     RuleError,
     SamplerError,
+    SignWord,
     StoppedSymmetric,
+    TimeCompare,
     TwoSidedHit,
     advance_formula_check,
     bound_check,
@@ -43,6 +47,7 @@ from reflectlab import (
     counterexample_demo,
     default_functionals,
     exit_alignment_test,
+    first_zero_index,
     invariance_test,
     is_dyadic,
     is_observed,
@@ -255,14 +260,9 @@ class TestInvarianceTest:
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.0, math.nan, "0.1",
                                        None, True])
-    def test_bad_alpha_rejected_before_any_draw(self, alpha, monkeypatch):
+    def test_bad_alpha_rejected_before_any_draw(self, alpha, refuse_draws):
         # alpha -1 used to pass every statistic, NaN to fail every one, and
         # "0.1" and None ended in a TypeError from the comparison
-        def no_draws(self, indices):
-            raise AssertionError(f"drew {indices}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
-        monkeypatch.setattr(BrownianMotion, "_rows", no_draws)
         with pytest.raises(ConfigurationError, match=r"alpha must lie in"):
             invariance_test(BrownianMotion(dt=0.05, horizon=1.0, seed=58),
                             FixedTime(0.0), [ValueAtTime(1.0)], 1000,
@@ -516,15 +516,11 @@ class TestBoundCheck:
         (1, 2, math.nan), (1, 2, math.inf), (1, 2, True), (1, 2, "2"),
         (1, 2, None), (1, 2, [2])])
     def test_bad_input_rejected_before_any_draw(self, a, b, bound_cap,
-                                                monkeypatch):
+                                                refuse_draws):
         # a = b = 0 used to draw every path and then divide by zero, a = -1
         # ran against a bound of 1, a NaN or infinite cap turned the cap
         # off, True ran as a cap of 1.0, and "2", None and [2] ended in a
         # TypeError from the comparison with 0
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(ConfigurationError, match="must be positive"):
             bound_check(BrownianMotion(dt=0.05, horizon=1.0, seed=56), a, b,
                         FixedTime(1.0), bound_cap=bound_cap, n_draws=100)
@@ -536,11 +532,7 @@ class TestBoundCheck:
         (1, 2, 1, "bound_check needs at least 2 draws, got 1"),
     ], ids=["overflowing-barrier", "one-draw"])
     def test_rejected_before_any_draw(self, a, b, n_draws, message,
-                                      monkeypatch):
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
+                                      refuse_draws):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             bound_check(BrownianMotion(dt=0.1, horizon=1.0), a, b,
                         FixedTime(1.0), 10.0, n_draws, seed=1)
@@ -553,13 +545,9 @@ class TestBoundCheck:
                             True, 1, FixedTime(1.0), bound_cap=1.0,
                             n_draws=100),
     ], ids=["FirstPassage", "TwoSidedHit", "ladder_levels", "bound_check"])
-    def test_bool_level_rejected(self, build, monkeypatch):
+    def test_bool_level_rejected(self, build, refuse_draws):
         # true used to stand for the level 1: FirstPassage(True) ran at 1,
         # TwoSidedHit(True, 2) at (-1, 2)
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(RuleError, match="got bool"):
             build()
 
@@ -868,12 +856,8 @@ class TestSignIdentitySuite:
         assert sum(counts.detail["word_counts"].values()) == 150
         assert all(s.value == 0 for s in stats.values())
 
-    def test_empty_words_rejected_before_any_draw(self, monkeypatch):
+    def test_empty_words_rejected_before_any_draw(self, refuse_draws):
         # every draw gave the empty word and every count read 0, a pass
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(ConfigurationError,
                            match="n must be at least 1, got 0"):
             sign_identity_test(BrownianMotion(dt=0.01, horizon=1.0), 1, 2, 0,
@@ -886,23 +870,15 @@ class TestSignIdentitySuite:
 
 
 class TestExitAlignment:
-    def test_empty_words_rejected_before_any_draw(self, monkeypatch):
+    def test_empty_words_rejected_before_any_draw(self, refuse_draws):
         # tau_0 = 0 never equals an exit time, so every run failed
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(ConfigurationError,
                            match="n must be at least 1, got 0"):
             exit_alignment_test(BrownianMotion(dt=0.01, horizon=3.0), 1, 2,
                                 0, 1, 50, seed=1)
 
-    def test_negative_word_length_rejected(self, monkeypatch):
+    def test_negative_word_length_rejected(self, refuse_draws):
         # all_words(-1) recursed until RecursionError
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(RuleError,
                            match="word length n must be nonnegative, got -1"):
             exit_alignment_test(BrownianMotion(dt=0.05, horizon=1.0), 1, 2,
@@ -943,17 +919,9 @@ class TestLadderArguments:
          "every ladder step needs a positive finite float value"),
     ], ids=["dyadic", "zero", "overflowing"])
     def test_rejected_before_any_draw(self, run, a, b, error, message,
-                                      monkeypatch):
+                                      refuse_draws):
         # the suites reported these only at the first draw, after forking
         # their helper processes
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        def no_fork():
-            raise AssertionError("forked a helper process")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
-        monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(RuleError) as info:
             run(a, b)
         assert type(info.value) is error
@@ -969,31 +937,19 @@ class TestCounterexampleDemo:
         assert "stopped_mean_vs_expected" in names
 
     @pytest.mark.parametrize("n_draws", [1, 999])
-    def test_size_rejected_before_any_draw(self, n_draws, monkeypatch):
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
+    def test_size_rejected_before_any_draw(self, n_draws, refuse_draws):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError):
                 counterexample_demo(n_draws)
 
-    def test_overflowing_barrier_rejected_before_any_draw(self, monkeypatch):
+    def test_overflowing_barrier_rejected_before_any_draw(self, refuse_draws):
         # float(c) raised a bare OverflowError
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
         with pytest.raises(ConfigurationError,
                            match="c has no finite float value"):
             counterexample_demo(1000, c=10 ** 400)
 
-    def test_low_barrier_rejected_before_any_draw(self, monkeypatch):
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
+    def test_low_barrier_rejected_before_any_draw(self, refuse_draws):
         with pytest.raises(ConfigurationError, match="c must exceed 1"):
             counterexample_demo(1000, c=1)
 
@@ -1005,19 +961,72 @@ class TestCounterexampleDemo:
         assert rep.to_json() == counterexample_demo(1000, seed=3).to_json()
 
 
+def _stability():
+    return stability_suite(4, seed=71,
+                           sampler=BrownianMotion(dt=0.01, horizon=4.0))
+
+
+def _signs():
+    return sign_identity_test(BrownianMotion(dt=0.01, horizon=3.0), 1, 2, 4,
+                              10, seed=72)
+
+
+# a "rule" that reads past its own time: it stops at 0.1 when +1 is hit
+# before -1, else at 0.2, so a reflection at its time can move its time
+_LOOKAHEAD = Mixture((
+    (FixedTime(0.1), TimeCompare(FirstPassage(1), FirstPassage(-1), "lt")),
+    (FixedTime(0.2), TimeCompare(FirstPassage(1), FirstPassage(-1), "ge"))))
+
 _BROKEN_MAPS = {
     # a map in verify's namespace, a broken stand-in, a run of the battery
     # that reads it and the statistic that must count the breakage
     "negated_level_chain": (
-        "negate", lambda p: p,
-        lambda: stability_suite(4, seed=71,
-                                sampler=BrownianMotion(dt=0.01, horizon=4.0)),
-        "negated_level_chain"),
+        "negate", lambda p: p, _stability, "negated_level_chain"),
+    # every rule taken for unobserved: a rule that stops must then leave p
+    # as it is
+    "involution_exact_unobserved": (
+        "is_observed", lambda t: False, _stability, "involution_exact"),
+    "involution_exact_observed": (
+        "_REFLECT_RULES", verify._REFLECT_RULES + (_LOOKAHEAD,), _stability,
+        "involution_exact"),
+    "time_idempotent": (
+        "_REFLECT_RULES", verify._REFLECT_RULES + (_LOOKAHEAD,), _stability,
+        "time_idempotent"),
+    "involution_function": (
+        "_deviation", lambda p, q: 1.0, _stability, "involution_function"),
+    # S o rho_T composed as T alone, on the pair whose S stops at a knot
+    "formulas_low_branch": (
+        "_COMPOSE_PAIRS", ((verify._FIXED_MID, verify._EXIT, verify._EXIT),),
+        _stability, "formulas_low_branch"),
+    "formulas_high_branch": (
+        "_COMPOSE_PAIRS",
+        tuple((s, t, s) for s, t, _ in verify._COMPOSE_PAIRS), _stability,
+        "formulas_high_branch"),
+    "prefix_determinism": (
+        "_MIX", _LOOKAHEAD, _stability, "prefix_determinism"),
+    # the difference of two times for the sign of it
+    "order_consistency": (
+        "_cmp", operator.sub, _stability, "order_consistency"),
+    # the events compared with a time past the reflection's pivot
+    "mixture_events": (
+        "TimeCompare", lambda s, t, op: TimeCompare(s, FixedTime(3.0), op),
+        _stability, "mixture_events"),
+    "mixture_min": (
+        "_MIX_MIN", MaxOf(verify._HIT_UP, verify._FIXED_MID), _stability,
+        "mixture_min"),
+    "mixture_involution": (
+        "_MIX", _LOOKAHEAD, _stability, "mixture_involution"),
+    "negation": ("negate_word", lambda w: w, _signs, "negation"),
     "sign_reflection": (
-        "reflect_word", signs.negate_word,
-        lambda: sign_identity_test(BrownianMotion(dt=0.01, horizon=3.0), 1,
-                                   2, 4, 10, seed=72),
-        "reflection"),
+        "reflect_word", signs.negate_word, _signs, "reflection"),
+    "advance": ("advance_word", lambda w: w, _signs, "advance"),
+    # a path negated from time 1 on, not from 0
+    "times_preserved": (
+        "negate", lambda p: reflect_at_time(p, 1.0), _signs,
+        "times_preserved"),
+    # the exit read at the first 0 of the word, not at its first -1
+    "hit_identity": (
+        "first_down_index", first_zero_index, _signs, "hit_identity"),
     "alignment": (
         "exit_alignment_power", lambda w: signs.exit_alignment_power(w) + 1,
         lambda: exit_alignment_test(BrownianMotion(dt=0.01, horizon=3.0), 1,
@@ -1035,6 +1044,15 @@ _BROKEN_MAPS = {
         "word_after_steps", lambda n, steps, suffix=():
         signs.word_after_steps(n, (steps + 1) % 2 ** n, suffix),
         lambda: advance_formula_check(3), "formula_mismatches"),
+    # a step that drops every sign maps many words to one
+    "non_bijective_lengths": (
+        "advance_word", lambda w: SignWord(abs(e) for e in w),
+        lambda: advance_formula_check(3), "non_bijective_lengths"),
+    # the unit exit of (-1, 1) widened below to (-2, 1)
+    "unit_exit_time": (
+        "TwoSidedHit", lambda a, b: TwoSidedHit(a + 1, b),
+        lambda: counterexample_demo(1000, seed=75),
+        "unit_exit_time_failures"),
 }
 
 
@@ -1355,15 +1373,10 @@ class TestSharding:
         lambda s, n: counterexample_demo(n, seed=76),
     ], ids=["stability", "signs", "martingale", "bound", "alignment",
             "invariance", "counterexample"])
-    def test_count_not_an_integer_rejected(self, monkeypatch, run, count):
+    def test_count_not_an_integer_rejected(self, refuse_draws, run, count):
         # True ran one draw and recorded "sample_size": true; 2.5 ended in a
         # TypeError from range, and "5000" in one from invariance_test's
         # comparison with 1000
-        def no_draws(*args):
-            raise AssertionError("drew a path")
-
-        monkeypatch.setattr(BrownianMotion, "_rows", no_draws)
-        monkeypatch.setattr(DyadicCounterexample, "sample", no_draws)
         with pytest.raises(ConfigurationError):
             run(BrownianMotion(dt=0.05, horizon=1.0, seed=76), count)
 
@@ -1382,27 +1395,19 @@ class TestSharding:
         ("min_per_word",
          lambda s, v: exit_alignment_test(s, 1, 2, 2, v, 5, seed=1)),
     ], ids=["signs_n", "alignment_n", "alignment_quota"])
-    def test_word_counts_not_an_integer_rejected(self, monkeypatch, name,
+    def test_word_counts_not_an_integer_rejected(self, refuse_draws, name,
                                                  run, value):
         # n=True ran words of length 1 and min_per_word=True a quota of 1,
         # each recording true; 1.5 ran and 2.5 ended in a TypeError
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(ConfigurationError,
                            match=f"{name} must be an integer, got "
                                  f"{value!r}"):
             run(BrownianMotion(dt=0.05, horizon=1.0), value)
 
     @pytest.mark.parametrize("workers", [2.5, "2", True])
-    def test_worker_count_not_an_integer_rejected(self, monkeypatch,
+    def test_worker_count_not_an_integer_rejected(self, refuse_draws,
                                                   workers):
         # 2.5 and "2" ended in a TypeError from _ranges, True ran as 1
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(ConfigurationError,
                            match=f"a worker count must be an integer, got "
                                  f"{workers!r}"):
@@ -1425,12 +1430,8 @@ class TestSharding:
         assert stability_suite(np.int32(3), seed=2, sampler=law).to_json() \
             == stability_suite(3, seed=2, sampler=law).to_json()
 
-    def test_negative_martingale_steps_rejected(self, monkeypatch):
+    def test_negative_martingale_steps_rejected(self, refuse_draws):
         # it traced each draw to step 0 and passed with no increment checked
-        def no_draws(self, index):
-            raise AssertionError(f"drew path {index}")
-
-        monkeypatch.setattr(BrownianMotion, "sample", no_draws)
         with pytest.raises(ConfigurationError,
                            match="n_steps must be at least 0, got -1"):
             martingale_step_test(BrownianMotion(dt=0.05, horizon=1.0), 1, 2,
